@@ -7,11 +7,9 @@ from chemlinker.adapternet.model import (
     TrainConfig,
     adapter_attend,
     adapter_ffn,
-    add_mlp_adapter,
     decoder_only_logits,
     forward_logits,
     init_model,
-    mlp_adapter,
 )
 from chemlinker.adapternet.training import (
     batch_loss,
@@ -30,7 +28,7 @@ from chemlinker.adapternet.vocab import (
 __all__ = [
     "Tensor", "layer_norm",
     "ModelParams", "TrainConfig", "init_model",
-    "adapter_attend", "adapter_ffn", "mlp_adapter", "add_mlp_adapter",
+    "adapter_attend", "adapter_ffn",
     "forward_logits", "decoder_only_logits",
     "teacher_forced_loss", "batch_loss", "noam_lr",
     "train_adapter", "pretrain_decoder", "grad_check",

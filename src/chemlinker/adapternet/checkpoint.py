@@ -17,6 +17,7 @@ import numpy as np
 from chemlinker.adapternet.model import ModelParams, TrainConfig
 
 MAGIC = b"CLMK1"
+_RETIRED_SWITCHES = ("finetune_text", "train_head", "unscaled_attention")
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
@@ -48,13 +49,24 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
+    """Read a checkpoint; raises ValueError for any file it cannot read."""
     with open(path, "rb") as fh:
-        magic = fh.read(5)
-        if magic != MAGIC:
-            raise ValueError(f"not a checkpoint file (magic {magic!r})")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        payload = fh.read()
+        blob = fh.read()
+    if blob[:5] != MAGIC:
+        raise ValueError(f"not a checkpoint file (magic {blob[:5]!r})")
+    if len(blob) < 13:
+        raise ValueError("truncated checkpoint header")
+    (header_len,) = struct.unpack_from("<Q", blob, 5)
+    if len(blob) < 13 + header_len:
+        raise ValueError("truncated checkpoint header")
+    header = json.loads(blob[13:13 + header_len].decode("utf-8"))
+    try:
+        return _params_from(header, memoryview(blob)[13 + header_len:])
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"unreadable checkpoint header: {exc!r}") from exc
+
+
+def _params_from(header: dict, payload) -> ModelParams:
     if header.get("dtype") != "f4":
         raise ValueError("unsupported tensor dtype")
     tensors = {}
@@ -62,11 +74,15 @@ def load_checkpoint(path) -> ModelParams:
     for entry in header["tensors"]:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
         array = np.frombuffer(
-            payload, dtype="<f4", count=count, offset=start)
+            payload, dtype="<f4", count=count, offset=entry["offset"])
         tensors[entry["name"]] = array.reshape(shape).copy()
         if entry["frozen"]:
             frozen.add(entry["name"])
-    cfg = TrainConfig(**header["config"])
-    return ModelParams(tensors, frozen, cfg)
+    config = dict(header["config"])
+    # Older checkpoints echo three switches that could only be False.
+    for key in _RETIRED_SWITCHES:
+        if config.pop(key, False) is not False:
+            raise ValueError(f"checkpoint trained with {key}, "
+                             "which is no longer supported")
+    return ModelParams(tensors, frozen, TrainConfig(**config))

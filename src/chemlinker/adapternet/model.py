@@ -7,8 +7,8 @@ molecule width by W_T, molecule states act as attention queries, projected
 text states are both keys and values, and the result is added residually to
 the molecule states (W_O starts at zero so an untrained adapter is a no-op).
 A small feed-forward block (second layer also zero-initialized) follows, then
-the language-model head. `unscaled_attention` drops the 1/sqrt(d_head)
-factor in the adapter to reproduce the plain dot-product formula.
+the language-model head. The text encoder, the decoder and the head are
+frozen by construction; only the projection and the adapter train.
 """
 
 from __future__ import annotations
@@ -37,9 +37,6 @@ class TrainConfig:
     seed: int = 42
     batch_size: int = 16
     max_steps: int = 500
-    finetune_text: bool = False
-    train_head: bool = False
-    unscaled_attention: bool = False
 
 
 class ModelParams:
@@ -120,20 +117,16 @@ def init_model(cfg: TrainConfig, seed: int | None = None) -> ModelParams:
     t["head.w"] = uniform(cfg.d_mol, cfg.mol_vocab)
     t["head.b"] = zeros(cfg.mol_vocab)
 
-    frozen = {n for n in t if n.startswith("mol.")}
-    if not cfg.train_head:
-        frozen |= {n for n in t if n.startswith("head.")}
-    if not cfg.finetune_text:
-        frozen |= {n for n in t if n.startswith("text.")}
+    frozen = {n for n in t if n.startswith(("text.", "mol.", "head."))}
     return ModelParams(t, frozen, replace(cfg))
 
 
 # --- forward pass ----------------------------------------------------------------
 
 
-def _as_tensors(params: ModelParams, trainable_grad: bool = False) -> dict:
-    return {n: Tensor(v, requires_grad=trainable_grad
-                      and n not in params.frozen)
+def as_tensors(params: ModelParams, grad: bool = False) -> dict:
+    """Wrap every tensor; with `grad`, the non-frozen ones record gradients."""
+    return {n: Tensor(v, requires_grad=grad and n not in params.frozen)
             for n, v in params.tensors.items()}
 
 
@@ -148,15 +141,13 @@ def _heads_join(x: Tensor) -> Tensor:
 
 
 def _attention(q_in: Tensor, kv_in: Tensor, wq, wk, wv, wo,
-               heads: int, mask=None, scaled: bool = True):
+               heads: int, mask=None):
     """Multi-head attention; returns (output, attention weights (h,n,m))."""
     d_head = wq.shape[1] // heads
     q = _heads_split(q_in @ wq, heads)
     k = _heads_split(kv_in @ wk, heads)
     v = _heads_split(kv_in @ wv, heads)
-    scores = q @ k.transpose(0, 2, 1)
-    if scaled:
-        scores = scores * (1.0 / math.sqrt(d_head))
+    scores = q @ k.transpose(0, 2, 1) * (1.0 / math.sqrt(d_head))
     if mask is not None:
         scores = scores + mask
     weights = scores.softmax(axis=-1)
@@ -216,7 +207,7 @@ def adapter_attend(T_states, S_states, params, cfg: TrainConfig | None = None):
     Attention rows always sum to 1; with a single text state every weight
     is exactly 1 and the update is the value projection of that state.
     """
-    t = params if isinstance(params, dict) else _as_tensors(params)
+    t = params if isinstance(params, dict) else as_tensors(params)
     cfg = cfg or (None if isinstance(params, dict) else params.config)
     T = T_states if isinstance(T_states, Tensor) else Tensor(np.asarray(T_states))
     S = S_states if isinstance(S_states, Tensor) else Tensor(np.asarray(S_states))
@@ -231,8 +222,7 @@ def adapter_attend(T_states, S_states, params, cfg: TrainConfig | None = None):
     projected = T @ t["proj.w_t"]
     out, weights = _attention(
         S, projected, t["adapter.attn.wq"], t["adapter.attn.wk"],
-        t["adapter.attn.wv"], t["adapter.attn.wo"], cfg.heads,
-        scaled=not cfg.unscaled_attention)
+        t["adapter.attn.wv"], t["adapter.attn.wo"], cfg.heads)
     return S + out, weights
 
 
@@ -245,7 +235,7 @@ def forward_logits(params: ModelParams, text_ids, mol_ids,
                    tensors: dict | None = None) -> Tensor:
     """Full conditional forward: returns (len(mol_ids), mol_vocab) logits."""
     cfg = params.config
-    t = tensors if tensors is not None else _as_tensors(params)
+    t = tensors if tensors is not None else as_tensors(params)
     T = encode_text(t, cfg, text_ids)
     S = decode_mol_states(t, cfg, mol_ids)
     S, _ = adapter_attend(T, S, t, cfg)
@@ -257,42 +247,7 @@ def decoder_only_logits(params: ModelParams, mol_ids,
                         tensors: dict | None = None) -> Tensor:
     """Unconditional decoder + head, used for decoder pretraining."""
     cfg = params.config
-    t = tensors if tensors is not None else _as_tensors(params)
+    t = tensors if tensors is not None else as_tensors(params)
     S = decode_mol_states(t, cfg, mol_ids)
     return S @ t["head.w"] + t["head.b"]
 
-
-def mlp_adapter(T_pooled, S_states, params, cfg: TrainConfig | None = None):
-    """Ablation: concatenate mean-pooled text with each molecule state and
-    apply a two-layer MLP. The concatenation is computed as the equivalent
-    split matmul S @ W1_mol + pooled @ W1_text."""
-    t = params if isinstance(params, dict) else _as_tensors(params)
-    T = T_pooled if isinstance(T_pooled, Tensor) else Tensor(np.asarray(T_pooled))
-    S = S_states if isinstance(S_states, Tensor) else Tensor(np.asarray(S_states))
-    if T.data.ndim != 1:
-        raise DimensionMismatch("pooled text must be a vector")
-    if "mlp.w1s" not in t:
-        raise DimensionMismatch("model was built without the MLP ablation")
-    if (S.shape[1] != t["mlp.w1s"].shape[0]
-            or T.shape[0] != t["mlp.w1t"].shape[0]):
-        raise DimensionMismatch("MLP adapter width mismatch")
-    h = (S @ t["mlp.w1s"] + T.reshape(1, T.shape[0]) @ t["mlp.w1t"]
-         + t["mlp.b1"]).tanh()
-    return h @ t["mlp.w2"] + t["mlp.b2"]
-
-
-def add_mlp_adapter(params: ModelParams, seed: int = 0) -> None:
-    """Attach the MLP-ablation tensors (trainable) to an existing model."""
-    cfg = params.config
-    rng = np.random.default_rng(seed)
-    f = cfg.ffn_mult * cfg.d_mol
-
-    def uniform(*shape):
-        bound = 1.0 / math.sqrt(shape[0])
-        return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-    params.tensors["mlp.w1s"] = uniform(cfg.d_mol, f)
-    params.tensors["mlp.w1t"] = uniform(cfg.d_text, f)
-    params.tensors["mlp.b1"] = np.zeros(f, dtype=np.float32)
-    params.tensors["mlp.w2"] = uniform(f, cfg.d_mol)
-    params.tensors["mlp.b2"] = np.zeros(cfg.d_mol, dtype=np.float32)

@@ -3,13 +3,13 @@ finite-difference gradient verification."""
 
 from __future__ import annotations
 
-
 import numpy as np
 
 from chemlinker.errors import EmptyDataset, LengthMismatch
 from chemlinker.adapternet.autograd import Tensor
 from chemlinker.adapternet.model import (
     ModelParams,
+    as_tensors,
     decoder_only_logits,
     forward_logits,
 )
@@ -48,11 +48,6 @@ def teacher_forced_loss(logits, targets, pad_id: int | None = None):
     return loss if as_tensor else float(loss.data)
 
 
-def _trainable_tensors(params: ModelParams) -> dict:
-    return {n: Tensor(v, requires_grad=n not in params.frozen)
-            for n, v in params.tensors.items()}
-
-
 def batch_loss(params: ModelParams, batch, tensors=None,
                conditional: bool = True) -> Tensor:
     """Mean per-pair teacher-forced loss over (text_ids, mol_ids) pairs.
@@ -60,7 +55,7 @@ def batch_loss(params: ModelParams, batch, tensors=None,
     mol_ids must include BOS...EOS; inputs are mol_ids[:-1], targets
     mol_ids[1:].
     """
-    t = tensors if tensors is not None else _trainable_tensors(params)
+    t = tensors if tensors is not None else as_tensors(params, grad=True)
     total = None
     for text_ids, mol_ids in batch:
         if conditional:
@@ -72,36 +67,23 @@ def batch_loss(params: ModelParams, batch, tensors=None,
     return total * (1.0 / len(batch))
 
 
-def train_adapter(params: ModelParams, dataset, cfg=None,
-                  log_every: int = 0):
-    """Adam under the Noam schedule; only non-frozen tensors are updated.
-
-    Returns (params, loss_history). Deterministic given cfg.seed.
-    """
-    cfg = cfg or params.config
-    dataset = list(dataset)
-    if not dataset:
-        raise EmptyDataset("training set is empty")
-    rng = SplitMix64(cfg.seed)
+def _adam(params: ModelParams, cfg, batches, conditional: bool) -> list:
+    """Adam under the Noam schedule, one step per batch; only non-frozen
+    tensors are updated. Returns the loss of each step."""
     moments = {n: (np.zeros_like(params.tensors[n]),
                    np.zeros_like(params.tensors[n]))
                for n in params.trainable_names()}
     history = []
-    order: list[int] = []
-    for step in range(1, cfg.max_steps + 1):
-        if len(order) < cfg.batch_size:
-            order += rng.sample_indices(len(dataset), len(dataset))
-        batch = [dataset[i] for i in order[:cfg.batch_size]]
-        order = order[cfg.batch_size:]
-        tensors = _trainable_tensors(params)
-        loss = batch_loss(params, batch, tensors=tensors)
+    for step, batch in enumerate(batches, start=1):
+        tensors = as_tensors(params, grad=True)
+        loss = batch_loss(params, batch, tensors=tensors,
+                          conditional=conditional)
         loss.backward()
         lr = noam_lr(step, cfg.warmup_steps, cfg.d_mol)
-        for name in moments:
+        for name, (m, v) in moments.items():
             grad = tensors[name].grad
             if grad is None:
                 continue
-            m, v = moments[name]
             m[...] = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grad
             v[...] = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grad * grad
             m_hat = m / (1 - ADAM_BETA1 ** step)
@@ -109,9 +91,30 @@ def train_adapter(params: ModelParams, dataset, cfg=None,
             params.tensors[name] -= (
                 lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(np.float32)
         history.append(float(loss.data))
-        if log_every and step % log_every == 0:
-            print(f"step {step}: loss {history[-1]:.4f}")
-    return params, history
+    return history
+
+
+def train_adapter(params: ModelParams, dataset, cfg=None):
+    """Adam under the Noam schedule; only non-frozen tensors are updated.
+
+    Batches walk seeded permutations of the dataset. Returns
+    (params, loss_history). Deterministic given cfg.seed.
+    """
+    cfg = cfg or params.config
+    dataset = list(dataset)
+    if not dataset:
+        raise EmptyDataset("training set is empty")
+
+    def batches():
+        rng = SplitMix64(cfg.seed)
+        order: list[int] = []
+        for _ in range(cfg.max_steps):
+            if len(order) < cfg.batch_size:
+                order += rng.sample_indices(len(dataset), len(dataset))
+            yield [dataset[i] for i in order[:cfg.batch_size]]
+            order = order[cfg.batch_size:]
+
+    return params, _adam(params, cfg, batches(), conditional=True)
 
 
 def pretrain_decoder(params: ModelParams, mol_sequences, steps: int,
@@ -119,42 +122,28 @@ def pretrain_decoder(params: ModelParams, mol_sequences, steps: int,
     """Unconditional next-token pretraining of the decoder + head.
 
     Temporarily unfreezes mol.* and head.* tensors; they are re-frozen on
-    return, which is the regime the adapter is then trained in.
+    return, also when a step raises, which is the regime the adapter is
+    then trained in.
     """
     cfg = params.config
     dataset = [(None, seq) for seq in mol_sequences]
     if not dataset:
         raise EmptyDataset("pretraining set is empty")
+
+    def batches():
+        rng = SplitMix64(seed)
+        for _ in range(steps):
+            picks = rng.sample_indices(len(dataset),
+                                       min(cfg.batch_size, len(dataset)))
+            yield [dataset[i] for i in picks]
+
     to_unfreeze = {n for n in params.frozen
                    if n.startswith(("mol.", "head."))}
     params.frozen -= to_unfreeze
-    rng = SplitMix64(seed)
-    moments = {n: (np.zeros_like(params.tensors[n]),
-                   np.zeros_like(params.tensors[n]))
-               for n in to_unfreeze}
-    history = []
-    for step in range(1, steps + 1):
-        picks = rng.sample_indices(len(dataset),
-                                   min(cfg.batch_size, len(dataset)))
-        batch = [dataset[i] for i in picks]
-        tensors = _trainable_tensors(params)
-        loss = batch_loss(params, batch, tensors=tensors, conditional=False)
-        loss.backward()
-        lr = noam_lr(step, cfg.warmup_steps, cfg.d_mol)
-        for name in moments:
-            grad = tensors[name].grad
-            if grad is None:
-                continue
-            m, v = moments[name]
-            m[...] = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grad
-            v[...] = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grad * grad
-            m_hat = m / (1 - ADAM_BETA1 ** step)
-            v_hat = v / (1 - ADAM_BETA2 ** step)
-            params.tensors[name] -= (
-                lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(np.float32)
-        history.append(float(loss.data))
-    params.frozen |= to_unfreeze
-    return history
+    try:
+        return _adam(params, cfg, batches(), conditional=False)
+    finally:
+        params.frozen |= to_unfreeze
 
 
 def grad_check(params: ModelParams, batch, eps: float = 1e-5,
@@ -169,8 +158,7 @@ def grad_check(params: ModelParams, batch, eps: float = 1e-5,
     for name in work.tensors:
         work.tensors[name] = work.tensors[name].astype(np.float64)
 
-    tensors = {n: Tensor(v, requires_grad=n not in work.frozen)
-               for n, v in work.tensors.items()}
+    tensors = as_tensors(work, grad=True)
     loss = batch_loss(work, batch, tensors=tensors)
     loss.backward()
 

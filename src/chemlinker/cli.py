@@ -6,10 +6,6 @@ a `<output>.manifest.json` RunManifest is written beside it recording the
 subcommand, the full flag configuration, SHA-256 hashes of the inputs, the
 seed, the tool version, and the wall time, so identical inputs reproduce
 identical outputs verifiably.
-
-The environment variable CHEMLINKER_THREADS bounds worker parallelism in
-parallel-safe modules; all current implementations are single-threaded, so
-it is recorded in manifests but does not change results.
 """
 
 from __future__ import annotations
@@ -17,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -81,8 +76,7 @@ def _write_manifest(args, outputs, inputs, started: float,
         "input_hashes": {str(p): _sha256(p) for p in inputs},
         "seed": seed,
         "version": __version__,
-        "wall_time_s": round(time.time() - started, 3),
-        "threads": os.environ.get("CHEMLINKER_THREADS"),
+        "wall_time_s": round(time.monotonic() - started, 3),
     }
     for out in outputs:
         path = Path(str(out) + ".manifest.json")
@@ -160,20 +154,27 @@ def _cmd_dataset(args, started):
     print(f"wrote {len(records)} records to {args.output}")
 
 
-def _load_training_pairs(path):
+def _text_ids(vocab: Vocab, text: str, max_text_len: int) -> list[int]:
+    """BOS, the first words of `text` that fit the text encoder's positional
+    table, EOS."""
+    words = text.split()[:max_text_len - 2]
+    return [vocab.bos] + vocab.encode(words) + [vocab.eos]
+
+
+def _load_training_pairs(path, max_text_len: int):
     records = load_split(path)
     texts = [r.description for r in records]
     tvocab = word_vocab(texts)
     mvocab = smiles_char_vocab()
-    dataset = [([tvocab.bos] + tvocab.encode(r.description.split())
-                + [tvocab.eos],
+    dataset = [(_text_ids(tvocab, r.description, max_text_len),
                 [mvocab.bos] + mvocab.encode(list(r.smiles)) + [mvocab.eos])
                for r in records]
     return dataset, tvocab, mvocab
 
 
 def _cmd_train(args, started):
-    dataset, tvocab, mvocab = _load_training_pairs(args.data)
+    dataset, tvocab, mvocab = _load_training_pairs(
+        args.data, TrainConfig.max_text_len)
     cfg = TrainConfig(text_vocab=len(tvocab), mol_vocab=len(mvocab),
                       max_steps=args.steps, seed=args.seed,
                       batch_size=args.batch_size)
@@ -204,8 +205,7 @@ def _cmd_generate(args, started):
     params = load_checkpoint(args.ckpt)
     tvocab = _load_text_vocab(args.ckpt, args.text)
     mvocab = smiles_char_vocab()
-    text_ids = ([tvocab.bos] + tvocab.encode(args.text.split())
-                + [tvocab.eos])
+    text_ids = _text_ids(tvocab, args.text, params.config.max_text_len)
     cfg = GenerationConfig(target_unique=args.n, base_seed=args.seed,
                            base_temperature=args.temperature)
     molecules, stats = generate_unique_set(params, text_ids, cfg,
@@ -243,9 +243,7 @@ def _cmd_consensus(args, started):
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chemlinker",
-        description="Text-conditioned molecule generation toolkit.",
-        epilog="CHEMLINKER_THREADS bounds worker parallelism in "
-               "parallel-safe modules.")
+        description="Text-conditioned molecule generation toolkit.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("canon", help="canonicalize a SMILES string")
@@ -326,7 +324,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
-    started = time.time()
+    started = time.monotonic()
     try:
         args.func(args, started)
     except ChemlinkerError as exc:

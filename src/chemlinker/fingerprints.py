@@ -15,6 +15,7 @@ import struct
 from dataclasses import dataclass
 
 from chemlinker.errors import SchemeMismatch
+from chemlinker.molstring.kekulize import smallest_rings
 from chemlinker.molstring.model import (
     AROMATIC,
     DOUBLE,
@@ -150,10 +151,8 @@ class KeySet:
 
 
 def _ring_sizes(m: Molecule) -> list[int]:
-    from chemlinker.molstring.kekulize import _smallest_rings
-
     ring = set(m.ring_bonds())
-    return [len(r) for r in _smallest_rings(m, ring)]
+    return [len(r) for r in smallest_rings(m, ring)]
 
 
 def _count(m: Molecule, element: str) -> int:

@@ -21,15 +21,10 @@ from chemlinker.molstring.smiles import parse_smiles
 from chemlinker.molstring.write import canonical_smiles, write_smiles
 
 
-def strip_stereo(m: Molecule) -> Molecule:
-    """Remove all chirality marks and double-bond stereo annotations."""
-    return m.strip_stereo()
-
-
 __all__ = [
     "AROMATIC", "DOUBLE", "SINGLE", "TRIPLE",
     "Atom", "Bond", "Molecule", "EOS",
     "aromatize", "kekulize", "kekulized",
-    "parse_smiles", "write_smiles", "canonical_smiles", "strip_stereo",
+    "parse_smiles", "write_smiles", "canonical_smiles",
     "encode_selfies", "decode_selfies", "split_tokens", "token_alphabet",
 ]

@@ -144,7 +144,7 @@ def kekulized(m: Molecule) -> Molecule:
 # --- perception (used on SELFIES-decoded Kekule graphs) ---------------------
 
 
-def _smallest_rings(m: Molecule, sys_bonds: set[int]) -> list[list[int]]:
+def smallest_rings(m: Molecule, sys_bonds: set[int]) -> list[list[int]]:
     """Smallest ring through each ring bond of one ring system."""
     rings: list[list[int]] = []
     seen_rings: set[frozenset[int]] = set()
@@ -249,7 +249,7 @@ def aromatize(m: Molecule) -> Molecule:
             arom_atoms |= sys_atoms
             arom_bonds |= sys_bonds
             continue
-        for ring_atoms in _smallest_rings(m, sys_bonds):
+        for ring_atoms in smallest_rings(m, sys_bonds):
             cs = [contrib[i] for i in ring_atoms]
             if any(c is None for c in cs) or sum(cs) % 4 != 2:
                 continue

@@ -141,9 +141,6 @@ class Molecule:
         """Total (explicit-in-bracket or implicit) hydrogens on atom i."""
         return self._hcounts[i]
 
-    def heavy_atom_count(self) -> int:
-        return len(self.atoms)
-
     def fragments(self) -> list[list[int]]:
         """Connected components as sorted atom-index lists."""
         seen = [False] * len(self.atoms)
@@ -192,11 +189,6 @@ class Molecule:
             if disc[root] == -1:
                 dfs(root, -1)
         return set(range(len(self.bonds))) - bridges
-
-    def in_ring(self, i: int) -> bool:
-        ring = self.ring_bonds()
-        return any(k in ring for k, b in enumerate(self.bonds)
-                   if b.a == i or b.b == i)
 
     def ring_atom_flags(self) -> list[bool]:
         ring = self.ring_bonds()

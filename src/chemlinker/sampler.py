@@ -26,6 +26,8 @@ from chemlinker.rng import SplitMix64
 
 _ALPHABET = frozenset(SMILES_CHARS)
 _ALL_BRACKETS = re.compile(r"(\[[^\[\]]*\])+$")
+ESCALATION_STEP = 0.5
+MAX_TEMPERATURE = 4.5
 
 
 class FilterOutcome(enum.Enum):
@@ -36,19 +38,28 @@ class FilterOutcome(enum.Enum):
     SINGLE_ELEMENT = "SingleElement"
 
 
+# The GenerationStats field each outcome counts into.
+_COUNTERS = {
+    FilterOutcome.PASS: "success",
+    FilterOutcome.INVALID: "invalid",
+    FilterOutcome.NATURAL_LANGUAGE: "nl",
+    FilterOutcome.SALTS: "salts",
+    FilterOutcome.SINGLE_ELEMENT: "se",
+}
+
+
 @dataclass
 class GenerationConfig:
     target_unique: int
     max_len: int = 78
     base_temperature: float = 1.0
     base_seed: int = 42
-    escalation_step: float = 0.5
-    max_temperature: float = 4.5
     per_temperature_cap: int = 1000
 
     def __post_init__(self):
-        if not 0 < self.base_temperature <= self.max_temperature:
-            raise ValueError("need 0 < base_temperature <= max_temperature")
+        if not 0 < self.base_temperature <= MAX_TEMPERATURE:
+            raise ValueError(
+                f"need 0 < base_temperature <= {MAX_TEMPERATURE}")
         if self.per_temperature_cap < 1:
             raise ValueError("per_temperature_cap must be >= 1")
 
@@ -63,6 +74,16 @@ class GenerationStats:
     salts: int = 0
     se: int = 0
     success: int = 0
+
+    def record(self, outcome: FilterOutcome | None) -> None:
+        """Count one sample: a filter outcome, or None for a duplicate."""
+        self.sample += 1
+        if outcome is None:
+            self.duplicate += 1
+            return
+        self.unique += 1
+        counter = _COUNTERS[outcome]
+        setattr(self, counter, getattr(self, counter) + 1)
 
     @property
     def success_rate(self) -> float:
@@ -145,13 +166,13 @@ def classify_filter(candidate: str) -> FilterOutcome:
 
 
 def escalation_schedule(cfg: GenerationConfig) -> list[float]:
-    """base, then 1.5, 2.0, ... up to max_temperature."""
+    """base, then 1.5, 2.0, ... up to MAX_TEMPERATURE."""
     temps = [cfg.base_temperature]
     t = 1.5
-    while t <= cfg.max_temperature + 1e-9:
+    while t <= MAX_TEMPERATURE + 1e-9:
         if abs(t - cfg.base_temperature) > 1e-9:
             temps.append(t)
-        t += cfg.escalation_step
+        t += ESCALATION_STEP
     return temps
 
 
@@ -179,7 +200,6 @@ def generate_unique_set(params, text_ids, cfg: GenerationConfig, vocab=None,
         visited.append(temperature)
         for _ in range(cfg.per_temperature_cap):
             candidate = generate_fn(temperature, rng)
-            stats.sample += 1
             if candidate not in memo:
                 outcome = classify_filter(candidate)
                 canon = (canonical_smiles(candidate)
@@ -188,21 +208,12 @@ def generate_unique_set(params, text_ids, cfg: GenerationConfig, vocab=None,
                 memo[candidate] = (key, outcome, canon)
             key, outcome, canon = memo[candidate]
             if key in seen:
-                stats.duplicate += 1
+                stats.record(None)
                 continue
             seen.add(key)
-            stats.unique += 1
+            stats.record(outcome)
             if outcome == FilterOutcome.PASS:
-                stats.success += 1
                 passed.append(canon)
-            elif outcome == FilterOutcome.INVALID:
-                stats.invalid += 1
-            elif outcome == FilterOutcome.NATURAL_LANGUAGE:
-                stats.nl += 1
-            elif outcome == FilterOutcome.SALTS:
-                stats.salts += 1
-            else:
-                stats.se += 1
             if len(passed) >= cfg.target_unique:
                 stats.validate()
                 return passed, stats
@@ -229,22 +240,7 @@ def replay_stats(events) -> GenerationStats:
     for name in events:
         if name not in _OUTCOME_BY_NAME:
             raise ValueError(f"unknown event {name!r}")
-        stats.sample += 1
-        if name == "Duplicate":
-            stats.duplicate += 1
-            continue
-        stats.unique += 1
-        outcome = _OUTCOME_BY_NAME[name]
-        if outcome == FilterOutcome.PASS:
-            stats.success += 1
-        elif outcome == FilterOutcome.INVALID:
-            stats.invalid += 1
-        elif outcome == FilterOutcome.NATURAL_LANGUAGE:
-            stats.nl += 1
-        elif outcome == FilterOutcome.SALTS:
-            stats.salts += 1
-        else:
-            stats.se += 1
+        stats.record(_OUTCOME_BY_NAME[name])
     stats.validate()
     return stats
 

@@ -1,6 +1,8 @@
 """Tests for the adapter stack: shapes, attention, losses, gradients, training."""
 
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -23,8 +25,8 @@ from chemlinker.adapternet import (
     grad_check,
     init_model,
     load_checkpoint,
-    mlp_adapter,
     noam_lr,
+    pretrain_decoder,
     save_checkpoint,
     smiles_char_vocab,
     teacher_forced_loss,
@@ -122,15 +124,6 @@ def test_attention_rows_sum_to_one():
         assert np.allclose(weights.data.sum(axis=-1), 1.0, atol=1e-6)
 
 
-def test_unscaled_attention_flag_changes_weights():
-    scaled = init_model(toy_config())
-    unscaled = init_model(toy_config(unscaled_attention=True))
-    T, S = _random_states(scaled.config, 6, 4)
-    _, w_scaled = adapter_attend(T, S, scaled)
-    _, w_unscaled = adapter_attend(T, S, unscaled)
-    assert not np.allclose(w_scaled.data, w_unscaled.data)
-
-
 def test_untrained_adapter_is_identity():
     params = init_model(toy_config())
     T, S = _random_states(params.config, 6, 4)
@@ -146,42 +139,6 @@ def test_adapter_dimension_mismatch():
         adapter_attend(np.zeros((3, 17)), np.zeros((4, 64)), params)
     with pytest.raises(DimensionMismatch):
         adapter_attend(np.zeros((3, 64)), np.zeros((4, 17)), params)
-
-
-# --- MLP ablation -----------------------------------------------------------------
-
-
-def _tiny_mlp(w2_zero=False):
-    t = {
-        "mlp.w1s": Tensor(np.eye(2)),
-        "mlp.w1t": Tensor(np.array([[1.0, 1.0], [0.0, 1.0]])),
-        "mlp.b1": Tensor(np.zeros(2)),
-        "mlp.w2": Tensor(np.zeros((2, 2)) if w2_zero else np.eye(2)),
-        "mlp.b2": Tensor(np.array([0.5, 0.5])),
-    }
-    return t
-
-
-def test_mlp_adapter_hand_example():
-    t = _tiny_mlp()
-    S = np.array([[1.0, 0.0], [0.0, 1.0]])
-    pooled = np.array([1.0, 2.0])
-    out = mlp_adapter(pooled, S, t)
-    expected = np.tanh(S + np.array([1.0, 3.0])) + 0.5
-    assert np.allclose(out.data, expected)
-
-
-def test_mlp_adapter_zero_weights_yield_bias():
-    t = _tiny_mlp(w2_zero=True)
-    out = mlp_adapter(np.array([3.0, -1.0]), np.zeros((4, 2)), t)
-    assert np.allclose(out.data, 0.5)
-
-
-def test_mlp_adapter_identical_rows():
-    t = _tiny_mlp()
-    S = np.tile(np.array([0.3, -0.7]), (5, 1))
-    out = mlp_adapter(np.array([1.0, 2.0]), S, t).data
-    assert np.allclose(out, out[0])
 
 
 # --- forward pass -----------------------------------------------------------------
@@ -348,7 +305,38 @@ def test_empty_dataset_rejected():
         train_adapter(params, [])
 
 
+def test_pretrain_decoder_lowers_loss_and_refreezes():
+    params = init_model(toy_config(warmup_steps=10))
+    frozen = set(params.frozen)
+    sequences = [[1, 6, 7, 8, 9, 2], [1, 9, 8, 2], [1, 6, 6, 7, 2]]
+    history = pretrain_decoder(params, sequences, steps=30)
+    assert len(history) == 30
+    assert history[-1] < history[0]
+    assert params.frozen == frozen
+
+    too_long = [1] + [6] * params.config.max_mol_len + [2]
+    with pytest.raises(VocabError):
+        pretrain_decoder(params, sequences + [too_long], steps=3)
+    assert params.frozen == frozen
+
+
 # --- checkpoint --------------------------------------------------------------------
+
+
+def _rewrite_header(path, edit):
+    blob = path.read_bytes()
+    (n,) = struct.unpack("<Q", blob[5:13])
+    header = edit(json.loads(blob[13:13 + n]))
+    raw = json.dumps(header).encode("utf-8")
+    path.write_bytes(blob[:5] + struct.pack("<Q", len(raw)) + raw
+                     + blob[13 + n:])
+
+
+def _with_config(**extra):
+    def edit(header):
+        header["config"].update(extra)
+        return header
+    return edit
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -363,11 +351,40 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(loaded.tensors[name], params.tensors[name])
 
 
+def test_checkpoint_with_retired_switches_off_loads(tmp_path):
+    """Older checkpoints echo three retired switches, always False."""
+    params = init_model(toy_config())
+    path = tmp_path / "old.clmk"
+    save_checkpoint(params, path)
+    _rewrite_header(path, _with_config(finetune_text=False, train_head=False,
+                                       unscaled_attention=False))
+    loaded = load_checkpoint(path)
+    assert loaded.config == params.config
+    assert loaded.frozen == params.frozen
+
+
 def test_checkpoint_rejects_other_files(tmp_path):
     path = tmp_path / "bogus.clmk"
     path.write_bytes(b"NOTME" + b"\0" * 16)
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+    save_checkpoint(init_model(toy_config()), path)
+    good = path.read_bytes()
+    (n,) = struct.unpack("<Q", good[5:13])
+    for truncated in (good[:9], good[:13 + n // 2]):
+        path.write_bytes(truncated)
+        with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
+    for edit in (_with_config(dropout=0.1),
+                 _with_config(unscaled_attention=True),
+                 _with_config(finetune_text=True),
+                 lambda header: [header],
+                 lambda header: {**header, "tensors": None}):
+        path.write_bytes(good)
+        _rewrite_header(path, edit)
+        with pytest.raises(ValueError):
+            load_checkpoint(path)
 
 
 # --- vocab -------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface and its run manifests."""
 
+import hashlib
 import json
+import struct
 from pathlib import Path
 
 import pytest
@@ -147,12 +149,19 @@ def test_train_then_generate(capsys, tiny_checkpoint):
     assert Path(str(ckpt) + ".vocab.json").exists()
     assert Path(str(ckpt) + ".manifest.json").exists()
 
+    # Pinned outputs: a refactor must leave the trained tensors and the
+    # sampled molecules byte-identical.
+    blob = ckpt.read_bytes()
+    (header_len,) = struct.unpack("<Q", blob[5:13])
+    assert hashlib.sha256(blob[13 + header_len:]).hexdigest() == (
+        "f38443c9785cf36b85c32c7c03c80cb9a6b766bd6c958aaa43e370b9f6db9aed")
+
     code, out, err = run(capsys, "generate", "--ckpt", str(ckpt),
                          "--text", "molecule written as C C O",
                          "--n", "2", "--seed", "7")
     assert code == 0
     molecules = out.strip().splitlines()
-    assert len(molecules) == 2
+    assert molecules == ["B=N", "IN"]
     stats = json.loads(err.strip().splitlines()[-1])
     assert stats["success"] == 2
 
@@ -162,6 +171,45 @@ def test_train_then_generate(capsys, tiny_checkpoint):
                         "--n", "2", "--seed", "7")
     assert code == 0
     assert out2 == out
+
+
+def test_long_description_trains_and_generates(capsys, tmp_path,
+                                               tiny_checkpoint):
+    """A description longer than the text positional table (64 positions,
+    62 words beside BOS and EOS) is cut to fit, in training and in
+    generation alike."""
+    words = " ".join(f"word{i % 20}" for i in range(66))
+    data = tmp_path / "long.tsv"
+    data.write_text(tiny_checkpoint[0].read_text() + f"99\tCCO\t{words}\n")
+    ckpt = tmp_path / "long.ckpt"
+    code, _, err = run(capsys, "train", "--data", str(data),
+                       "--out", str(ckpt), "--steps", "5")
+    assert code == 0, err
+    code, out, err = run(capsys, "generate", "--ckpt", str(ckpt),
+                         "--text", words, "--n", "1")
+    assert code == 0, err
+    assert out.split() == ["CS"]
+
+
+def test_unreadable_checkpoint_exits_1(capsys, tmp_path, tiny_checkpoint):
+    data, _ = tiny_checkpoint
+    ckpt = tmp_path / "model.ckpt"
+    code, _, _ = run(capsys, "train", "--data", str(data),
+                     "--out", str(ckpt), "--steps", "1")
+    assert code == 0
+    blob = ckpt.read_bytes()
+    (header_len,) = struct.unpack("<Q", blob[5:13])
+    header = json.loads(blob[13:13 + header_len])
+    header["config"]["dropout"] = 0.1
+    raw = json.dumps(header).encode("utf-8")
+    for broken in (blob[:9],
+                   blob[:5] + struct.pack("<Q", len(raw)) + raw
+                   + blob[13 + header_len:]):
+        ckpt.write_bytes(broken)
+        code, _, err = run(capsys, "generate", "--ckpt", str(ckpt),
+                           "--text", "molecule written as C C O")
+        assert code == 1
+        assert "error:" in err
 
 
 # --- consensus --------------------------------------------------------------------

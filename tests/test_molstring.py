@@ -26,7 +26,6 @@ from chemlinker.molstring import (
     encode_selfies,
     parse_smiles,
     split_tokens,
-    strip_stereo,
     token_alphabet,
     write_smiles,
 )
@@ -196,15 +195,15 @@ def test_double_bond_stereo_round_trip():
 
 
 def test_strip_stereo_examples():
-    m = strip_stereo(parse_smiles("C/C=C\\C"))
+    m = parse_smiles("C/C=C\\C").strip_stereo()
     assert canonical_smiles(m) == "CC=CC"
-    m = strip_stereo(parse_smiles("N[C@@H](C)C(=O)O"))
+    m = parse_smiles("N[C@@H](C)C(=O)O").strip_stereo()
     assert canonical_smiles(m) == "CC(N)C(=O)O"
 
 
 def test_strip_stereo_identity_without_stereo():
     m = parse_smiles("CC(N)C(=O)O")
-    assert canonical_smiles(strip_stereo(m)) == canonical_smiles(m)
+    assert canonical_smiles(m.strip_stereo()) == canonical_smiles(m)
     assert not m.has_stereo()
 
 
