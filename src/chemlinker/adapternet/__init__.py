@@ -3,13 +3,16 @@
 from chemlinker.adapternet.autograd import Tensor, layer_norm
 from chemlinker.adapternet.checkpoint import load_checkpoint, save_checkpoint
 from chemlinker.adapternet.model import (
+    DecodeCache,
     ModelParams,
+    Prompt,
     TrainConfig,
     adapter_attend,
     adapter_ffn,
     decoder_only_logits,
     forward_logits,
     init_model,
+    prepare_prompt,
 )
 from chemlinker.adapternet.training import (
     batch_loss,
@@ -30,6 +33,7 @@ __all__ = [
     "ModelParams", "TrainConfig", "init_model",
     "adapter_attend", "adapter_ffn",
     "forward_logits", "decoder_only_logits",
+    "Prompt", "prepare_prompt", "DecodeCache",
     "teacher_forced_loss", "batch_loss", "noam_lr",
     "train_adapter", "pretrain_decoder", "grad_check",
     "save_checkpoint", "load_checkpoint",

@@ -243,6 +243,91 @@ def forward_logits(params: ModelParams, text_ids, mol_ids,
     return S @ t["head.w"] + t["head.b"]
 
 
+# --- cached decoding -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Prompt:
+    """What sampling needs of one prompt: the model, and the adapter's keys
+    and values of the encoded text, each (heads, text length, d_head)."""
+
+    params: ModelParams
+    text_keys: np.ndarray
+    text_values: np.ndarray
+
+
+def prepare_prompt(params: ModelParams, text_ids) -> Prompt:
+    """Encode the text and project the adapter's keys and values, once."""
+    t = params.tensors
+    projected = encode_text(as_tensors(params), params.config,
+                            text_ids).data @ t["proj.w_t"]
+    return Prompt(params, *(
+        _heads_split(projected @ t[f"adapter.attn.{w}"], params.config.heads)
+        for w in ("wk", "wv")))
+
+
+def _layer_norm(x, gain, bias, eps: float = 1e-5):
+    """`layer_norm` on plain arrays; a mean is a sum times 1/width, as the
+    Tensor op takes it."""
+    scale = 1.0 / x.shape[-1]
+    centered = x - x.sum(axis=-1, keepdims=True) * scale
+    var = (centered * centered).sum(axis=-1, keepdims=True) * scale
+    return centered * (1.0 / np.sqrt(var + eps)) * gain + bias
+
+
+def _attend(q, keys, values, wo):
+    """One query row against per-head keys and values (heads, n, d_head)."""
+    heads, _, d_head = keys.shape
+    q = q.reshape(heads, 1, d_head)
+    scores = q @ keys.transpose(0, 2, 1) * (1.0 / math.sqrt(d_head))
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    return (weights @ values).reshape(1, heads * d_head) @ wo
+
+
+class DecodeCache:
+    """Per-layer key/value buffers of the frozen decoder for one sampled
+    sequence; `step` feeds one token and returns the next-token logits."""
+
+    def __init__(self, prompt: Prompt):
+        cfg = prompt.params.config
+        self.prompt = prompt
+        self.keys = np.zeros((cfg.layers, cfg.heads, cfg.max_mol_len,
+                              cfg.d_mol // cfg.heads), prompt.text_keys.dtype)
+        self.values = np.zeros_like(self.keys)
+        self.length = 0
+
+    def step(self, token: int) -> np.ndarray:
+        """Logits after `token`; they match the last row of `forward_logits`
+        on the same prefix to within float32 rounding."""
+        params = self.prompt.params
+        cfg, t = params.config, params.tensors
+        n = self.length
+        if not 0 <= token < cfg.mol_vocab:
+            raise VocabError(
+                f"molecule token id outside vocabulary of {cfg.mol_vocab}")
+        if n >= cfg.max_mol_len:
+            raise VocabError("molecule sequence longer than positional table")
+        x = t["mol.embed"][token:token + 1] + t["mol.pos"][n:n + 1]
+        for i in range(cfg.layers):
+            p = f"mol.{i}"
+            h = _layer_norm(x, t[f"{p}.ln1.g"], t[f"{p}.ln1.b"])
+            keys, values = self.keys[i], self.values[i]
+            keys[:, n] = (h @ t[f"{p}.attn.wk"]).reshape(cfg.heads, -1)
+            values[:, n] = (h @ t[f"{p}.attn.wv"]).reshape(cfg.heads, -1)
+            x = x + _attend(h @ t[f"{p}.attn.wq"], keys[:, :n + 1],
+                            values[:, :n + 1], t[f"{p}.attn.wo"])
+            h = _layer_norm(x, t[f"{p}.ln2.g"], t[f"{p}.ln2.b"])
+            ffn = np.tanh(h @ t[f"{p}.ffn.w1"] + t[f"{p}.ffn.b1"])
+            x = x + ffn @ t[f"{p}.ffn.w2"] + t[f"{p}.ffn.b2"]
+        self.length = n + 1
+        x = x + _attend(x @ t["adapter.attn.wq"], self.prompt.text_keys,
+                        self.prompt.text_values, t["adapter.attn.wo"])
+        h = np.tanh(x @ t["adapter.ffn.w1"] + t["adapter.ffn.b1"])
+        x = x + h @ t["adapter.ffn.w2"] + t["adapter.ffn.b2"]
+        return (x @ t["head.w"] + t["head.b"])[0]
+
+
 def decoder_only_logits(params: ModelParams, mol_ids,
                         tensors: dict | None = None) -> Tensor:
     """Unconditional decoder + head, used for decoder pretraining."""

@@ -2,9 +2,10 @@
 candidate filter with exact accounting.
 
 Filter taxonomy (applied in this order, one outcome per candidate):
-Invalid (in-alphabet but unparseable), NaturalLanguage (characters outside
-the molecular alphabet), Salts (multiple fragments or a bare charged atom),
-SingleElement (all heavy atoms share one element), else Pass. Deduplication
+Invalid (in-alphabet but unparseable, or no atoms, as in "."),
+NaturalLanguage (characters outside the molecular alphabet), Salts
+(multiple fragments or a bare charged atom), SingleElement (all heavy
+atoms share one element), else Pass. Deduplication
 uses the canonical SMILES of parseable candidates and the raw string
 otherwise; repeated candidates count as duplicates, not re-filtered.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from chemlinker.errors import DecodeFailure, ParseError, TargetUnreached
-from chemlinker.adapternet.model import forward_logits
+from chemlinker.adapternet.model import DecodeCache, Prompt, prepare_prompt
 from chemlinker.adapternet.vocab import SMILES_CHARS
 from chemlinker.molstring import canonical_smiles, decode_selfies, parse_smiles
 from chemlinker.rng import SplitMix64
@@ -113,27 +114,22 @@ def sample_token(logits, temperature: float, rng: SplitMix64) -> int:
     scaled -= scaled.max()
     probs = np.exp(scaled)
     probs /= probs.sum()
-    u = rng.uniform()
-    cum = 0.0
-    for i, p in enumerate(probs):
-        cum += p
-        if u < cum:
-            return i
-    return len(probs) - 1
+    cum = np.cumsum(probs)
+    return min(int(np.searchsorted(cum, rng.uniform(), side="right")),
+               len(probs) - 1)
 
 
-def generate_one(params, text_ids, cfg: GenerationConfig, rng: SplitMix64,
+def generate_one(prompt: Prompt, cfg: GenerationConfig, rng: SplitMix64,
                  vocab, temperature: float | None = None) -> str:
     """Sample one string: BOS start, stop at EOS or max_len tokens."""
     temperature = cfg.base_temperature if temperature is None else temperature
-    ids = [vocab.bos]
+    cache = DecodeCache(prompt)
+    token = vocab.bos
     out = []
     for _ in range(cfg.max_len):
-        logits = forward_logits(params, text_ids, ids).data[-1]
-        token = sample_token(logits, temperature, rng)
+        token = sample_token(cache.step(token), temperature, rng)
         if token == vocab.eos:
             break
-        ids.append(token)
         out.append(vocab.tokens[token])
     return "".join(out)
 
@@ -155,6 +151,8 @@ def classify_filter(candidate: str) -> FilterOutcome:
         # stray natural language, whatever letters the tokens contain.
         if not bracket_form and any(ch not in _ALPHABET for ch in candidate):
             return FilterOutcome.NATURAL_LANGUAGE
+        return FilterOutcome.INVALID
+    if not mol.atoms:
         return FilterOutcome.INVALID
     if len(mol.fragments()) > 1:
         return FilterOutcome.SALTS
@@ -186,9 +184,10 @@ def generate_unique_set(params, text_ids, cfg: GenerationConfig, vocab=None,
     overrides the model-based sampler (used for replay and testing).
     """
     if generate_fn is None:
+        prompt = prepare_prompt(params, text_ids)
+
         def generate_fn(temperature, rng):
-            return generate_one(params, text_ids, cfg, rng, vocab,
-                                temperature)
+            return generate_one(prompt, cfg, rng, vocab, temperature)
     stats = GenerationStats()
     seen: set[str] = set()
     passed: list[str] = []

@@ -4,9 +4,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chemlinker.errors import TargetUnreached
-from chemlinker.adapternet import TrainConfig, init_model, smiles_char_vocab
+from chemlinker.adapternet import (
+    TrainConfig,
+    init_model,
+    prepare_prompt,
+    smiles_char_vocab,
+)
 from chemlinker.rng import SplitMix64
 from chemlinker.sampler import (
     FilterOutcome,
@@ -61,6 +68,32 @@ def test_one_uniform_per_token():
     assert rng_a.state == rng_b.state
 
 
+def _sample_token_loop(logits, temperature, rng):
+    """The inverse-CDF draw as a running sum: the reference for the
+    vectorised one."""
+    scaled = np.asarray(logits, dtype=np.float64) / temperature
+    scaled -= scaled.max()
+    probs = np.exp(scaled)
+    probs /= probs.sum()
+    u = rng.uniform()
+    cum = 0.0
+    for i, p in enumerate(probs):
+        cum += p
+        if u < cum:
+            return i
+    return len(probs) - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-50, 50), min_size=1, max_size=48),
+       st.floats(0.05, 5.0), st.integers(0, 2**64 - 1))
+def test_sample_token_matches_loop(logits, temperature, seed):
+    rng_a, rng_b = SplitMix64(seed), SplitMix64(seed)
+    assert (sample_token(np.array(logits), temperature, rng_a)
+            == _sample_token_loop(np.array(logits), temperature, rng_b))
+    assert rng_a.state == rng_b.state
+
+
 def test_temperature_must_be_positive():
     with pytest.raises(ValueError):
         sample_token(np.zeros(4), 0.0, SplitMix64(0))
@@ -78,8 +111,9 @@ def _model_and_vocab():
 def test_generate_one_bounded_and_deterministic():
     params, vocab = _model_and_vocab()
     gcfg = GenerationConfig(target_unique=1, max_len=12)
-    a = generate_one(params, [1, 4, 2], gcfg, SplitMix64(3), vocab)
-    b = generate_one(params, [1, 4, 2], gcfg, SplitMix64(3), vocab)
+    prompt = prepare_prompt(params, [1, 4, 2])
+    a = generate_one(prompt, gcfg, SplitMix64(3), vocab)
+    b = generate_one(prompt, gcfg, SplitMix64(3), vocab)
     assert a == b
     assert len(a) <= 12
 
@@ -106,6 +140,11 @@ def test_invalid_strings():
     assert classify_filter("") == FilterOutcome.INVALID
     assert classify_filter("C(") == FilterOutcome.INVALID
     assert classify_filter("c1ccc1") == FilterOutcome.INVALID
+
+
+def test_no_atoms_is_invalid():
+    assert classify_filter(".") == FilterOutcome.INVALID
+    assert classify_filter("..") == FilterOutcome.INVALID
 
 
 def test_bare_ion_is_salt():
@@ -174,6 +213,16 @@ def test_generate_unique_set_deterministic():
     b = generate_unique_set(None, None, cfg, generate_fn=fake_generate)
     assert a[0] == b[0]
     assert a[1] == b[1]
+
+
+def test_empty_molecule_never_returned():
+    candidates = iter([".", "..", "CCO", ".", "CCN"])
+    cfg = GenerationConfig(target_unique=2, per_temperature_cap=10)
+    molecules, stats = generate_unique_set(
+        None, None, cfg, generate_fn=lambda t, rng: next(candidates))
+    assert molecules == ["CCO", "CCN"]
+    assert (stats.sample, stats.duplicate, stats.invalid) == (5, 1, 2)
+    stats.validate()
 
 
 # --- stats -------------------------------------------------------------------------
