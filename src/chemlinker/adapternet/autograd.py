@@ -132,23 +132,6 @@ class Tensor:
         out._backward = backward
         return out
 
-    def exp(self):
-        y = np.exp(self.data)
-        out = Tensor(y, (self,))
-
-        def backward(g):
-            self._accum(g * y)
-        out._backward = backward
-        return out
-
-    def log(self):
-        out = Tensor(np.log(self.data), (self,))
-
-        def backward(g):
-            self._accum(g / self.data)
-        out._backward = backward
-        return out
-
     def sum(self, axis=None, keepdims=False):
         out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), (self,))
 

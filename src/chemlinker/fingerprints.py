@@ -15,7 +15,6 @@ import struct
 from dataclasses import dataclass
 
 from chemlinker.errors import SchemeMismatch
-from chemlinker.molstring.kekulize import smallest_rings
 from chemlinker.molstring.model import (
     AROMATIC,
     DOUBLE,
@@ -150,11 +149,6 @@ class KeySet:
         return len(self.keys)
 
 
-def _ring_sizes(m: Molecule) -> list[int]:
-    ring = set(m.ring_bonds())
-    return [len(r) for r in smallest_rings(m, ring)]
-
-
 def _count(m: Molecule, element: str) -> int:
     return sum(a.element == element for a in m.atoms)
 
@@ -170,12 +164,8 @@ def _has_bond(m: Molecule, order: int, elems: set | None = None) -> bool:
     return False
 
 
-def _ring_atoms(m: Molecule) -> set:
-    out = set()
-    for k in m.ring_bonds():
-        out.add(m.bonds[k].a)
-        out.add(m.bonds[k].b)
-    return out
+def _ring_elements(m: Molecule) -> set:
+    return {a.element for a, ring in zip(m.atoms, m.ring_atom_flags()) if ring}
 
 
 def default_keyset() -> KeySet:
@@ -194,10 +184,11 @@ def default_keyset() -> KeySet:
                  lambda m: any(a.element != "C" for a in m.atoms)))
 
     keys.append(("has_ring", lambda m: bool(m.ring_bonds())))
-    keys.append(("ring_count_ge2", lambda m: len(_ring_sizes(m)) >= 2))
+    keys.append(("ring_count_ge2", lambda m: len(m.smallest_rings()) >= 2))
     for size in (3, 4, 5, 6, 7):
         keys.append((f"ring_size_{size}",
-                     lambda m, size=size: size in _ring_sizes(m)))
+                     lambda m, size=size: any(len(r) == size
+                                              for r in m.smallest_rings())))
     keys.append(("aromatic_ring",
                  lambda m: any(b.order == AROMATIC for b in m.bonds)))
     keys.append(("aromatic_n",
@@ -206,18 +197,11 @@ def default_keyset() -> KeySet:
     keys.append(("aromatic_heteroatom",
                  lambda m: any(a.aromatic and a.element != "C"
                                for a in m.atoms)))
-    keys.append(("n_in_ring",
-                 lambda m: any(m.atoms[i].element == "N"
-                               for i in _ring_atoms(m))))
-    keys.append(("o_in_ring",
-                 lambda m: any(m.atoms[i].element == "O"
-                               for i in _ring_atoms(m))))
-    keys.append(("s_in_ring",
-                 lambda m: any(m.atoms[i].element == "S"
-                               for i in _ring_atoms(m))))
+    for el in ("N", "O", "S"):
+        keys.append((f"{el.lower()}_in_ring",
+                     lambda m, el=el: el in _ring_elements(m)))
     keys.append(("heteroatom_in_ring",
-                 lambda m: any(m.atoms[i].element != "C"
-                               for i in _ring_atoms(m))))
+                 lambda m: bool(_ring_elements(m) - {"C"})))
 
     keys.append(("positive_charge",
                  lambda m: any(a.formal_charge > 0 for a in m.atoms)))

@@ -24,36 +24,6 @@ from chemlinker.molstring.model import (
 _PI_DONORS = frozenset({"N", "O", "S", "P"})
 
 
-def _aromatic_components(m: Molecule) -> list[tuple[list[int], list[int]]]:
-    """Connected components of the aromatic-bond subgraph.
-
-    Returns (atom indices, bond indices) per component.
-    """
-    arom_bonds = [k for k, b in enumerate(m.bonds) if b.order == AROMATIC]
-    adj: dict[int, list[int]] = {}
-    for k in arom_bonds:
-        adj.setdefault(m.bonds[k].a, []).append(k)
-        adj.setdefault(m.bonds[k].b, []).append(k)
-    seen: set[int] = set()
-    comps = []
-    for start in adj:
-        if start in seen:
-            continue
-        atoms, bonds, stack = [], set(), [start]
-        seen.add(start)
-        while stack:
-            i = stack.pop()
-            atoms.append(i)
-            for k in adj[i]:
-                bonds.add(k)
-                j = m.bonds[k].other(i)
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        comps.append((sorted(atoms), sorted(bonds)))
-    return comps
-
-
 def _needs_double(m: Molecule, i: int) -> bool:
     atom = m.atoms[i]
     total = m.base_order_sum(i) + m.hydrogen_count(i)
@@ -91,7 +61,10 @@ def kekulize(m: Molecule) -> dict[int, int]:
     the pi count violates the 4n+2 rule.
     """
     assignment: dict[int, int] = {}
-    for atoms, bonds in _aromatic_components(m):
+    arom = [k for k, b in enumerate(m.bonds) if b.order == AROMATIC]
+    # Systems are checked in order of their first bond; the first that
+    # fails names the error.
+    for atoms, bonds in sorted(m.components(arom), key=lambda c: c[1][0]):
         needy = [i for i in atoms if _needs_double(m, i)]
         needy_set = set(needy)
         adj: dict[int, list[int]] = {i: [] for i in needy}
@@ -144,40 +117,6 @@ def kekulized(m: Molecule) -> Molecule:
 # --- perception (used on SELFIES-decoded Kekule graphs) ---------------------
 
 
-def smallest_rings(m: Molecule, sys_bonds: set[int]) -> list[list[int]]:
-    """Smallest ring through each ring bond of one ring system."""
-    rings: list[list[int]] = []
-    seen_rings: set[frozenset[int]] = set()
-    idx = {id(b): k for k, b in enumerate(m.bonds)}
-    for k in sorted(sys_bonds):
-        a, b = m.bonds[k].a, m.bonds[k].b
-        # BFS from a to b avoiding bond k, restricted to system bonds.
-        prev = {a: None}
-        queue = [a]
-        while queue and b not in prev:
-            nxt = []
-            for i in queue:
-                for bond in m.bonds_of(i):
-                    kk = idx[id(bond)]
-                    if kk == k or kk not in sys_bonds:
-                        continue
-                    j = bond.other(i)
-                    if j not in prev:
-                        prev[j] = i
-                        nxt.append(j)
-            queue = nxt
-        if b not in prev:
-            continue
-        path = [b]
-        while path[-1] is not None and path[-1] != a:
-            path.append(prev[path[-1]])
-        ring = frozenset(path)
-        if ring not in seen_rings:
-            seen_rings.add(ring)
-            rings.append(path)
-    return rings
-
-
 def _classify_sp2(m: Molecule, i: int, sys_atoms: set[int]) -> int | None:
     """Pi-electron contribution of atom i in a candidate aromatic system.
 
@@ -219,37 +158,21 @@ def aromatize(m: Molecule) -> Molecule:
     ring = m.ring_bonds()
     if not ring:
         return m
-    # Ring systems: components of the ring-bond subgraph.
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for k in ring:
-        for i in (m.bonds[k].a, m.bonds[k].b):
-            parent.setdefault(i, i)
-        ra, rb = find(m.bonds[k].a), find(m.bonds[k].b)
-        if ra != rb:
-            parent[ra] = rb
-    systems: dict[int, set[int]] = {}
-    for i in parent:
-        systems.setdefault(find(i), set()).add(i)
-
     arom_atoms: set[int] = set()
     arom_bonds: set[int] = set()
-    for sys_atoms in systems.values():
-        sys_bonds = {k for k in ring
-                     if m.bonds[k].a in sys_atoms and m.bonds[k].b in sys_atoms}
-        contrib = {i: _classify_sp2(m, i, sys_atoms) for i in sys_atoms}
+    # Ring systems (components of the ring-bond subgraph) share no atoms,
+    # so a smallest ring lies in the system of any one of its atoms.
+    for atoms, sys_bonds in m.components(ring):
+        sys_atoms = set(atoms)
+        contrib = {i: _classify_sp2(m, i, sys_atoms) for i in atoms}
         if (all(c is not None for c in contrib.values())
                 and sum(contrib.values()) % 4 == 2):
             arom_atoms |= sys_atoms
-            arom_bonds |= sys_bonds
+            arom_bonds |= set(sys_bonds)
             continue
-        for ring_atoms in smallest_rings(m, sys_bonds):
+        for ring_atoms in m.smallest_rings():
+            if ring_atoms[0] not in sys_atoms:
+                continue
             cs = [contrib[i] for i in ring_atoms]
             if any(c is None for c in cs) or sum(cs) % 4 != 2:
                 continue

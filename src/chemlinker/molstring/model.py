@@ -1,7 +1,10 @@
 """Molecular graph model: atoms, bonds, valence accounting, ring perception.
 
-Molecule values are immutable after construction; every operation in this
-package returns a new Molecule rather than mutating in place.
+Molecule values are immutable to callers; every operation in this package
+returns a new Molecule rather than mutating in place. Each graph fact lives
+here and nowhere else: the bond index of every incident bond and the
+hydrogen counts are built in the constructor, ring bonds and smallest rings
+are computed once, on first use, and cached on the instance.
 """
 
 from __future__ import annotations
@@ -95,19 +98,45 @@ def allowed_valences(element: str, charge: int) -> tuple[int, ...]:
     return tuple(max(v, 0) for v in vals)
 
 
+def default_hydrogens(element: str, charge: int, aromatic: bool,
+                      bosum: int) -> int | None:
+    """Hydrogens the valence table implies for a bracket-free atom.
+
+    `bosum` is the bond-order sum with aromatic bonds counted as single.
+    An aromatic atom reserves one bonding slot for the ring double bond it
+    may receive during kekulization. None: the element is outside the
+    valence table, or no valence state fits the bonds.
+    """
+    if element not in VALENCES:
+        return None
+    vals = allowed_valences(element, charge)
+    if aromatic:
+        return max(0, vals[0] - bosum - 1)
+    for v in vals:
+        if v >= bosum:
+            return v - bosum
+    return None
+
+
 class Molecule:
     """Immutable attributed molecular graph."""
 
-    __slots__ = ("atoms", "bonds", "_adj", "_hcounts")
+    __slots__ = ("atoms", "bonds", "_adj", "_incident", "_hcounts",
+                 "_ring_bonds", "_smallest_rings")
 
     def __init__(self, atoms, bonds, validate: bool = True):
         object.__setattr__(self, "atoms", tuple(atoms))
         object.__setattr__(self, "bonds", tuple(bonds))
-        adj: list[list[Bond]] = [[] for _ in self.atoms]
-        for bond in self.bonds:
-            adj[bond.a].append(bond)
-            adj[bond.b].append(bond)
-        object.__setattr__(self, "_adj", tuple(tuple(bs) for bs in adj))
+        incident: list[list[tuple[int, Bond]]] = [[] for _ in self.atoms]
+        for k, bond in enumerate(self.bonds):
+            incident[bond.a].append((k, bond))
+            incident[bond.b].append((k, bond))
+        object.__setattr__(self, "_incident",
+                           tuple(tuple(pairs) for pairs in incident))
+        object.__setattr__(self, "_adj", tuple(tuple(b for _, b in pairs)
+                                               for pairs in incident))
+        object.__setattr__(self, "_ring_bonds", None)
+        object.__setattr__(self, "_smallest_rings", None)
         object.__setattr__(self, "_hcounts", self._compute_hcounts())
         if validate:
             self._validate()
@@ -119,6 +148,10 @@ class Molecule:
 
     def bonds_of(self, i: int) -> tuple[Bond, ...]:
         return self._adj[i]
+
+    def incident(self, i: int) -> tuple[tuple[int, Bond], ...]:
+        """(bond index, Bond) pairs of atom i, in `bonds_of` order."""
+        return self._incident[i]
 
     def neighbors(self, i: int) -> list[int]:
         return [b.other(i) for b in self._adj[i]]
@@ -141,62 +174,128 @@ class Molecule:
         """Total (explicit-in-bracket or implicit) hydrogens on atom i."""
         return self._hcounts[i]
 
-    def fragments(self) -> list[list[int]]:
-        """Connected components as sorted atom-index lists."""
-        seen = [False] * len(self.atoms)
+    def components(self, bonds=None) -> list[tuple[list[int], list[int]]]:
+        """Connected components as sorted (atom indices, bond indices).
+
+        With `bonds` (bond indices) given, the subgraph of those bonds and
+        their end atoms; otherwise the whole molecule, isolated atoms
+        included. Components come in order of their smallest atom.
+        """
+        if bonds is None:
+            keep = None
+            starts = range(len(self.atoms))
+        else:
+            keep = set(bonds)
+            starts = sorted({i for k in keep
+                             for i in (self.bonds[k].a, self.bonds[k].b)})
+        seen: set[int] = set()
         comps = []
-        for start in range(len(self.atoms)):
-            if seen[start]:
+        for start in starts:
+            if start in seen:
                 continue
-            stack, comp = [start], []
-            seen[start] = True
+            seen.add(start)
+            stack, atoms, comp_bonds = [start], [], set()
             while stack:
                 i = stack.pop()
-                comp.append(i)
-                for j in self.neighbors(i):
-                    if not seen[j]:
-                        seen[j] = True
+                atoms.append(i)
+                for k, b in self._incident[i]:
+                    if keep is not None and k not in keep:
+                        continue
+                    comp_bonds.add(k)
+                    j = b.other(i)
+                    if j not in seen:
+                        seen.add(j)
                         stack.append(j)
-            comps.append(sorted(comp))
+            comps.append((sorted(atoms), sorted(comp_bonds)))
         return comps
 
-    def ring_bonds(self) -> set[int]:
-        """Indices of bonds that lie on a cycle (non-bridge edges)."""
-        n = len(self.atoms)
-        bond_index = {id(b): k for k, b in enumerate(self.bonds)}
-        disc = [-1] * n
-        low = [0] * n
-        bridges: set[int] = set()
-        timer = [0]
+    def fragments(self) -> list[list[int]]:
+        """Connected components as sorted atom-index lists."""
+        return [atoms for atoms, _ in self.components()]
 
-        def dfs(node: int, parent_bond_id: int) -> None:
-            disc[node] = low[node] = timer[0]
-            timer[0] += 1
-            for bond in self._adj[node]:
-                k = bond_index[id(bond)]
-                if k == parent_bond_id:
+    def ring_bonds(self) -> frozenset[int]:
+        """Indices of bonds that lie on a cycle (non-bridge edges).
+
+        Iterative bridge search: disc is the DFS discovery time, low the
+        earliest discovery time reachable through the subtree and one back
+        edge; a tree edge is a bridge when its child cannot reach above it.
+        """
+        if self._ring_bonds is None:
+            n = len(self.atoms)
+            disc = [-1] * n
+            low = [0] * n
+            bridges: set[int] = set()
+            timer = 0
+            for root in range(n):
+                if disc[root] != -1:
                     continue
-                j = bond.other(node)
-                if disc[j] == -1:
-                    dfs(j, k)
-                    low[node] = min(low[node], low[j])
-                    if low[j] > disc[node]:
-                        bridges.add(k)
-                else:
-                    low[node] = min(low[node], disc[j])
-
-        for root in range(n):
-            if disc[root] == -1:
-                dfs(root, -1)
-        return set(range(len(self.bonds))) - bridges
+                disc[root] = low[root] = timer
+                timer += 1
+                # (atom, index of the tree bond into it, incident iterator)
+                stack = [(root, -1, iter(self._incident[root]))]
+                while stack:
+                    node, parent_k, pending = stack[-1]
+                    for k, bond in pending:
+                        if k == parent_k:
+                            continue
+                        j = bond.other(node)
+                        if disc[j] == -1:
+                            disc[j] = low[j] = timer
+                            timer += 1
+                            stack.append((j, k, iter(self._incident[j])))
+                            break
+                        low[node] = min(low[node], disc[j])
+                    else:
+                        stack.pop()
+                        if stack:
+                            up = stack[-1][0]
+                            low[up] = min(low[up], low[node])
+                            if low[node] > disc[up]:
+                                bridges.add(parent_k)
+            object.__setattr__(self, "_ring_bonds",
+                               frozenset(range(len(self.bonds))) - bridges)
+        return self._ring_bonds
 
     def ring_atom_flags(self) -> list[bool]:
-        ring = self.ring_bonds()
         flags = [False] * len(self.atoms)
-        for k in ring:
+        for k in self.ring_bonds():
             flags[self.bonds[k].a] = True
             flags[self.bonds[k].b] = True
         return flags
+
+    def smallest_rings(self) -> tuple[tuple[int, ...], ...]:
+        """Smallest ring through each ring bond, without repeats.
+
+        One BFS per ring bond (a, b), from a to b over the other ring
+        bonds; a ring is its atom path from b back to a.
+        """
+        if self._smallest_rings is None:
+            ring = self.ring_bonds()
+            rings: list[tuple[int, ...]] = []
+            seen_rings: set[frozenset[int]] = set()
+            for k in sorted(ring):
+                a, b = self.bonds[k].a, self.bonds[k].b
+                prev = {a: None}
+                queue = [a]
+                while queue and b not in prev:
+                    nxt = []
+                    for i in queue:
+                        for kk, bond in self._incident[i]:
+                            if kk == k or kk not in ring:
+                                continue
+                            j = bond.other(i)
+                            if j not in prev:
+                                prev[j] = i
+                                nxt.append(j)
+                    queue = nxt
+                path = [b]
+                while path[-1] != a:
+                    path.append(prev[path[-1]])
+                if frozenset(path) not in seen_rings:
+                    seen_rings.add(frozenset(path))
+                    rings.append(tuple(path))
+            object.__setattr__(self, "_smallest_rings", tuple(rings))
+        return self._smallest_rings
 
     def has_stereo(self) -> bool:
         return (any(a.chirality for a in self.atoms)
@@ -205,22 +304,11 @@ class Molecule:
     # --- hydrogen accounting -------------------------------------------------
 
     def _compute_hcounts(self) -> tuple[int, ...]:
-        counts = []
-        for i, atom in enumerate(self.atoms):
-            if atom.explicit_h is not None:
-                counts.append(atom.explicit_h)
-                continue
-            bosum = self.base_order_sum(i)
-            if atom.aromatic:
-                # An aromatic atom reserves one bonding slot for the ring
-                # double bond it may receive during kekulization.
-                lowest = allowed_valences(atom.element, atom.formal_charge)[0]
-                counts.append(max(0, lowest - bosum - 1))
-            else:
-                vals = allowed_valences(atom.element, atom.formal_charge)
-                fitting = [v for v in vals if v >= bosum]
-                counts.append(fitting[0] - bosum if fitting else 0)
-        return tuple(counts)
+        return tuple(
+            a.explicit_h if a.explicit_h is not None
+            else default_hydrogens(a.element, a.formal_charge, a.aromatic,
+                                   self.base_order_sum(i)) or 0
+            for i, a in enumerate(self.atoms))
 
     # --- validation ------------------------------------------------------------
 

@@ -26,6 +26,7 @@ from chemlinker.molstring.model import (
     Bond,
     Molecule,
     allowed_valences,
+    default_hydrogens,
 )
 
 EOS = "[EOS]"
@@ -204,12 +205,12 @@ def encode_selfies(m: Molecule) -> list[str]:
             raise UnsupportedFeature("isotopes not representable in SELFIES")
         if abs(atom.formal_charge) > 1:
             raise UnsupportedFeature("charges beyond +/-1 not representable")
-        if atom.explicit_h is not None \
-                and atom.explicit_h != _default_h(mk, i):
+        default_h = default_hydrogens(atom.element, atom.formal_charge,
+                                      False, mk.base_order_sum(i))
+        if atom.explicit_h is not None and atom.explicit_h != default_h:
             raise UnsupportedFeature(
                 "non-default hydrogen count not representable in SELFIES")
 
-    bond_index = {id(b): k for k, b in enumerate(mk.bonds)}
     visited: set[int] = set()
     used: set[int] = set()
     position: dict[int, int] = {}   # atom -> derivation position
@@ -242,8 +243,7 @@ def encode_selfies(m: Molecule) -> list[str]:
         tokens = [atom_token(i, bond_order)]
         closures = []
         children = []
-        for b in mk.bonds_of(i):
-            k = bond_index[id(b)]
+        for k, b in mk.incident(i):
             if k in used:
                 continue
             j = b.other(i)
@@ -277,10 +277,3 @@ def encode_selfies(m: Molecule) -> list[str]:
 
     return emit(0, SINGLE)
 
-
-def _default_h(m: Molecule, i: int) -> int:
-    atom = m.atoms[i]
-    bosum = m.base_order_sum(i)
-    vals = allowed_valences(atom.element, atom.formal_charge)
-    fitting = [v for v in vals if v >= bosum]
-    return fitting[0] - bosum if fitting else -1

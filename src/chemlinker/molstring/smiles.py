@@ -55,6 +55,7 @@ class _Builder:
         self.atoms: list[Atom] = []
         self.bonds: list[Bond] = []
         self.refs: list[list[int]] = []   # ordered neighbor lists
+        self.bonded: set[tuple[int, int]] = set()   # (low, high) atom pairs
 
     def add_atom(self, atom: Atom) -> int:
         self.atoms.append(atom)
@@ -65,8 +66,10 @@ class _Builder:
                  a_slot: int | None = None) -> None:
         if a == b:
             raise LexError("ring bond to the same atom")
-        if any((x.a, x.b) in ((a, b), (b, a)) for x in self.bonds):
+        pair = (min(a, b), max(a, b))
+        if pair in self.bonded:
             raise LexError("duplicate bond between atoms")
+        self.bonded.add(pair)
         self.bonds.append(Bond(a=a, b=b, order=order, stereo=stereo))
         if a_slot is None:
             self.refs[a].append(b)

@@ -21,7 +21,7 @@ from chemlinker.molstring.model import (
     STEREO_UP,
     TRIPLE,
     Molecule,
-    allowed_valences,
+    default_hydrogens,
 )
 
 _BOND_TOKEN = {SINGLE: "", DOUBLE: "=", TRIPLE: "#", AROMATIC: ""}
@@ -168,7 +168,6 @@ def _emit(m: Molecule, start: int, ranks: list[int],
     """
     visited = {start}
     used_bonds: set[int] = set()
-    bond_index = {id(b): k for k, b in enumerate(m.bonds)}
     ring_tokens: dict[int, list[str]] = {}   # atom -> closure tokens in order
     # Neighbor order as a reader of the output would see it: parent and
     # in-bracket H, then ring-closure partners, then branch children.
@@ -232,8 +231,7 @@ def _emit(m: Molecule, start: int, ranks: list[int],
             ref_pre[i].append(-1)
         closures = []
         children = []
-        for b in m.bonds_of(i):
-            k = bond_index[id(b)]
+        for k, b in m.incident(i):
             if k in used_bonds:
                 continue
             j = b.other(i)
@@ -286,19 +284,6 @@ def _emit(m: Molecule, start: int, ranks: list[int],
 # --- atom tokens -----------------------------------------------------------------
 
 
-def _implied_h(m: Molecule, i: int) -> int | None:
-    """Hydrogens a reader would infer for a plain (bracket-free) token."""
-    atom = m.atoms[i]
-    if atom.element not in ORGANIC_SUBSET:
-        return None
-    bosum = m.base_order_sum(i)
-    vals = allowed_valences(atom.element, 0)
-    if atom.aromatic:
-        return max(0, vals[0] - bosum - 1)
-    fitting = [v for v in vals if v >= bosum]
-    return fitting[0] - bosum if fitting else None
-
-
 def _atom_token(m: Molecule, i: int, emitted_ref: list[int]) -> str:
     atom = m.atoms[i]
     symbol = atom.element.lower() if atom.aromatic else atom.element
@@ -307,7 +292,8 @@ def _atom_token(m: Molecule, i: int, emitted_ref: list[int]) -> str:
                 and atom.formal_charge == 0
                 and atom.isotope is None
                 and not atom.chirality
-                and _implied_h(m, i) == h)
+                and default_hydrogens(atom.element, atom.formal_charge,
+                                      atom.aromatic, m.base_order_sum(i)) == h)
     if plain_ok:
         return symbol
     parts = ["["]

@@ -21,7 +21,7 @@ import numpy as np
 
 from chemlinker.errors import DecodeFailure, ParseError, TargetUnreached
 from chemlinker.adapternet.model import DecodeCache, Prompt, prepare_prompt
-from chemlinker.adapternet.vocab import SMILES_CHARS
+from chemlinker.adapternet.vocab import SMILES_CHARS, smiles_char_vocab
 from chemlinker.molstring import canonical_smiles, decode_selfies, parse_smiles
 from chemlinker.rng import SplitMix64
 
@@ -180,11 +180,14 @@ def generate_unique_set(params, text_ids, cfg: GenerationConfig, vocab=None,
 
     Returns (list of canonical SMILES in discovery order, GenerationStats).
     Raises TargetUnreached (with partial molecules and stats attached) when
-    the schedule is exhausted. `generate_fn(temperature, rng) -> str`
-    overrides the model-based sampler (used for replay and testing).
+    the schedule is exhausted. `vocab` defaults to `smiles_char_vocab()`.
+    `generate_fn(temperature, rng) -> str` overrides the model-based
+    sampler (used for replay and testing).
     """
     if generate_fn is None:
         prompt = prepare_prompt(params, text_ids)
+        if vocab is None:
+            vocab = smiles_char_vocab()
 
         def generate_fn(temperature, rng):
             return generate_one(prompt, cfg, rng, vocab, temperature)

@@ -1,0 +1,121 @@
+"""Graph facts of Molecule and the outputs that depend on them.
+
+The corpus digest and the edge-case rows were recorded before the graph
+facts (bond index, components, ring bonds, smallest rings, hydrogen rule)
+moved onto Molecule; they pin canonical SMILES, SELFIES round trips and all
+three fingerprint schemes byte for byte.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from chemlinker.errors import KekulizationFailure, LexError
+from chemlinker.fingerprints import circular_fp, key_fp, path_fp
+from chemlinker.molstring import (
+    canonical_smiles,
+    decode_selfies,
+    encode_selfies,
+    parse_smiles,
+)
+from chemlinker.molstring.model import default_hydrogens
+
+FIXTURES = Path(__file__).parent / "fixtures"
+CORPUS = (FIXTURES / "corpus_500.smi").read_text().split()
+CORPUS_DIGEST = (
+    "3ceb8c0e30bd5400599833512f7d232abffd08e8c5b7d9a9dd5b5ace94a8aeac")
+
+
+def _row(smiles: str) -> list[str]:
+    m = parse_smiles(smiles)
+    tokens = "".join(encode_selfies(m.strip_stereo()))
+    return [canonical_smiles(m), tokens,
+            canonical_smiles(decode_selfies(tokens)),
+            circular_fp(m).to_hex(), path_fp(m).to_hex(), key_fp(m).to_hex()]
+
+
+def test_corpus_golden_digest():
+    text = "".join("\t".join(_row(s)) + "\n" for s in CORPUS)
+    assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_DIGEST
+
+
+# (input, canonical, SELFIES, canonical of the decode, first 16 hex digits of
+# the SHA-256 of the tab-joined circular, path and key fingerprint hexes)
+EDGE_CASES = [
+    ("C1CCC2(CC1)CCCC2", "C12(CCCC1)CCCCC2",
+     "[C][C][C][C][Branch1][Branch1][C][C][Ring1][=Branch1][C][C][C][C]"
+     "[Ring1][#Branch1]",
+     "C12(CCCC1)CCCCC2", "49900be6449db3a0"),
+    ("c1ccc2cccc2cc1", "c12cccc1ccccc2",
+     "[C][=C][C][=C][C][=C][C][=C][Ring1][Branch1][C][=C][Ring1][#Branch2]",
+     "c12cccc1ccccc2", "6fb5143d2eaee8ac"),
+    ("c1ccc2c(c1)CCC2", "C1CCc2c1cccc2",
+     "[C][=C][C][=C][C][Branch1][Ring2][=C][Ring1][=Branch1][C][C][C]"
+     "[Ring1][=Branch1]",
+     "C1CCc2c1cccc2", "bc3ec522ce91a423"),
+    ("C1CC2CCC1CC2", "C12CCC(CC1)CC2",
+     "[C][C][C][C][C][C][Ring1][=Branch1][C][C][Ring1][=Branch1]",
+     "C12CCC(CC1)CC2", "ac2782381976f9ef"),
+    ("C1=CC=C2C=CC=CC2=C1", "C12=CC=CC=C1C=CC=C2",
+     "[C][=C][C][=C][C][=C][C][=C][C][Ring1][=Branch1][=C][Ring1][#Branch2]",
+     "c12ccccc1cccc2", "8984cbbedffed102"),
+    ("O=C1C=CC(=O)C=C1", "C1=CC(=O)C=CC1=O",
+     "[O][=C][C][=C][C][Branch1][C][=O][C][=C][Ring1][#Branch1]",
+     "C1=CC(=O)C=CC1=O", "74c5861006c2c016"),
+]
+
+
+@pytest.mark.parametrize("smiles,canon,tokens,decoded,fp_digest", EDGE_CASES)
+def test_edge_case_golden(smiles, canon, tokens, decoded, fp_digest):
+    row = _row(smiles)
+    assert row[:3] == [canon, tokens, decoded]
+    fps = "\t".join(row[3:]).encode()
+    assert hashlib.sha256(fps).hexdigest()[:16] == fp_digest
+
+
+def test_antiaromatic_fragment_still_fails():
+    with pytest.raises(KekulizationFailure):
+        parse_smiles("c1ccc1.c1ccccc1")
+
+
+def test_ring_bonds_iterative_on_long_chain_and_ring():
+    assert parse_smiles("C" * 1200).ring_bonds() == frozenset()
+    ring = parse_smiles("C1" + "C" * 1198 + "1")
+    assert len(ring.ring_bonds()) == 1199
+
+
+@pytest.mark.parametrize("smiles", ["C1C1", "C12CC12"])
+def test_duplicate_bond_rejected(smiles):
+    with pytest.raises(LexError, match="duplicate bond"):
+        parse_smiles(smiles)
+
+
+def test_incident_pairs_bond_indices_with_bonds():
+    m = parse_smiles("CC(=O)O")
+    for i in range(len(m)):
+        assert [b for _, b in m.incident(i)] == list(m.bonds_of(i))
+        assert all(m.bonds[k] is b for k, b in m.incident(i))
+
+
+def test_components_of_whole_molecule_and_of_a_bond_subset():
+    m = parse_smiles("c1ccccc1CC.N")
+    assert m.fragments() == [list(range(8)), [8]]
+    assert m.components() == [(list(range(8)), list(range(8))), ([8], [])]
+    ring = sorted(m.ring_bonds())
+    assert m.components(ring) == [(list(range(6)), ring)]
+
+
+def test_ring_facts_are_cached():
+    m = parse_smiles("C1CCC2(CC1)CCCC2")
+    assert m.ring_bonds() is m.ring_bonds()
+    assert m.smallest_rings() is m.smallest_rings()
+    assert sorted(len(r) for r in m.smallest_rings()) == [5, 6]
+
+
+def test_default_hydrogens():
+    assert default_hydrogens("C", 0, False, 1) == 3
+    assert default_hydrogens("C", 0, True, 2) == 1
+    assert default_hydrogens("S", 0, False, 3) == 1
+    assert default_hydrogens("C", 0, False, 5) is None
+    assert default_hydrogens("Na", 1, False, 0) is None

@@ -118,6 +118,22 @@ def test_generate_one_bounded_and_deterministic():
     assert len(a) <= 12
 
 
+def test_generate_unique_set_defaults_to_smiles_vocab():
+    params, vocab = _model_and_vocab()
+    gcfg = GenerationConfig(target_unique=2, max_len=12,
+                            per_temperature_cap=20)
+
+    def run(**kwargs):
+        try:
+            molecules, stats = generate_unique_set(params, [1, 4, 2], gcfg,
+                                                   **kwargs)
+        except TargetUnreached as err:
+            molecules, stats = err.molecules, err.stats
+        return molecules, stats.to_json()
+
+    assert run() == run(vocab=vocab)
+
+
 # --- classify_filter ----------------------------------------------------------------
 
 
