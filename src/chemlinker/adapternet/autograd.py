@@ -2,8 +2,9 @@
 
 A Tensor wraps an ndarray and records its parents plus a backward closure on
 a global tape implied by the graph structure. `backward()` runs a reverse
-topological sweep accumulating gradients into `.grad`. Only the operations
-needed by the adapter stack are provided.
+topological sweep accumulating gradients into `.grad` of the tensors that
+require them; matmul and multiply skip the gradient of an operand that does
+not. Only the operations needed by the adapter stack are provided.
 """
 
 from __future__ import annotations
@@ -86,8 +87,10 @@ class Tensor:
         out = Tensor(self.data * other.data, (self, other))
 
         def backward(g):
-            self._accum(_unbroadcast(g * other.data, self.data.shape))
-            other._accum(_unbroadcast(g * self.data, other.data.shape))
+            if self.requires_grad:
+                self._accum(_unbroadcast(g * other.data, self.data.shape))
+            if other.requires_grad:
+                other._accum(_unbroadcast(g * self.data, other.data.shape))
         out._backward = backward
         return out
 
@@ -98,10 +101,12 @@ class Tensor:
         out = Tensor(self.data @ other.data, (self, other))
 
         def backward(g):
-            ga = g @ np.swapaxes(other.data, -1, -2)
-            gb = np.swapaxes(self.data, -1, -2) @ g
-            self._accum(_unbroadcast(ga, self.data.shape))
-            other._accum(_unbroadcast(gb, other.data.shape))
+            if self.requires_grad:
+                ga = g @ np.swapaxes(other.data, -1, -2)
+                self._accum(_unbroadcast(ga, self.data.shape))
+            if other.requires_grad:
+                gb = np.swapaxes(self.data, -1, -2) @ g
+                other._accum(_unbroadcast(gb, other.data.shape))
         out._backward = backward
         return out
 

@@ -231,16 +231,20 @@ def adapter_ffn(S: Tensor, t: dict) -> Tensor:
     return S + h @ t["adapter.ffn.w2"] + t["adapter.ffn.b2"]
 
 
+def adapter_logits(t: dict, cfg: TrainConfig, T: Tensor, S: Tensor) -> Tensor:
+    """Adapter and head on the frozen text states T and decoder states S:
+    returns (len(S), mol_vocab) logits."""
+    S, _ = adapter_attend(T, S, t, cfg)
+    return adapter_ffn(S, t) @ t["head.w"] + t["head.b"]
+
+
 def forward_logits(params: ModelParams, text_ids, mol_ids,
                    tensors: dict | None = None) -> Tensor:
     """Full conditional forward: returns (len(mol_ids), mol_vocab) logits."""
     cfg = params.config
     t = tensors if tensors is not None else as_tensors(params)
-    T = encode_text(t, cfg, text_ids)
-    S = decode_mol_states(t, cfg, mol_ids)
-    S, _ = adapter_attend(T, S, t, cfg)
-    S = adapter_ffn(S, t)
-    return S @ t["head.w"] + t["head.b"]
+    return adapter_logits(t, cfg, encode_text(t, cfg, text_ids),
+                          decode_mol_states(t, cfg, mol_ids))
 
 
 # --- cached decoding -------------------------------------------------------------

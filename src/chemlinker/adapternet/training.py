@@ -1,16 +1,26 @@
 """Teacher-forced training of the adapter, Noam schedule, Adam moments, and
-finite-difference gradient verification."""
+finite-difference gradient verification.
+
+`train_adapter` computes each example's frozen text-encoder and decoder
+states once per run, on its first visit, so the tape holds only the adapter,
+the head and the loss. The states take at most (max_text_len * d_text +
+max_mol_len * d_mol) * 4 bytes per distinct example visited (36 KB at the
+defaults).
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from chemlinker.errors import EmptyDataset, LengthMismatch
+from chemlinker.errors import EmptyDataset, LengthMismatch, UnsupportedFeature
 from chemlinker.adapternet.autograd import Tensor
 from chemlinker.adapternet.model import (
     ModelParams,
+    adapter_logits,
     as_tensors,
+    decode_mol_states,
     decoder_only_logits,
+    encode_text,
     forward_logits,
 )
 from chemlinker.rng import SplitMix64
@@ -48,6 +58,16 @@ def teacher_forced_loss(logits, targets, pad_id: int | None = None):
     return loss if as_tensor else float(loss.data)
 
 
+def _mean_loss(logits_and_ids) -> Tensor:
+    """Mean teacher-forced loss over (logits, mol_ids) pairs, where the
+    logits were computed from mol_ids[:-1] and the targets are mol_ids[1:]."""
+    total = None
+    for logits, mol_ids in logits_and_ids:
+        loss = teacher_forced_loss(logits, mol_ids[1:], pad_id=0)
+        total = loss if total is None else total + loss
+    return total * (1.0 / len(logits_and_ids))
+
+
 def batch_loss(params: ModelParams, batch, tensors=None,
                conditional: bool = True) -> Tensor:
     """Mean per-pair teacher-forced loss over (text_ids, mol_ids) pairs.
@@ -56,28 +76,23 @@ def batch_loss(params: ModelParams, batch, tensors=None,
     mol_ids[1:].
     """
     t = tensors if tensors is not None else as_tensors(params, grad=True)
-    total = None
-    for text_ids, mol_ids in batch:
-        if conditional:
-            logits = forward_logits(params, text_ids, mol_ids[:-1], tensors=t)
-        else:
-            logits = decoder_only_logits(params, mol_ids[:-1], tensors=t)
-        loss = teacher_forced_loss(logits, mol_ids[1:], pad_id=0)
-        total = loss if total is None else total + loss
-    return total * (1.0 / len(batch))
+    return _mean_loss([
+        (forward_logits(params, text_ids, mol_ids[:-1], tensors=t)
+         if conditional else decoder_only_logits(params, mol_ids[:-1], t),
+         mol_ids) for text_ids, mol_ids in batch])
 
 
-def _adam(params: ModelParams, cfg, batches, conditional: bool) -> list:
+def _adam(params: ModelParams, cfg, batches, loss_of) -> list:
     """Adam under the Noam schedule, one step per batch; only non-frozen
-    tensors are updated. Returns the loss of each step."""
+    tensors are updated. `loss_of(tensors, batch)` builds the step's loss.
+    Returns the loss of each step."""
     moments = {n: (np.zeros_like(params.tensors[n]),
                    np.zeros_like(params.tensors[n]))
                for n in params.trainable_names()}
     history = []
     for step, batch in enumerate(batches, start=1):
         tensors = as_tensors(params, grad=True)
-        loss = batch_loss(params, batch, tensors=tensors,
-                          conditional=conditional)
+        loss = loss_of(tensors, batch)
         loss.backward()
         lr = noam_lr(step, cfg.warmup_steps, cfg.d_mol)
         for name, (m, v) in moments.items():
@@ -99,11 +114,35 @@ def train_adapter(params: ModelParams, dataset, cfg=None):
 
     Batches walk seeded permutations of the dataset. Returns
     (params, loss_history). Deterministic given cfg.seed.
+
+    Frozen states are computed once per example (see the module docstring),
+    so a trainable `text.*` or `mol.*` tensor raises UnsupportedFeature.
     """
     cfg = cfg or params.config
     dataset = list(dataset)
     if not dataset:
         raise EmptyDataset("training set is empty")
+    thawed = sorted(n for n in params.trainable_names()
+                    if n.startswith(("text.", "mol.")))
+    if thawed:
+        raise UnsupportedFeature(
+            "adapter training needs a frozen encoder and decoder; "
+            f"trainable: {', '.join(thawed)}")
+    frozen, model_cfg = as_tensors(params), params.config
+    states: dict[int, tuple[Tensor, Tensor]] = {}
+
+    def example_logits(t, i):
+        if i not in states:
+            text_ids, mol_ids = dataset[i]
+            states[i] = (
+                Tensor(encode_text(frozen, model_cfg, text_ids).data),
+                Tensor(decode_mol_states(frozen, model_cfg,
+                                         mol_ids[:-1]).data))
+        return adapter_logits(t, model_cfg, *states[i])
+
+    def loss_of(t, batch):
+        return _mean_loss([(example_logits(t, i), dataset[i][1])
+                           for i in batch])
 
     def batches():
         rng = SplitMix64(cfg.seed)
@@ -111,10 +150,10 @@ def train_adapter(params: ModelParams, dataset, cfg=None):
         for _ in range(cfg.max_steps):
             if len(order) < cfg.batch_size:
                 order += rng.sample_indices(len(dataset), len(dataset))
-            yield [dataset[i] for i in order[:cfg.batch_size]]
+            yield order[:cfg.batch_size]
             order = order[cfg.batch_size:]
 
-    return params, _adam(params, cfg, batches(), conditional=True)
+    return params, _adam(params, cfg, batches(), loss_of)
 
 
 def pretrain_decoder(params: ModelParams, mol_sequences, steps: int,
@@ -141,7 +180,9 @@ def pretrain_decoder(params: ModelParams, mol_sequences, steps: int,
                    if n.startswith(("mol.", "head."))}
     params.frozen -= to_unfreeze
     try:
-        return _adam(params, cfg, batches(), conditional=False)
+        return _adam(params, cfg, batches(),
+                     lambda t, batch: batch_loss(params, batch, tensors=t,
+                                                 conditional=False))
     finally:
         params.frozen |= to_unfreeze
 

@@ -211,10 +211,8 @@ def encode_selfies(m: Molecule) -> list[str]:
             raise UnsupportedFeature(
                 "non-default hydrogen count not representable in SELFIES")
 
-    visited: set[int] = set()
     used: set[int] = set()
-    position: dict[int, int] = {}   # atom -> derivation position
-    counter = [0]
+    position: dict[int, int] = {}   # visited atom -> pre-order position
 
     def atom_token(i: int, order: int) -> str:
         atom = mk.atoms[i]
@@ -236,10 +234,9 @@ def encode_selfies(m: Molecule) -> list[str]:
             raise UnsupportedFeature("molecule too large for Ring3/Branch3")
         return str(size), [INDEX_ALPHABET[d] for d in digits]
 
-    def emit(i: int, bond_order: int) -> list[str]:
-        visited.add(i)
-        position[i] = counter[0]
-        counter[0] += 1
+    def enter(i: int, bond_order: int):
+        """Visit atom i; returns its frame (tokens, children, subtrees)."""
+        position[i] = len(position)
         tokens = [atom_token(i, bond_order)]
         closures = []
         children = []
@@ -247,7 +244,7 @@ def encode_selfies(m: Molecule) -> list[str]:
             if k in used:
                 continue
             j = b.other(i)
-            if j in visited:
+            if j in position:
                 closures.append((b, k, j))
             else:
                 children.append((b, k, j))
@@ -257,23 +254,31 @@ def encode_selfies(m: Molecule) -> list[str]:
             size, idx = index_tokens(distance - 1)
             tokens.append(f"[{_PREFIX_OF[b.order]}Ring{size}]")
             tokens.extend(idx)
-        subtrees = []
+        return tokens, iter(children), []
+
+    # Depth-first with an explicit stack, so chain length is not bounded by
+    # the interpreter's recursion limit.
+    stack = [enter(0, SINGLE)]
+    while True:
+        tokens, children, subtrees = stack[-1]
         for b, k, j in children:
             if k in used:
                 continue
             # A neighbor first visited inside an earlier subtree closes the
             # ring from its own side, marking the bond used there.
-            assert j not in visited
+            assert j not in position
             used.add(k)
-            subtrees.append(emit(j, b.order))
-        for sub in subtrees[:-1]:
-            size, idx = index_tokens(len(sub) - 1)
-            tokens.append(f"[Branch{size}]")
-            tokens.extend(idx)
-            tokens.extend(sub)
-        if subtrees:
-            tokens.extend(subtrees[-1])
-        return tokens
-
-    return emit(0, SINGLE)
-
+            stack.append(enter(j, b.order))
+            break
+        else:
+            stack.pop()
+            for sub in subtrees[:-1]:
+                size, idx = index_tokens(len(sub) - 1)
+                tokens.append(f"[Branch{size}]")
+                tokens.extend(idx)
+                tokens.extend(sub)
+            if subtrees:
+                tokens.extend(subtrees[-1])
+            if not stack:
+                return tokens
+            stack[-1][2].append(tokens)

@@ -256,6 +256,23 @@ def test_encode_rejects_multifragment_and_stereo():
         encode_selfies(parse_smiles("N[C@@H](C)C(=O)O"))
 
 
+@pytest.mark.parametrize("smiles,n_tokens", [
+    ("C" * 1200, 1200),
+    ("C1" + "C" * 1198 + "1", 1203),   # 1,199 atoms, [Ring3] and 3 digits
+], ids=["chain", "ring"])
+def test_encode_selfies_long_chain_and_ring(smiles, n_tokens):
+    m = parse_smiles(smiles)
+    tokens = encode_selfies(m)
+    assert len(tokens) == n_tokens
+    back = decode_selfies(tokens)
+    # Both writers still recurse per atom at this size, so the round trip
+    # compares the graphs and re-encodes instead of writing SMILES.
+    assert len(back.atoms) == len(m.atoms)
+    assert ({(min(b.a, b.b), max(b.a, b.b), b.order) for b in back.bonds}
+            == {(min(b.a, b.b), max(b.a, b.b), b.order) for b in m.bonds})
+    assert encode_selfies(back) == tokens
+
+
 def test_split_tokens_rejects_plain_text():
     with pytest.raises(DecodeFailure):
         split_tokens("not selfies")
