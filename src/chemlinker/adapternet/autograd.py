@@ -5,6 +5,10 @@ a global tape implied by the graph structure. `backward()` runs a reverse
 topological sweep accumulating gradients into `.grad` of the tensors that
 require them; matmul and multiply skip the gradient of an operand that does
 not. Only the operations needed by the adapter stack are provided.
+
+`layer_norm`, `tanh` and `softmax` take Tensors or plain arrays and return
+the kind they are given, with the same arithmetic, so a model written with
+them runs with a tape or without one and gives the same values bit for bit.
 """
 
 from __future__ import annotations
@@ -147,20 +151,23 @@ class Tensor:
         out._backward = backward
         return out
 
-    def mean(self, axis=None, keepdims=False):
-        count = (self.data.size if axis is None
-                 else self.data.shape[axis])
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    def take_rows(self, indices):
-        """Gather rows along the first axis (embedding lookup)."""
-        indices = np.asarray(indices)
-        out = Tensor(self.data[indices], (self,))
+    def __getitem__(self, index):
+        """Gather along the first axis (embedding lookup)."""
+        out = Tensor(self.data[index], (self,))
 
         def backward(g):
             acc = np.zeros_like(self.data)
-            np.add.at(acc, indices, g)
+            np.add.at(acc, index, g)
             self._accum(acc)
+        out._backward = backward
+        return out
+
+    def rsqrt(self):
+        y = 1.0 / np.sqrt(self.data)
+        out = Tensor(y, (self,))
+
+        def backward(g):
+            self._accum(g * (-0.5) * y / self.data)
         out._backward = backward
         return out
 
@@ -205,21 +212,24 @@ def _unbroadcast(grad, shape):
     return grad
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
-               eps: float = 1e-5) -> Tensor:
-    """Last-axis layer normalization built from primitive ops."""
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = _rsqrt(var + eps)
-    return centered * inv * gain + bias
+def layer_norm(x, gain, bias, eps: float = 1e-5):
+    """Last-axis layer normalization; a mean is a sum times 1/width."""
+    scale = 1.0 / x.shape[-1]
+    centered = x - x.sum(axis=-1, keepdims=True) * scale
+    var = (centered * centered).sum(axis=-1, keepdims=True) * scale
+    return centered * _rsqrt(var + eps) * gain + bias
 
 
-def _rsqrt(x: Tensor) -> Tensor:
-    y = 1.0 / np.sqrt(x.data)
-    out = Tensor(y, (x,))
+def tanh(x):
+    return x.tanh() if isinstance(x, Tensor) else np.tanh(x)
 
-    def backward(g):
-        x._accum(g * (-0.5) * y / x.data)
-    out._backward = backward
-    return out
+
+def softmax(x, axis=-1):
+    if isinstance(x, Tensor):
+        return x.softmax(axis)
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _rsqrt(x):
+    return x.rsqrt() if isinstance(x, Tensor) else 1.0 / np.sqrt(x)

@@ -9,6 +9,10 @@ the molecule states (W_O starts at zero so an untrained adapter is a no-op).
 A small feed-forward block (second layer also zero-initialized) follows, then
 the language-model head. The text encoder, the decoder and the head are
 frozen by construction; only the projection and the adapter train.
+
+One model definition serves training and sampling: each forward function
+takes the Tensors of `as_tensors` when a gradient is needed, or the plain
+arrays of `params.tensors` for the frozen parts, and returns the same kind.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from chemlinker.errors import DimensionMismatch, ShapeError, VocabError
-from chemlinker.adapternet.autograd import Tensor, layer_norm
+from chemlinker.adapternet.autograd import Tensor, layer_norm, softmax, tanh
 
 
 @dataclass
@@ -130,44 +134,46 @@ def as_tensors(params: ModelParams, grad: bool = False) -> dict:
             for n, v in params.tensors.items()}
 
 
-def _heads_split(x: Tensor, heads: int) -> Tensor:
+def _heads_split(x, heads: int):
     n, d = x.shape
     return x.reshape(n, heads, d // heads).transpose(1, 0, 2)
 
 
-def _heads_join(x: Tensor) -> Tensor:
+def _heads_join(x):
     h, n, dh = x.shape
     return x.transpose(1, 0, 2).reshape(n, h * dh)
 
 
-def _attention(q_in: Tensor, kv_in: Tensor, wq, wk, wv, wo,
-               heads: int, mask=None):
-    """Multi-head attention; returns (output, attention weights (h,n,m))."""
-    d_head = wq.shape[1] // heads
-    q = _heads_split(q_in @ wq, heads)
-    k = _heads_split(kv_in @ wk, heads)
-    v = _heads_split(kv_in @ wv, heads)
-    scores = q @ k.transpose(0, 2, 1) * (1.0 / math.sqrt(d_head))
+def _attention(q, k, v, wo, mask=None):
+    """Multi-head attention of per-head queries over per-head keys and
+    values, each (heads, length, d_head); returns (output, weights (h,n,m))."""
+    scores = q @ k.transpose(0, 2, 1) * (1.0 / math.sqrt(q.shape[-1]))
     if mask is not None:
         scores = scores + mask
-    weights = scores.softmax(axis=-1)
+    weights = softmax(scores, axis=-1)
     return _heads_join(weights @ v) @ wo, weights
 
 
-def _block(x: Tensor, t: dict, prefix: str, heads: int, mask=None) -> Tensor:
+def _block(x, t: dict, prefix: str, heads: int, mask=None, cache=None):
+    """Pre-layer-norm transformer block. `cache` is (keys, values, position)
+    of one decoder layer for a one-row array `x`: the block stores the row's
+    key and value at `position` and attends over the cached rows up to it."""
     h = layer_norm(x, t[f"{prefix}.ln1.g"], t[f"{prefix}.ln1.b"])
-    attn_out, _ = _attention(
-        h, h, t[f"{prefix}.attn.wq"], t[f"{prefix}.attn.wk"],
-        t[f"{prefix}.attn.wv"], t[f"{prefix}.attn.wo"], heads, mask)
-    x = x + attn_out
+    q, k, v = (_heads_split(h @ t[f"{prefix}.attn.{w}"], heads)
+               for w in ("wq", "wk", "wv"))
+    if cache is not None:
+        keys, values, n = cache
+        keys[:, n:n + 1], values[:, n:n + 1] = k, v
+        k, v = keys[:, :n + 1], values[:, :n + 1]
+    x = x + _attention(q, k, v, t[f"{prefix}.attn.wo"], mask)[0]
     h = layer_norm(x, t[f"{prefix}.ln2.g"], t[f"{prefix}.ln2.b"])
-    ffn = (h @ t[f"{prefix}.ffn.w1"] + t[f"{prefix}.ffn.b1"]).tanh()
+    ffn = tanh(h @ t[f"{prefix}.ffn.w1"] + t[f"{prefix}.ffn.b1"])
     return x + ffn @ t[f"{prefix}.ffn.w2"] + t[f"{prefix}.ffn.b2"]
 
 
-def _causal_mask(n: int, dtype=np.float32):
-    mask = np.triu(np.full((n, n), -1e30, dtype=dtype), k=1)
-    return Tensor(mask)
+def _causal_mask(n: int) -> np.ndarray:
+    """Masked scores underflow to weight 0 in float32 and float64 alike."""
+    return np.triu(np.full((n, n), -1e30, dtype=np.float32), k=1)
 
 
 def _check_ids(ids, vocab: int, limit: int, what: str) -> np.ndarray:
@@ -181,36 +187,47 @@ def _check_ids(ids, vocab: int, limit: int, what: str) -> np.ndarray:
     return ids
 
 
-def encode_text(t: dict, cfg: TrainConfig, text_ids) -> Tensor:
+def encode_text(t: dict, cfg: TrainConfig, text_ids):
     ids = _check_ids(text_ids, cfg.text_vocab, cfg.max_text_len, "text")
-    x = t["text.embed"].take_rows(ids) + t["text.pos"].take_rows(
-        np.arange(len(ids)))
+    x = t["text.embed"][ids] + t["text.pos"][np.arange(len(ids))]
     for i in range(cfg.layers):
         x = _block(x, t, f"text.{i}", cfg.heads)
     return x
 
 
-def decode_mol_states(t: dict, cfg: TrainConfig, mol_ids) -> Tensor:
+def decode_mol_states(t: dict, cfg: TrainConfig, mol_ids):
     ids = _check_ids(mol_ids, cfg.mol_vocab, cfg.max_mol_len, "molecule")
-    x = t["mol.embed"].take_rows(ids) + t["mol.pos"].take_rows(
-        np.arange(len(ids)))
-    mask = _causal_mask(len(ids), x.data.dtype)
+    x = t["mol.embed"][ids] + t["mol.pos"][np.arange(len(ids))]
+    mask = _causal_mask(len(ids))
     for i in range(cfg.layers):
         x = _block(x, t, f"mol.{i}", cfg.heads, mask)
     return x
 
 
-def adapter_attend(T_states, S_states, params, cfg: TrainConfig | None = None):
+def text_keys_values(t: dict, heads: int, T):
+    """The adapter's per-head keys and values of the text states T."""
+    projected = T @ t["proj.w_t"]
+    return tuple(_heads_split(projected @ t[f"adapter.attn.{w}"], heads)
+                 for w in ("wk", "wv"))
+
+
+def _cross_attend(t: dict, heads: int, S, keys, values):
+    """Molecule states S query the text keys and values; returns (updated S,
+    attention weights)."""
+    q = _heads_split(S @ t["adapter.attn.wq"], heads)
+    out, weights = _attention(q, keys, values, t["adapter.attn.wo"])
+    return S + out, weights
+
+
+def adapter_attend(T_states, S_states, params: ModelParams):
     """Cross-attention update: molecule states query projected text states.
 
-    Accepts Tensors or plain arrays; returns (updated S, attention weights).
+    Takes state arrays and returns Tensors (updated S, attention weights).
     Attention rows always sum to 1; with a single text state every weight
     is exactly 1 and the update is the value projection of that state.
     """
-    t = params if isinstance(params, dict) else as_tensors(params)
-    cfg = cfg or (None if isinstance(params, dict) else params.config)
-    T = T_states if isinstance(T_states, Tensor) else Tensor(np.asarray(T_states))
-    S = S_states if isinstance(S_states, Tensor) else Tensor(np.asarray(S_states))
+    t = as_tensors(params)
+    T, S = Tensor(T_states), Tensor(S_states)
     if T.data.ndim != 2 or S.data.ndim != 2:
         raise DimensionMismatch("adapter expects 2-D state matrices")
     if T.shape[1] != t["proj.w_t"].shape[0]:
@@ -219,22 +236,19 @@ def adapter_attend(T_states, S_states, params, cfg: TrainConfig | None = None):
     if S.shape[1] != t["adapter.attn.wq"].shape[0]:
         raise DimensionMismatch(
             f"molecule width {S.shape[1]} != adapter width")
-    projected = T @ t["proj.w_t"]
-    out, weights = _attention(
-        S, projected, t["adapter.attn.wq"], t["adapter.attn.wk"],
-        t["adapter.attn.wv"], t["adapter.attn.wo"], cfg.heads)
-    return S + out, weights
+    heads = params.config.heads
+    return _cross_attend(t, heads, S, *text_keys_values(t, heads, T))
 
 
-def adapter_ffn(S: Tensor, t: dict) -> Tensor:
-    h = (S @ t["adapter.ffn.w1"] + t["adapter.ffn.b1"]).tanh()
+def adapter_ffn(S, t: dict):
+    h = tanh(S @ t["adapter.ffn.w1"] + t["adapter.ffn.b1"])
     return S + h @ t["adapter.ffn.w2"] + t["adapter.ffn.b2"]
 
 
-def adapter_logits(t: dict, cfg: TrainConfig, T: Tensor, S: Tensor) -> Tensor:
-    """Adapter and head on the frozen text states T and decoder states S:
-    returns (len(S), mol_vocab) logits."""
-    S, _ = adapter_attend(T, S, t, cfg)
+def adapter_logits(t: dict, heads: int, S, keys, values):
+    """Cross-attention, adapter FFN and head on the decoder states S and the
+    text keys and values: returns (len(S), mol_vocab) logits."""
+    S, _ = _cross_attend(t, heads, S, keys, values)
     return adapter_ffn(S, t) @ t["head.w"] + t["head.b"]
 
 
@@ -243,8 +257,9 @@ def forward_logits(params: ModelParams, text_ids, mol_ids,
     """Full conditional forward: returns (len(mol_ids), mol_vocab) logits."""
     cfg = params.config
     t = tensors if tensors is not None else as_tensors(params)
-    return adapter_logits(t, cfg, encode_text(t, cfg, text_ids),
-                          decode_mol_states(t, cfg, mol_ids))
+    keys_values = text_keys_values(t, cfg.heads, encode_text(t, cfg, text_ids))
+    return adapter_logits(t, cfg.heads, decode_mol_states(t, cfg, mol_ids),
+                          *keys_values)
 
 
 # --- cached decoding -------------------------------------------------------------
@@ -262,31 +277,9 @@ class Prompt:
 
 def prepare_prompt(params: ModelParams, text_ids) -> Prompt:
     """Encode the text and project the adapter's keys and values, once."""
-    t = params.tensors
-    projected = encode_text(as_tensors(params), params.config,
-                            text_ids).data @ t["proj.w_t"]
-    return Prompt(params, *(
-        _heads_split(projected @ t[f"adapter.attn.{w}"], params.config.heads)
-        for w in ("wk", "wv")))
-
-
-def _layer_norm(x, gain, bias, eps: float = 1e-5):
-    """`layer_norm` on plain arrays; a mean is a sum times 1/width, as the
-    Tensor op takes it."""
-    scale = 1.0 / x.shape[-1]
-    centered = x - x.sum(axis=-1, keepdims=True) * scale
-    var = (centered * centered).sum(axis=-1, keepdims=True) * scale
-    return centered * (1.0 / np.sqrt(var + eps)) * gain + bias
-
-
-def _attend(q, keys, values, wo):
-    """One query row against per-head keys and values (heads, n, d_head)."""
-    heads, _, d_head = keys.shape
-    q = q.reshape(heads, 1, d_head)
-    scores = q @ keys.transpose(0, 2, 1) * (1.0 / math.sqrt(d_head))
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    weights = e / e.sum(axis=-1, keepdims=True)
-    return (weights @ values).reshape(1, heads * d_head) @ wo
+    t, cfg = params.tensors, params.config
+    return Prompt(params, *text_keys_values(
+        t, cfg.heads, encode_text(t, cfg, text_ids)))
 
 
 class DecodeCache:
@@ -304,8 +297,8 @@ class DecodeCache:
     def step(self, token: int) -> np.ndarray:
         """Logits after `token`; they match the last row of `forward_logits`
         on the same prefix to within float32 rounding."""
-        params = self.prompt.params
-        cfg, t = params.config, params.tensors
+        prompt = self.prompt
+        cfg, t = prompt.params.config, prompt.params.tensors
         n = self.length
         if not 0 <= token < cfg.mol_vocab:
             raise VocabError(
@@ -314,22 +307,11 @@ class DecodeCache:
             raise VocabError("molecule sequence longer than positional table")
         x = t["mol.embed"][token:token + 1] + t["mol.pos"][n:n + 1]
         for i in range(cfg.layers):
-            p = f"mol.{i}"
-            h = _layer_norm(x, t[f"{p}.ln1.g"], t[f"{p}.ln1.b"])
-            keys, values = self.keys[i], self.values[i]
-            keys[:, n] = (h @ t[f"{p}.attn.wk"]).reshape(cfg.heads, -1)
-            values[:, n] = (h @ t[f"{p}.attn.wv"]).reshape(cfg.heads, -1)
-            x = x + _attend(h @ t[f"{p}.attn.wq"], keys[:, :n + 1],
-                            values[:, :n + 1], t[f"{p}.attn.wo"])
-            h = _layer_norm(x, t[f"{p}.ln2.g"], t[f"{p}.ln2.b"])
-            ffn = np.tanh(h @ t[f"{p}.ffn.w1"] + t[f"{p}.ffn.b1"])
-            x = x + ffn @ t[f"{p}.ffn.w2"] + t[f"{p}.ffn.b2"]
+            x = _block(x, t, f"mol.{i}", cfg.heads,
+                       cache=(self.keys[i], self.values[i], n))
         self.length = n + 1
-        x = x + _attend(x @ t["adapter.attn.wq"], self.prompt.text_keys,
-                        self.prompt.text_values, t["adapter.attn.wo"])
-        h = np.tanh(x @ t["adapter.ffn.w1"] + t["adapter.ffn.b1"])
-        x = x + h @ t["adapter.ffn.w2"] + t["adapter.ffn.b2"]
-        return (x @ t["head.w"] + t["head.b"])[0]
+        return adapter_logits(t, cfg.heads, x, prompt.text_keys,
+                              prompt.text_values)[0]
 
 
 def decoder_only_logits(params: ModelParams, mol_ids,

@@ -2,10 +2,10 @@
 finite-difference gradient verification.
 
 `train_adapter` computes each example's frozen text-encoder and decoder
-states once per run, on its first visit, so the tape holds only the adapter,
-the head and the loss. The states take at most (max_text_len * d_text +
-max_mol_len * d_mol) * 4 bytes per distinct example visited (36 KB at the
-defaults).
+states once per run, on its first visit and on plain arrays, so the tape
+holds only the adapter, the head and the loss. The states take at most
+(max_text_len * d_text + max_mol_len * d_mol) * 4 bytes per distinct example
+visited (36 KB at the defaults).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from chemlinker.adapternet.model import (
     decoder_only_logits,
     encode_text,
     forward_logits,
+    text_keys_values,
 )
 from chemlinker.rng import SplitMix64
 
@@ -68,8 +69,7 @@ def _mean_loss(logits_and_ids) -> Tensor:
     return total * (1.0 / len(logits_and_ids))
 
 
-def batch_loss(params: ModelParams, batch, tensors=None,
-               conditional: bool = True) -> Tensor:
+def batch_loss(params: ModelParams, batch, tensors=None) -> Tensor:
     """Mean per-pair teacher-forced loss over (text_ids, mol_ids) pairs.
 
     mol_ids must include BOS...EOS; inputs are mol_ids[:-1], targets
@@ -77,9 +77,8 @@ def batch_loss(params: ModelParams, batch, tensors=None,
     """
     t = tensors if tensors is not None else as_tensors(params, grad=True)
     return _mean_loss([
-        (forward_logits(params, text_ids, mol_ids[:-1], tensors=t)
-         if conditional else decoder_only_logits(params, mol_ids[:-1], t),
-         mol_ids) for text_ids, mol_ids in batch])
+        (forward_logits(params, text_ids, mol_ids[:-1], tensors=t), mol_ids)
+        for text_ids, mol_ids in batch])
 
 
 def _adam(params: ModelParams, cfg, batches, loss_of) -> list:
@@ -128,17 +127,18 @@ def train_adapter(params: ModelParams, dataset, cfg=None):
         raise UnsupportedFeature(
             "adapter training needs a frozen encoder and decoder; "
             f"trainable: {', '.join(thawed)}")
-    frozen, model_cfg = as_tensors(params), params.config
+    frozen, model_cfg = params.tensors, params.config
+    heads = model_cfg.heads
     states: dict[int, tuple[Tensor, Tensor]] = {}
 
     def example_logits(t, i):
         if i not in states:
             text_ids, mol_ids = dataset[i]
             states[i] = (
-                Tensor(encode_text(frozen, model_cfg, text_ids).data),
-                Tensor(decode_mol_states(frozen, model_cfg,
-                                         mol_ids[:-1]).data))
-        return adapter_logits(t, model_cfg, *states[i])
+                Tensor(encode_text(frozen, model_cfg, text_ids)),
+                Tensor(decode_mol_states(frozen, model_cfg, mol_ids[:-1])))
+        T, S = states[i]
+        return adapter_logits(t, heads, S, *text_keys_values(t, heads, T))
 
     def loss_of(t, batch):
         return _mean_loss([(example_logits(t, i), dataset[i][1])
@@ -165,24 +165,23 @@ def pretrain_decoder(params: ModelParams, mol_sequences, steps: int,
     then trained in.
     """
     cfg = params.config
-    dataset = [(None, seq) for seq in mol_sequences]
-    if not dataset:
+    sequences = list(mol_sequences)
+    if not sequences:
         raise EmptyDataset("pretraining set is empty")
 
     def batches():
         rng = SplitMix64(seed)
         for _ in range(steps):
-            picks = rng.sample_indices(len(dataset),
-                                       min(cfg.batch_size, len(dataset)))
-            yield [dataset[i] for i in picks]
+            picks = rng.sample_indices(len(sequences),
+                                       min(cfg.batch_size, len(sequences)))
+            yield [sequences[i] for i in picks]
 
     to_unfreeze = {n for n in params.frozen
                    if n.startswith(("mol.", "head."))}
     params.frozen -= to_unfreeze
     try:
-        return _adam(params, cfg, batches(),
-                     lambda t, batch: batch_loss(params, batch, tensors=t,
-                                                 conditional=False))
+        return _adam(params, cfg, batches(), lambda t, batch: _mean_loss([
+            (decoder_only_logits(params, ids[:-1], t), ids) for ids in batch]))
     finally:
         params.frozen |= to_unfreeze
 

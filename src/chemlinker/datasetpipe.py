@@ -143,14 +143,13 @@ def normalize_description(text: str) -> str:
     return text.strip()
 
 
-def compat_filter(records, allowed_elements=MOSES_ELEMENTS,
-                  strip: bool = True):
+def compat_filter(records):
     """Drop records outside the molecule alphabet; returns (survivors, report).
 
-    Stereo is removed first when `strip`, then records are dropped if any
-    atom's element is outside `allowed_elements` or the rewritten SMILES
-    does not tokenize under the molecule vocabulary. Survivors carry the
-    rewritten canonical SMILES.
+    Stereo is removed first, then records are dropped if any atom's element
+    is outside `MOSES_ELEMENTS` or the rewritten SMILES does not tokenize
+    under the molecule vocabulary. Survivors carry the rewritten canonical
+    SMILES.
     """
     vocab = smiles_char_vocab()
     report = {"input": len(records), "unparseable": 0,
@@ -162,9 +161,8 @@ def compat_filter(records, allowed_elements=MOSES_ELEMENTS,
         except ParseError:
             report["unparseable"] += 1
             continue
-        if strip:
-            mol = mol.strip_stereo()
-        if any(a.element not in allowed_elements for a in mol.atoms):
+        mol = mol.strip_stereo()
+        if any(a.element not in MOSES_ELEMENTS for a in mol.atoms):
             report["disallowed_element"] += 1
             continue
         rewritten = canonical_smiles(mol)

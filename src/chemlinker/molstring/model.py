@@ -153,17 +153,8 @@ class Molecule:
         """(bond index, Bond) pairs of atom i, in `bonds_of` order."""
         return self._incident[i]
 
-    def neighbors(self, i: int) -> list[int]:
-        return [b.other(i) for b in self._adj[i]]
-
     def degree(self, i: int) -> int:
         return len(self._adj[i])
-
-    def bond_between(self, i: int, j: int) -> Bond | None:
-        for b in self._adj[i]:
-            if b.other(i) == j:
-                return b
-        return None
 
     def base_order_sum(self, i: int) -> int:
         """Bond-order sum with aromatic bonds counted as single."""

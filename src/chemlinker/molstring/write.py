@@ -176,7 +176,6 @@ def _emit(m: Molecule, start: int, ranks: list[int],
     ref_kids: dict[int, list[int]] = {}
     next_ring = [1]
     radixes: list[int] = []
-    out: list[str] = []
 
     def pick_order(items, keys):
         """Order `items` by keys, consulting the decision odometer on ties."""
@@ -221,7 +220,8 @@ def _emit(m: Molecule, start: int, ranks: list[int],
         ref_rings[j].append(i)
         ref_rings[i].append(j)
 
-    def dfs(i: int, parent: int | None) -> list:
+    def enter(i: int, parent: int | None) -> list:
+        """Frame [atom, ordered children, next child, child outputs] of i."""
         ring_tokens.setdefault(i, [])
         ref_pre[i], ref_rings[i], ref_kids[i] = [], [], []
         if parent is not None:
@@ -248,9 +248,16 @@ def _emit(m: Molecule, start: int, ranks: list[int],
             # Group by branch weight only; orderings within a weight class
             # are enumerated and settled by the string comparison.
             child_keys = [weights[i, c[2]] for c in children]
-        children = pick_order(children, child_keys)
-        sub_outs = []
-        for b, k, j in children:
+        return [i, pick_order(children, child_keys), 0, []]
+
+    # Explicit-stack DFS; atoms are entered, and tie points met, in pre-order.
+    stack = [enter(start, None)]
+    while True:
+        frame = stack[-1]
+        i, children, pos, sub_outs = frame
+        if pos < len(children):
+            frame[2] = pos + 1
+            b, k, j = children[pos]
             if k in used_bonds:
                 continue
             if j in visited:
@@ -260,15 +267,19 @@ def _emit(m: Molecule, start: int, ranks: list[int],
             used_bonds.add(k)
             visited.add(j)
             ref_kids[i].append(j)
-            sub_outs.append([("text", bond_token(b, i))] + dfs(j, i))
+            sub_outs.append([("text", bond_token(b, i))])
+            stack.append(enter(j, i))
+            continue
+        stack.pop()
         sub = [("atom", i)]
         for s in sub_outs[:-1]:
             sub += [("text", "(")] + s + [("text", ")")]
         if sub_outs:
             sub += sub_outs[-1]
-        return sub
-
-    out = dfs(start, None)
+        if not stack:
+            out = sub
+            break
+        stack[-1][3][-1] += sub
 
     pieces = []
     for kind, val in out:

@@ -136,6 +136,11 @@ def generate_one(prompt: Prompt, cfg: GenerationConfig, rng: SplitMix64,
 
 def classify_filter(candidate: str) -> FilterOutcome:
     """One outcome per candidate; see module docstring for the order."""
+    return _classify(candidate)[0]
+
+
+def _classify(candidate: str):
+    """(outcome, the parsed or decoded Molecule or None)."""
     mol = None
     bracket_form = bool(_ALL_BRACKETS.fullmatch(candidate))
     try:
@@ -150,17 +155,17 @@ def classify_filter(candidate: str) -> FilterOutcome:
         # A pure bracket-token string is a failed SELFIES derivation, not
         # stray natural language, whatever letters the tokens contain.
         if not bracket_form and any(ch not in _ALPHABET for ch in candidate):
-            return FilterOutcome.NATURAL_LANGUAGE
-        return FilterOutcome.INVALID
+            return FilterOutcome.NATURAL_LANGUAGE, None
+        return FilterOutcome.INVALID, None
     if not mol.atoms:
-        return FilterOutcome.INVALID
+        return FilterOutcome.INVALID, mol
     if len(mol.fragments()) > 1:
-        return FilterOutcome.SALTS
+        return FilterOutcome.SALTS, mol
     if len(mol.atoms) == 1 and mol.atoms[0].formal_charge != 0:
-        return FilterOutcome.SALTS
+        return FilterOutcome.SALTS, mol
     if len({a.element for a in mol.atoms}) == 1:
-        return FilterOutcome.SINGLE_ELEMENT
-    return FilterOutcome.PASS
+        return FilterOutcome.SINGLE_ELEMENT, mol
+    return FilterOutcome.PASS, mol
 
 
 def escalation_schedule(cfg: GenerationConfig) -> list[float]:
@@ -203,8 +208,9 @@ def generate_unique_set(params, text_ids, cfg: GenerationConfig, vocab=None,
         for _ in range(cfg.per_temperature_cap):
             candidate = generate_fn(temperature, rng)
             if candidate not in memo:
-                outcome = classify_filter(candidate)
-                canon = (canonical_smiles(candidate)
+                # A passing bracket-token string may parse only as SELFIES.
+                outcome, mol = _classify(candidate)
+                canon = (canonical_smiles(mol)
                          if outcome == FilterOutcome.PASS else None)
                 key = canon if canon is not None else candidate
                 memo[candidate] = (key, outcome, canon)

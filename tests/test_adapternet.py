@@ -33,6 +33,11 @@ from chemlinker.adapternet import (
     train_adapter,
     word_vocab,
 )
+from chemlinker.adapternet.model import (
+    as_tensors,
+    decode_mol_states,
+    encode_text,
+)
 
 
 def toy_config(**kw):
@@ -172,6 +177,24 @@ def test_text_tokens_reach_all_positions():
     base = forward_logits(params, [1, 4, 5, 2], [1, 6, 7]).data
     got = forward_logits(params, [1, 7, 5, 2], [1, 6, 7]).data
     assert not np.allclose(got, base)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_frozen_stack_on_arrays_matches_tape(dtype):
+    """The encoder and decoder on plain arrays give exactly the values of
+    the Tensor path, in float32 and in the float64 of `grad_check`."""
+    params = init_model(toy_config())
+    for name in params.tensors:
+        params.tensors[name] = params.tensors[name].astype(dtype)
+    cfg, t = params.config, as_tensors(params, grad=True)
+    text, mol = [1, 4, 5, 6, 7, 2], [1, 6, 7, 8, 9, 10, 11]
+    for run in (encode_text, decode_mol_states):
+        ids = text if run is encode_text else mol
+        plain = run(params.tensors, cfg, ids)
+        taped = run(t, cfg, ids)
+        assert type(plain) is np.ndarray and isinstance(taped, Tensor)
+        assert plain.dtype == dtype
+        assert np.array_equal(plain, taped.data)
 
 
 def test_vocab_errors():

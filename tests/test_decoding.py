@@ -210,8 +210,6 @@ def test_one_uniform_per_sampled_token(checkpoints, monkeypatch):
 
 
 def test_sampling_builds_no_tensors(checkpoints, monkeypatch):
-    prompt = prepare_prompt(checkpoints["noise"],
-                            _text_ids("ethanol a small alcohol"))
     built = []
     init = Tensor.__init__
 
@@ -220,6 +218,8 @@ def test_sampling_builds_no_tensors(checkpoints, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Tensor, "__init__", counting)
+    prompt = prepare_prompt(checkpoints["noise"],
+                            _text_ids("ethanol a small alcohol"))
     cfg = GenerationConfig(target_unique=1)
     rng = _CountingRng(3)
     for _ in range(4):

@@ -1,6 +1,8 @@
 """Tests for SMILES/SELFIES parsing, canonicalization, and interconversion."""
 
+import inspect
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -265,12 +267,24 @@ def test_encode_selfies_long_chain_and_ring(smiles, n_tokens):
     tokens = encode_selfies(m)
     assert len(tokens) == n_tokens
     back = decode_selfies(tokens)
-    # Both writers still recurse per atom at this size, so the round trip
-    # compares the graphs and re-encodes instead of writing SMILES.
+    # Canonical SMILES of 1,200 atoms takes tens of seconds (branch weights
+    # are quadratic), so the round trip compares the graphs and re-encodes.
     assert len(back.atoms) == len(m.atoms)
     assert ({(min(b.a, b.b), max(b.a, b.b), b.order) for b in back.bonds}
             == {(min(b.a, b.b), max(b.a, b.b), b.order) for b in m.bonds})
     assert encode_selfies(back) == tokens
+
+
+def test_canonical_long_chain_needs_no_recursion():
+    """Emission walks the chain with its own stack: 300 atoms fit under a
+    recursion limit of 100 frames above the caller's."""
+    depth = len(inspect.stack())
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        assert canonical_smiles("C" * 300) == "C" * 300
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_split_tokens_rejects_plain_text():

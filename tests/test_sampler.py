@@ -241,6 +241,17 @@ def test_empty_molecule_never_returned():
     stats.validate()
 
 
+def test_passing_selfies_candidate_is_canonicalized():
+    """The SELFIES string [C][O] passes the filter but is not SMILES; the
+    filter's decoded molecule is what gets canonicalized."""
+    assert classify_filter("[C][O]") == FilterOutcome.PASS
+    cfg = GenerationConfig(target_unique=1, per_temperature_cap=3)
+    molecules, stats = generate_unique_set(
+        None, None, cfg, generate_fn=lambda t, rng: "[C][O]")
+    assert molecules == ["CO"]
+    assert stats.success == 1
+
+
 # --- stats -------------------------------------------------------------------------
 
 
