@@ -91,15 +91,28 @@ class _Deriver:
         self.stopped = False
 
     def derive(self, pos: int, limit: int, attach: int | None,
-               init_order: int) -> int:
-        """Derive a chain from tokens[pos:limit]; returns next position."""
+               init_order: int) -> None:
+        """Derive a chain from tokens[pos:limit], branches included.
+
+        A branch is derived in place with its own (limit, previous atom,
+        pending bond order) and the outer chain resumes after its payload;
+        the suspended chains sit on an explicit stack, so branch nesting
+        depth is not bounded by the interpreter's recursion limit.
+        """
         prev = attach
         pending = init_order
-        while pos < limit and not self.stopped:
+        # (limit, prev, pending, resume position) of each suspended chain
+        suspended: list[tuple[int, int | None, int, int]] = []
+        while True:
+            if pos >= limit or self.stopped:
+                if not suspended:
+                    return
+                limit, prev, pending, pos = suspended.pop()
+                continue
             tok = self.tokens[pos]
             if tok == EOS:
                 self.stopped = True
-                return limit
+                continue
             m = _ATOM_RE.fullmatch(tok)
             if m:
                 pos += 1
@@ -112,7 +125,8 @@ class _Deriver:
                     if order <= 0:
                         # Previous atom is saturated: this derivation level
                         # cannot continue.
-                        return limit
+                        pos = limit
+                        continue
                 else:
                     order = 0
                 idx = len(self.atoms)
@@ -130,9 +144,11 @@ class _Deriver:
                 q, pos = self._read_index(pos, int(m.group("size")), limit)
                 length = min(q + 1, limit - pos)
                 if prev is not None and self.capacity[prev] >= 2:
-                    self.derive(pos, pos + length, prev,
-                                _ORDER_PREFIX[m.group("prefix")])
-                pos += length
+                    suspended.append((limit, prev, pending, pos + length))
+                    limit = pos + length
+                    pending = _ORDER_PREFIX[m.group("prefix")]
+                else:
+                    pos += length
                 continue
             m = _RING_RE.fullmatch(tok)
             if m:
@@ -143,7 +159,6 @@ class _Deriver:
                                      _ORDER_PREFIX[m.group("prefix")])
                 continue
             pos += 1   # unknown token: skipped by policy
-        return pos
 
     def _read_index(self, pos: int, n_digits: int,
                     limit: int) -> tuple[int, int]:

@@ -4,6 +4,36 @@ Canonical form: Morgan-style iterative invariant refinement assigns ranks;
 remaining ties are broken by emitting every tied traversal and keeping the
 lexicographically smallest string, so the output is independent of input
 atom order.
+
+The search over tied traversals is an odometer. One emission is a
+depth-first walk that orders each atom's ring closures by rank and its
+children by branch weight; every run of equal keys it meets is a tie point,
+and the decision list picks one ordering at each tie point in the order the
+walk meets them (pre-order). The emission reports the number of orderings
+(the radix) of every tie point it reached, and the next decision list is
+the previous one counted up by one in the last position, with carries, so
+every reachable combination is emitted once per start atom.
+
+Each call builds one `_Fragment` table per fragment and drops it
+on return: atom and bond tokens, each atom's incident rows pre-sorted by
+their keys, branch weights from one low-link walk, and the orderings of
+each tie pattern. An emission only filters and orders rows and writes
+tokens; chiral atoms alone get their token from the emitted neighbour
+order.
+
+Interchangeable hanging groups are tried once. Two children in one tie
+group that each hang off a non-chiral parent by a bridge, whose far sides
+are acyclic and free of chiral atoms, and whose hanging codes (bond token,
+atom token, sorted codes of the hanging children) are equal, emit the same
+set of strings whichever comes first: nothing outside a hanging side reads
+its atoms, and it takes no ring digit. So a tie group enumerates each
+distinct ordering of codes once, and of several terminal start atoms with
+equal codes on one non-chiral parent only the first is a start. The
+output is the same string the full enumeration picks; sides with a ring
+have no code and are still enumerated in every order.
+
+Each start stops after `_MAX_VARIANTS` emissions; past that cap the string
+is the smallest of those emitted and may depend on atom order.
 """
 
 from __future__ import annotations
@@ -44,7 +74,8 @@ def write_smiles(m: Molecule, canonical: bool = False) -> str:
         if canonical:
             parts.append(_best_fragment_string(m, frag, ranks))
         else:
-            parts.append(_emit(m, frag[0], ranks, None, decisions=[])[0])
+            parts.append(_emit(_Fragment(m, frag, ranks, None), frag[0],
+                               [])[0])
     if canonical:
         parts.sort()
     return ".".join(parts)
@@ -98,20 +129,31 @@ def _ranks_of(invariants) -> list[int]:
 
 def _best_fragment_string(m: Molecule, frag: list[int],
                           ranks: list[int]) -> str:
-    weights = _branch_weights(m, frag)
+    tab = _Fragment(m, frag, ranks, _branch_weights(m, frag))
     # Only starts whose atom token begins with the smallest character can
     # produce the winning string; the comparison is settled at position 0.
-    first = {i: _atom_token(m, i, [])[0] for i in frag}
+    first = {i: "[" if tab.tokens[i] is None else tab.tokens[i][0]
+             for i in frag}
     low = min(first.values())
-    starts = [i for i in frag if first[i] == low]
     best = None
     best_key = None
-    for start in starts:
-        # Odometer over tie decisions discovered during emission.
+    hanging_starts = set()
+    for start in frag:
+        if first[start] != low:
+            continue
+        if m.degree(start) == 1:
+            # Terminal atoms with equal hanging codes on one non-chiral
+            # parent start the same set of strings: keep the first.
+            parent = tab.rows[start][0][1]
+            code = tab.code(parent, start)
+            if code is not None and tab.tokens[parent] is not None:
+                if (parent, code) in hanging_starts:
+                    continue
+                hanging_starts.add((parent, code))
         decisions: list[int] = []
         emitted = 0
         while True:
-            s, radixes = _emit(m, start, ranks, weights, decisions)
+            s, radixes = _emit(tab, start, decisions)
             key = s.translate(_CMP_TABLE)
             if best is None or key < best_key:
                 best, best_key = s, key
@@ -129,22 +171,177 @@ def _branch_weights(m: Molecule, frag: list[int]) -> dict[tuple[int, int], int]:
 
     Emitting lighter neighbors first keeps short decorations in branches and
     lets the longest chain run to the end of the string.
+
+    One iterative low-link walk: removing atom i leaves each DFS child
+    subtree that cannot reach above i (low >= disc[i]) as a component of
+    its own, and everything else (the part above i and the other child
+    subtrees) as one component.
     """
+    root = frag[0]
+    disc = {root: 0}
+    low = {root: 0}
+    size = {root: 1}
+    kids: dict[int, list[int]] = {i: [] for i in frag}
+    tree_bond: dict[int, int] = {}
+    timer = 1
+    stack = [(root, -1, iter(m.incident(root)))]
+    while stack:
+        node, parent_k, pending = stack[-1]
+        for k, bond in pending:
+            if k == parent_k:
+                continue
+            j = bond.other(node)
+            if j not in disc:
+                disc[j] = low[j] = timer
+                size[j] = 1
+                timer += 1
+                kids[node].append(j)
+                tree_bond[j] = k
+                stack.append((j, k, iter(m.incident(j))))
+                break
+            low[node] = min(low[node], disc[j])
+        else:
+            stack.pop()
+            if stack:
+                up = stack[-1][0]
+                low[up] = min(low[up], low[node])
+                size[up] += size[node]
+    n = len(frag)
     weights: dict[tuple[int, int], int] = {}
     for i in frag:
-        for b in m.bonds_of(i):
-            j = b.other(i)
-            seen = {i, j}
-            queue = [j]
-            while queue:
-                x = queue.pop()
-                for nb in m.bonds_of(x):
-                    y = nb.other(x)
-                    if y not in seen:
-                        seen.add(y)
-                        queue.append(y)
-            weights[i, j] = len(seen) - 1
+        d = disc[i]
+        children = kids[i]
+        upper = n - 1 - sum(size[c] for c in children if low[c] >= d)
+        for k, bond in m.incident(i):
+            j = bond.other(i)
+            if disc[j] < d:
+                # DFS parent or an ancestor closing a ring: the upper side.
+                weights[i, j] = upper
+                continue
+            side = j
+            if tree_bond.get(j) != k:
+                # A descendant closing a ring: the child subtree holding it
+                # (children are in discovery order).
+                side = [c for c in children if disc[c] <= disc[j]][-1]
+            weights[i, j] = size[side] if low[side] >= d else upper
     return weights
+
+
+def _bond_token(m: Molecule, bond, from_atom: int) -> str:
+    if bond.stereo:
+        up = bond.stereo == STEREO_UP
+        if bond.a != from_atom:
+            up = not up
+        return "/" if up else "\\"
+    if bond.order == SINGLE and (m.atoms[bond.a].aromatic
+                                 and m.atoms[bond.b].aromatic):
+        return "-"
+    return _BOND_TOKEN[bond.order]
+
+
+class _Fragment:
+    """What every emission of one fragment reads, built once per call.
+
+    tokens[i]: atom token of i, None for a chiral atom (its mark depends on
+    the emitted neighbour order). rows[i]: (bond index, neighbour, token
+    i->j, token j->i, key) per incident bond, sorted by key (branch weight,
+    or rank without weights), ties in incident order. ring_rows[i]: the
+    ring-bond rows keyed and sorted by neighbour rank, the only rows that
+    can close a ring. tied[i] / ring_tied[i]: the rows hold equal keys.
+    hanging[i]: i is not chiral and has two bridges, so its tie groups may
+    hold interchangeable hanging groups.
+    """
+
+    __slots__ = ("m", "tokens", "rows", "ring_rows", "tied", "ring_tied",
+                 "hanging", "_ring", "_codes", "_code_ids", "_orderings")
+
+    def __init__(self, m: Molecule, frag: list[int], ranks: list[int],
+                 weights: dict[tuple[int, int], int] | None):
+        self.m = m
+        self._ring = m.ring_bonds()
+        self.tokens = {i: None if m.atoms[i].chirality
+                       else _atom_token(m, i, []) for i in frag}
+        self.rows = {}
+        self.ring_rows = {}
+        self.tied = {}
+        self.ring_tied = {}
+        self.hanging = {}
+        for i in frag:
+            rows = []
+            ring_rows = []
+            for k, b in m.incident(i):
+                j = b.other(i)
+                out, back = _bond_token(m, b, i), _bond_token(m, b, j)
+                key = ranks[j] if weights is None else weights[i, j]
+                rows.append((k, j, out, back, key))
+                if k in self._ring:
+                    ring_rows.append((k, j, out, back, ranks[j]))
+            rows.sort(key=lambda r: r[4])
+            ring_rows.sort(key=lambda r: r[4])
+            self.rows[i] = rows
+            self.tied[i] = len({r[4] for r in rows}) < len(rows)
+            self.hanging[i] = (self.tokens[i] is not None
+                               and len(rows) - len(ring_rows) >= 2)
+            if ring_rows:
+                self.ring_rows[i] = ring_rows
+                self.ring_tied[i] = (len({r[4] for r in ring_rows})
+                                     < len(ring_rows))
+        self._codes: dict[tuple[int, int], int | None] = {}
+        self._code_ids: dict[tuple, int] = {}
+        self._orderings: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+
+    def code(self, parent: int, child: int) -> int | None:
+        """Hanging code of the side of bond parent-child that holds child.
+
+        None unless the bond is a bridge and that side is acyclic and free
+        of chiral atoms. Equal codes mean equal trees of atom and bond
+        tokens, so the two sides emit the same strings.
+        """
+        codes = self._codes
+        if (parent, child) in codes:
+            return codes[parent, child]
+        # Post-order over the hanging side without recursion; an entry is
+        # (atom, its row to the next atom down, children coded yet).
+        todo = [(parent, next(r for r in self.rows[parent] if r[1] == child),
+                 False)]
+        while todo:
+            p, row, expanded = todo.pop()
+            c = row[1]
+            if not expanded:
+                if (p, c) in codes:
+                    continue
+                if row[0] in self._ring or self.tokens[c] is None:
+                    codes[p, c] = None
+                    continue
+                todo.append((p, row, True))
+                todo.extend((c, r, False) for r in self.rows[c] if r[1] != p)
+                continue
+            below = [codes[c, r[1]] for r in self.rows[c] if r[1] != p]
+            if None in below:
+                codes[p, c] = None
+                continue
+            label = (row[2], self.tokens[c], tuple(sorted(below)))
+            codes[p, c] = self._code_ids.setdefault(label, len(self._code_ids))
+        return codes[parent, child]
+
+    def orderings(self, labels: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """Distinct orderings of a tie group whose members carry `labels`.
+
+        Each ordering lists group positions; members with equal labels keep
+        their relative order. With labels 0, 1, ..., g-1 this is every
+        permutation, in `itertools.permutations` order.
+        """
+        found = self._orderings.get(labels)
+        if found is None:
+            members: dict[int, list[int]] = {}
+            for pos, label in enumerate(labels):
+                members.setdefault(label, []).append(pos)
+            found = []
+            for seq in sorted(set(permutations(labels))):
+                nxt = {label: iter(pos) for label, pos in members.items()}
+                found.append(tuple(next(nxt[label]) for label in seq))
+            self._orderings[labels] = found
+        return found
 
 
 def _next_decisions(decisions: list[int], radixes: list[int]):
@@ -157,138 +354,126 @@ def _next_decisions(decisions: list[int], radixes: list[int]):
     return None
 
 
-def _emit(m: Molecule, start: int, ranks: list[int],
-          weights: dict[tuple[int, int], int] | None,
+def _emit(tab: _Fragment, start: int,
           decisions: list[int]) -> tuple[str, list[int]]:
     """One deterministic DFS emission.
 
-    `decisions` selects permutations at rank-tie points in discovery order;
-    the radix (number of orderings) of every tie point reached is returned
-    so callers can enumerate all variants.
+    `decisions` selects orderings at tie points in discovery order; the
+    radix (number of orderings) of every tie point reached is returned so
+    callers can enumerate all variants.
     """
-    visited = {start}
-    used_bonds: set[int] = set()
-    ring_tokens: dict[int, list[str]] = {}   # atom -> closure tokens in order
-    # Neighbor order as a reader of the output would see it: parent and
-    # in-bracket H, then ring-closure partners, then branch children.
-    ref_pre: dict[int, list[int]] = {}
-    ref_rings: dict[int, list[int]] = {}
-    ref_kids: dict[int, list[int]] = {}
-    next_ring = [1]
+    m, tokens, rows, ring_rows = tab.m, tab.tokens, tab.rows, tab.ring_rows
     radixes: list[int] = []
+    visited = {start}
+    used: set[int] = set()
+    # Neighbor order of each chiral atom as a reader of the output sees
+    # it: parent and in-bracket H, then ring-closure partners, then
+    # branch children.
+    refs: dict[int, tuple[list[int], list[int], list[int]]] = {}
+    # An atom's piece is its token (empty for a chiral atom until the end)
+    # followed by its ring tokens as they are assigned.
+    pieces: list[str] = []
+    slot_of: dict[int, int] = {}
+    next_ring = 1
 
-    def pick_order(items, keys):
-        """Order `items` by keys, consulting the decision odometer on ties."""
-        groups: dict = {}
-        for item, key in zip(items, keys):
-            groups.setdefault(key, []).append(item)
-        ordered = []
-        for key in sorted(groups):
-            group = groups[key]
+    def settle(items: list, hanging_parent: int | None) -> list:
+        """Order runs of equal keys in `items` by the decision odometer."""
+        out = []
+        lo = 0
+        while lo < len(items):
+            hi = lo + 1
+            while hi < len(items) and items[hi][4] == items[lo][4]:
+                hi += 1
+            group = items[lo:hi]
             if len(group) > 1:
-                perms = list(permutations(range(len(group))))
-                slot = len(radixes)
-                radixes.append(len(perms))
-                choice = decisions[slot] if slot < len(decisions) else 0
-                group = [group[p] for p in perms[choice]]
-            ordered.extend(group)
-        return ordered
-
-    def ring_digit() -> str:
-        d = next_ring[0]
-        next_ring[0] += 1
-        return str(d) if d < 10 else f"%{d:02d}"
-
-    def bond_token(bond, from_atom: int) -> str:
-        if bond.stereo:
-            up = bond.stereo == STEREO_UP
-            if bond.a != from_atom:
-                up = not up
-            return "/" if up else "\\"
-        if bond.order == SINGLE and (m.atoms[bond.a].aromatic
-                                     and m.atoms[bond.b].aromatic):
-            return "-"
-        return _BOND_TOKEN[bond.order]
-
-    def close_ring(i: int, j: int, b, k: int) -> None:
-        """Record ring bond b between closer i and already-visited opener j."""
-        used_bonds.add(k)
-        digit = ring_digit()
-        # Opener side carries the bond symbol; stereo direction is j -> i.
-        ring_tokens[j].append(bond_token(b, j) + digit)
-        ring_tokens[i].append(digit)
-        ref_rings[j].append(i)
-        ref_rings[i].append(j)
-
-    def enter(i: int, parent: int | None) -> list:
-        """Frame [atom, ordered children, next child, child outputs] of i."""
-        ring_tokens.setdefault(i, [])
-        ref_pre[i], ref_rings[i], ref_kids[i] = [], [], []
-        if parent is not None:
-            ref_pre[i].append(parent)
-        atom = m.atoms[i]
-        if atom.chirality and m.hydrogen_count(i):
-            ref_pre[i].append(-1)
-        closures = []
-        children = []
-        for k, b in m.incident(i):
-            if k in used_bonds:
-                continue
-            j = b.other(i)
-            if j in visited:
-                closures.append((b, k, j))
-            else:
-                children.append((b, k, j))
-        closures = pick_order(closures, [ranks[c[2]] for c in closures])
-        for b, k, j in closures:
-            close_ring(i, j, b, k)
-        if weights is None:
-            child_keys = [ranks[c[2]] for c in children]
-        else:
-            # Group by branch weight only; orderings within a weight class
-            # are enumerated and settled by the string comparison.
-            child_keys = [weights[i, c[2]] for c in children]
-        return [i, pick_order(children, child_keys), 0, []]
+                if hanging_parent is None:
+                    labels = tuple(range(len(group)))
+                else:
+                    # Members with one hanging code share a label: the
+                    # position of that code's first member.
+                    codes = [tab.code(hanging_parent, r[1]) for r in group]
+                    labels = tuple(n if code is None else codes.index(code)
+                                   for n, code in enumerate(codes))
+                orders = tab.orderings(labels)
+                if len(orders) > 1:
+                    slot = len(radixes)
+                    radixes.append(len(orders))
+                    choice = decisions[slot] if slot < len(decisions) else 0
+                    group = [group[p] for p in orders[choice]]
+            out.extend(group)
+            lo = hi
+        return out
 
     # Explicit-stack DFS; atoms are entered, and tie points met, in pre-order.
-    stack = [enter(start, None)]
+    # A frame is [atom, ordered children, next child, ref lists or None,
+    # piece index of the last descended child's "(" or -1].
+    stack: list[list] = []
+    i, parent = start, None
     while True:
-        frame = stack[-1]
-        i, children, pos, sub_outs = frame
-        if pos < len(children):
-            frame[2] = pos + 1
-            b, k, j = children[pos]
-            if k in used_bonds:
-                continue
-            if j in visited:
-                # Reached through an earlier child's subtree: ring closure.
-                close_ring(i, j, b, k)
-                continue
-            used_bonds.add(k)
-            visited.add(j)
-            ref_kids[i].append(j)
-            sub_outs.append([("text", bond_token(b, i))])
-            stack.append(enter(j, i))
-            continue
-        stack.pop()
-        sub = [("atom", i)]
-        for s in sub_outs[:-1]:
-            sub += [("text", "(")] + s + [("text", ")")]
-        if sub_outs:
-            sub += sub_outs[-1]
-        if not stack:
-            out = sub
-            break
-        stack[-1][3][-1] += sub
+        slot_of[i] = len(pieces)
+        pieces.append(tokens[i] or "")
+        ref = None
+        if tokens[i] is None:
+            ref = refs[i] = ([] if parent is None else [parent], [], [])
+            if m.hydrogen_count(i):
+                ref[0].append(-1)
+        if i in ring_rows:
+            closures = [r for r in ring_rows[i]
+                        if r[1] in visited and r[0] not in used]
+            if tab.ring_tied[i]:
+                closures = settle(closures, None)
+            for k, j, _, back, _ in closures:
+                used.add(k)
+                digit = (str(next_ring) if next_ring < 10
+                         else f"%{next_ring:02d}")
+                next_ring += 1
+                # Opener side carries the bond symbol; stereo direction is
+                # j -> i.
+                pieces[slot_of[j]] += back + digit
+                pieces[-1] += digit
+                if j in refs:
+                    refs[j][1].append(i)
+                if ref is not None:
+                    ref[1].append(j)
+        children = [r for r in rows[i] if r[1] not in visited
+                    and r[0] not in used]
+        if tab.tied[i] and len(children) > 1:
+            # Children group by branch weight only; orderings within a
+            # weight class are settled by the string comparison.
+            children = settle(children, i if tab.hanging[i] else None)
+        stack.append([i, children, 0, ref, -1])
 
-    pieces = []
-    for kind, val in out:
-        if kind == "text":
-            pieces.append(val)
+        # Descend into the next child not reached since, or close frames.
+        while stack:
+            frame = stack[-1]
+            children, pos = frame[1], frame[2]
+            while pos < len(children) and children[pos][0] in used:
+                pos += 1
+            if pos < len(children):
+                k, j, out = children[pos][:3]
+                frame[2] = pos + 1
+                used.add(k)
+                visited.add(j)
+                if frame[3] is not None:
+                    frame[3][2].append(j)
+                frame[4] = len(pieces)
+                pieces.append("(")
+                pieces.append(out)
+                i, parent = j, frame[0]
+                break
+            stack.pop()
+            if frame[4] >= 0:
+                # The last child runs on unbracketed.
+                pieces[frame[4]] = ""
+                pieces.pop()
+            if stack:
+                pieces.append(")")
         else:
-            ref = ref_pre[val] + ref_rings[val] + ref_kids[val]
-            pieces.append(_atom_token(m, val, ref))
-            pieces.extend(ring_tokens[val])
+            break
+
+    for a, ref in refs.items():
+        pieces[slot_of[a]] = (_atom_token(m, a, ref[0] + ref[1] + ref[2])
+                              + pieces[slot_of[a]])
     return "".join(pieces), radixes
 
 

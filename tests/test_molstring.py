@@ -287,6 +287,19 @@ def test_canonical_long_chain_needs_no_recursion():
         sys.setrecursionlimit(limit)
 
 
+def test_decode_nested_branches_needs_no_recursion():
+    """1,000 nested Branch3 operators decode under a recursion limit of
+    100 frames above the caller's."""
+    depth = len(inspect.stack())
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        m = decode_selfies("[C]" + "[Branch3][P][P][P]" * 1000)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert canonical_smiles(m) == "C"
+
+
 def test_split_tokens_rejects_plain_text():
     with pytest.raises(DecodeFailure):
         split_tokens("not selfies")
