@@ -63,7 +63,7 @@ class ModelParams:
                            set(self.frozen), replace(self.config))
 
 
-def init_model(cfg: TrainConfig, seed: int | None = None) -> ModelParams:
+def init_model(cfg: TrainConfig) -> ModelParams:
     """Deterministic scaled-uniform initialization; adapter output paths
     (W_O and the adapter FFN's second layer) start at zero."""
     if cfg.d_mol % cfg.heads or cfg.d_text % cfg.heads:
@@ -72,7 +72,7 @@ def init_model(cfg: TrainConfig, seed: int | None = None) -> ModelParams:
         raise ShapeError("warmup_steps must be >= 1")
     if cfg.layers < 1 or cfg.text_vocab < 4 or cfg.mol_vocab < 4:
         raise ShapeError("need >= 1 layer and vocabularies incl. specials")
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    rng = np.random.default_rng(cfg.seed)
 
     def uniform(*shape):
         bound = 1.0 / math.sqrt(shape[0])

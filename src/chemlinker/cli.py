@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 
 from chemlinker import __version__
-from chemlinker.errors import ChemlinkerError
+from chemlinker.errors import ChemlinkerError, VocabError
 from chemlinker.adapternet import (
     TrainConfig,
     Vocab,
@@ -189,21 +189,21 @@ def _cmd_train(args, started):
           f"checkpoint at {args.out}")
 
 
-def _load_text_vocab(ckpt_path, fallback_text):
-    """Use the training-time vocabulary saved beside the checkpoint; a vocab
-    built from the prompt alone is only a last resort for untrained demos."""
+def _load_text_vocab(ckpt_path):
+    """The training-time vocabulary `train` saves beside the checkpoint;
+    text ids mean nothing under any other vocabulary."""
     vocab_path = Path(str(ckpt_path) + ".vocab.json")
-    if vocab_path.exists():
-        with open(vocab_path, encoding="utf-8") as fh:
-            tokens = json.load(fh)["text_tokens"]
-        return Vocab([t for t in tokens if not t.startswith("<")],
-                     with_unk="<unk>" in tokens)
-    return word_vocab([fallback_text])
+    if not vocab_path.exists():
+        raise VocabError(f"text vocabulary {vocab_path} not found")
+    with open(vocab_path, encoding="utf-8") as fh:
+        tokens = json.load(fh)["text_tokens"]
+    return Vocab([t for t in tokens if not t.startswith("<")],
+                 with_unk="<unk>" in tokens)
 
 
 def _cmd_generate(args, started):
     params = load_checkpoint(args.ckpt)
-    tvocab = _load_text_vocab(args.ckpt, args.text)
+    tvocab = _load_text_vocab(args.ckpt)
     mvocab = smiles_char_vocab()
     text_ids = _text_ids(tvocab, args.text, params.config.max_text_len)
     cfg = GenerationConfig(target_unique=args.n, base_seed=args.seed,

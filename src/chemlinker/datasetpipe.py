@@ -24,6 +24,8 @@ from chemlinker.molstring import canonical_smiles, parse_smiles
 from chemlinker.rng import SplitMix64
 
 MOSES_ELEMENTS = frozenset({"C", "N", "S", "O", "F", "Cl", "Br", "H"})
+# PubChem descriptions holding this phrase (in any case) are dropped.
+DROP_PHRASE = "natural product"
 
 _HEADER = ("CID", "SMILES", "description")
 
@@ -78,7 +80,6 @@ def load_chebi20(directory) -> dict:
 @dataclass
 class PubchemFilterConfig:
     min_words: int = 30                  # keep strictly more than this many
-    drop_phrase: str = "natural product"
     exclusion: frozenset = frozenset()   # canonical SMILES to remove
 
 
@@ -104,7 +105,7 @@ def filter_pubchem(records, cfg: PubchemFilterConfig | None = None):
         if len(rec.description.split()) <= cfg.min_words:
             report["short_description"] += 1
             continue
-        if cfg.drop_phrase in rec.description.lower():
+        if DROP_PHRASE in rec.description.lower():
             report["drop_phrase"] += 1
             continue
         canon = _canonical_or_none(rec.smiles)

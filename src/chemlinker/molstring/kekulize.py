@@ -1,13 +1,15 @@
 """Kekulé assignment for aromatic systems and the inverse perception step.
 
 Kekulization places one double bond on every aromatic atom that needs one
-(exact backtracking matching) and then checks the pi-electron count of each
-aromatic system against the 4n+2 rule, so annotations like c1ccc1 are
-rejected even though a pairing of double bonds exists.
+(exact backtracking matching on an explicit stack) and then checks the
+pi-electron count of each aromatic system against the 4n+2 rule, so
+annotations like c1ccc1 are rejected even though a pairing of double bonds
+exists.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import replace
 
 from chemlinker.errors import KekulizationFailure
@@ -38,19 +40,31 @@ def _needs_double(m: Molecule, i: int) -> bool:
 
 def _match(order: list[int], adj: dict[int, list[int]],
            mate: dict[int, int]) -> bool:
-    """Backtracking perfect matching over the needy-atom subgraph."""
-    free = [i for i in order if i not in mate]
-    if not free:
-        return True
-    i = free[0]
-    for j in adj.get(i, ()):
-        if j not in mate:
-            mate[i] = j
-            mate[j] = i
-            if _match(order, adj, mate):
-                return True
-            del mate[i], mate[j]
-    return False
+    """Backtracking perfect matching over the needy-atom subgraph.
+
+    Pairs the first unpaired atom in `order` with its next unpaired
+    neighbour, undoing the last pairing when an atom has none left. A stack
+    frame is (atom, its position in `order`, its untried neighbours).
+    """
+    stack: list[tuple[int, int, Iterator[int]]] = []
+    pos = 0
+    while True:
+        while pos < len(order) and order[pos] in mate:
+            pos += 1
+        if pos == len(order):
+            return True
+        stack.append((order[pos], pos, iter(adj.get(order[pos], ()))))
+        while stack:
+            i, pos, pending = stack[-1]
+            j = next((j for j in pending if j not in mate), None)
+            if j is not None:
+                mate[i], mate[j] = j, i
+                break
+            stack.pop()
+            if stack:
+                del mate[mate.pop(stack[-1][0])]
+        else:
+            return False
 
 
 def kekulize(m: Molecule) -> dict[int, int]:

@@ -3,8 +3,9 @@
 Molecule values are immutable to callers; every operation in this package
 returns a new Molecule rather than mutating in place. Each graph fact lives
 here and nowhere else: the bond index of every incident bond and the
-hydrogen counts are built in the constructor, ring bonds and smallest rings
-are computed once, on first use, and cached on the instance.
+hydrogen counts are built in the constructor; the depth-first forest,
+ring bonds and smallest rings are computed once, on first use, and cached
+on the instance.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ class Molecule:
     """Immutable attributed molecular graph."""
 
     __slots__ = ("atoms", "bonds", "_adj", "_incident", "_hcounts",
-                 "_ring_bonds", "_smallest_rings")
+                 "_forest", "_ring_bonds", "_smallest_rings")
 
     def __init__(self, atoms, bonds, validate: bool = True):
         object.__setattr__(self, "atoms", tuple(atoms))
@@ -135,6 +136,7 @@ class Molecule:
                            tuple(tuple(pairs) for pairs in incident))
         object.__setattr__(self, "_adj", tuple(tuple(b for _, b in pairs)
                                                for pairs in incident))
+        object.__setattr__(self, "_forest", None)
         object.__setattr__(self, "_ring_bonds", None)
         object.__setattr__(self, "_smallest_rings", None)
         object.__setattr__(self, "_hcounts", self._compute_hcounts())
@@ -204,18 +206,20 @@ class Molecule:
         """Connected components as sorted atom-index lists."""
         return [atoms for atoms, _ in self.components()]
 
-    def ring_bonds(self) -> frozenset[int]:
-        """Indices of bonds that lie on a cycle (non-bridge edges).
+    def dfs_forest(self):
+        """Iterative DFS, one tree per fragment from its smallest atom.
 
-        Iterative bridge search: disc is the DFS discovery time, low the
-        earliest discovery time reachable through the subtree and one back
-        edge; a tree edge is a bridge when its child cannot reach above it.
+        Per atom: disc (discovery time), low (earliest disc its subtree
+        reaches by one non-tree bond), size (subtree atoms), tree_bond
+        (bond from its DFS parent, -1 at a root) and children (in order).
         """
-        if self._ring_bonds is None:
+        if self._forest is None:
             n = len(self.atoms)
             disc = [-1] * n
             low = [0] * n
-            bridges: set[int] = set()
+            size = [1] * n
+            tree_bond = [-1] * n
+            children: list[list[int]] = [[] for _ in range(n)]
             timer = 0
             for root in range(n):
                 if disc[root] != -1:
@@ -233,6 +237,8 @@ class Molecule:
                         if disc[j] == -1:
                             disc[j] = low[j] = timer
                             timer += 1
+                            tree_bond[j] = k
+                            children[node].append(j)
                             stack.append((j, k, iter(self._incident[j])))
                             break
                         low[node] = min(low[node], disc[j])
@@ -241,8 +247,23 @@ class Molecule:
                         if stack:
                             up = stack[-1][0]
                             low[up] = min(low[up], low[node])
-                            if low[node] > disc[up]:
-                                bridges.add(parent_k)
+                            size[up] += size[node]
+            object.__setattr__(self, "_forest", (
+                tuple(disc), tuple(low), tuple(size), tuple(tree_bond),
+                tuple(tuple(c) for c in children)))
+        return self._forest
+
+    def ring_bonds(self) -> frozenset[int]:
+        """Indices of bonds that lie on a cycle (non-bridge edges).
+
+        A tree bond is a bridge when the subtree below it reaches no
+        earlier atom (low equals its own discovery time); every non-tree
+        bond closes a cycle.
+        """
+        if self._ring_bonds is None:
+            disc, low, _, tree_bond, _ = self.dfs_forest()
+            bridges = {k for k, d, lo in zip(tree_bond, disc, low)
+                       if k >= 0 and lo == d}
             object.__setattr__(self, "_ring_bonds",
                                frozenset(range(len(self.bonds))) - bridges)
         return self._ring_bonds

@@ -16,21 +16,22 @@ every reachable combination is emitted once per start atom.
 
 Each call builds one `_Fragment` table per fragment and drops it
 on return: atom and bond tokens, each atom's incident rows pre-sorted by
-their keys, branch weights from one low-link walk, and the orderings of
-each tie pattern. An emission only filters and orders rows and writes
-tokens; chiral atoms alone get their token from the emitted neighbour
-order.
+their keys, branch weights read off the molecule's depth-first forest,
+and the orderings of each tie pattern. An emission only filters and
+orders rows and writes tokens; chiral atoms alone get their token from
+the emitted neighbour order.
 
-Interchangeable hanging groups are tried once. Two children in one tie
-group that each hang off a non-chiral parent by a bridge, whose far sides
-are acyclic and free of chiral atoms, and whose hanging codes (bond token,
-atom token, sorted codes of the hanging children) are equal, emit the same
-set of strings whichever comes first: nothing outside a hanging side reads
-its atoms, and it takes no ring digit. So a tie group enumerates each
-distinct ordering of codes once, and of several terminal start atoms with
-equal codes on one non-chiral parent only the first is a start. The
-output is the same string the full enumeration picks; sides with a ring
-have no code and are still enumerated in every order.
+Interchangeable hanging groups are tried once. Tied children that hang
+off a non-chiral parent by bridges, as trees free of chiral atoms and
+stereo bonds, with equal refinement rank and one bond token from the
+parent, emit the same set of strings whichever comes first: the ranks are
+a stable refinement, so such sides are equal trees of atom and bond tokens
+(by induction down the trees), nothing outside a side reads its atoms,
+and it takes no ring digit. So a tie group enumerates each distinct
+ordering of (rank, bond token) labels once, and of several terminal start
+atoms with one label on one non-chiral parent only the first is a start.
+The output is the same string the full enumeration picks; sides with a
+ring have no label and are still enumerated in every order.
 
 Each start stops after `_MAX_VARIANTS` emissions; past that cap the string
 is the smallest of those emitted and may depend on atom order.
@@ -142,14 +143,14 @@ def _best_fragment_string(m: Molecule, frag: list[int],
         if first[start] != low:
             continue
         if m.degree(start) == 1:
-            # Terminal atoms with equal hanging codes on one non-chiral
-            # parent start the same set of strings: keep the first.
-            parent = tab.rows[start][0][1]
-            code = tab.code(parent, start)
-            if code is not None and tab.tokens[parent] is not None:
-                if (parent, code) in hanging_starts:
+            # Terminal atoms with one label on one non-chiral parent start
+            # the same set of strings: keep the first.
+            k, parent, _, token = tab.rows[start][0][:4]
+            label = tab.label(k, parent, start, token)
+            if label is not None:
+                if (parent, label) in hanging_starts:
                     continue
-                hanging_starts.add((parent, code))
+                hanging_starts.add((parent, label))
         decisions: list[int] = []
         emitted = 0
         while True:
@@ -172,40 +173,12 @@ def _branch_weights(m: Molecule, frag: list[int]) -> dict[tuple[int, int], int]:
     Emitting lighter neighbors first keeps short decorations in branches and
     lets the longest chain run to the end of the string.
 
-    One iterative low-link walk: removing atom i leaves each DFS child
-    subtree that cannot reach above i (low >= disc[i]) as a component of
-    its own, and everything else (the part above i and the other child
-    subtrees) as one component.
+    Read off the molecule's depth-first forest: removing atom i leaves each
+    DFS child subtree that cannot reach above i (low >= disc[i]) as a
+    component of its own, and everything else (the part above i and the
+    other child subtrees) as one component.
     """
-    root = frag[0]
-    disc = {root: 0}
-    low = {root: 0}
-    size = {root: 1}
-    kids: dict[int, list[int]] = {i: [] for i in frag}
-    tree_bond: dict[int, int] = {}
-    timer = 1
-    stack = [(root, -1, iter(m.incident(root)))]
-    while stack:
-        node, parent_k, pending = stack[-1]
-        for k, bond in pending:
-            if k == parent_k:
-                continue
-            j = bond.other(node)
-            if j not in disc:
-                disc[j] = low[j] = timer
-                size[j] = 1
-                timer += 1
-                kids[node].append(j)
-                tree_bond[j] = k
-                stack.append((j, k, iter(m.incident(j))))
-                break
-            low[node] = min(low[node], disc[j])
-        else:
-            stack.pop()
-            if stack:
-                up = stack[-1][0]
-                low[up] = min(low[up], low[node])
-                size[up] += size[node]
+    disc, low, size, tree_bond, kids = m.dfs_forest()
     n = len(frag)
     weights: dict[tuple[int, int], int] = {}
     for i in frag:
@@ -219,7 +192,7 @@ def _branch_weights(m: Molecule, frag: list[int]) -> dict[tuple[int, int], int]:
                 weights[i, j] = upper
                 continue
             side = j
-            if tree_bond.get(j) != k:
+            if tree_bond[j] != k:
                 # A descendant closing a ring: the child subtree holding it
                 # (children are in discovery order).
                 side = [c for c in children if disc[c] <= disc[j]][-1]
@@ -244,28 +217,39 @@ class _Fragment:
 
     tokens[i]: atom token of i, None for a chiral atom (its mark depends on
     the emitted neighbour order). rows[i]: (bond index, neighbour, token
-    i->j, token j->i, key) per incident bond, sorted by key (branch weight,
-    or rank without weights), ties in incident order. ring_rows[i]: the
-    ring-bond rows keyed and sorted by neighbour rank, the only rows that
-    can close a ring. tied[i] / ring_tied[i]: the rows hold equal keys.
-    hanging[i]: i is not chiral and has two bridges, so its tie groups may
-    hold interchangeable hanging groups.
+    i->j, token j->i, key, `label`) per incident bond, sorted by key (branch
+    weight, or rank without weights), ties in incident order. ring_rows[i]:
+    the ring-bond rows keyed and sorted by neighbour rank, the only rows
+    that can close a ring. tied[i] / ring_tied[i]: the rows hold equal keys.
     """
 
     __slots__ = ("m", "tokens", "rows", "ring_rows", "tied", "ring_tied",
-                 "hanging", "_ring", "_codes", "_code_ids", "_orderings")
+                 "_ring", "_ranks", "_root", "_tree_bond",
+                 "_blockers", "_orderings")
 
     def __init__(self, m: Molecule, frag: list[int], ranks: list[int],
                  weights: dict[tuple[int, int], int] | None):
         self.m = m
         self._ring = m.ring_bonds()
+        self._ranks = ranks
         self.tokens = {i: None if m.atoms[i].chirality
                        else _atom_token(m, i, []) for i in frag}
+        # _blockers[i]: chiral atoms, and ring or stereo tree bonds, in the
+        # DFS subtree of i, its own tree bond included; children first.
+        disc, _, _, tree_bond, kids = m.dfs_forest()
+        self._root = frag[0]
+        self._tree_bond = tree_bond
+        self._blockers = {}
+        for i in sorted(frag, key=disc.__getitem__, reverse=True):
+            k = tree_bond[i]
+            self._blockers[i] = (
+                bool(m.atoms[i].chirality)
+                + (k >= 0 and (k in self._ring or bool(m.bonds[k].stereo)))
+                + sum(self._blockers[c] for c in kids[i]))
         self.rows = {}
         self.ring_rows = {}
         self.tied = {}
         self.ring_tied = {}
-        self.hanging = {}
         for i in frag:
             rows = []
             ring_rows = []
@@ -273,56 +257,35 @@ class _Fragment:
                 j = b.other(i)
                 out, back = _bond_token(m, b, i), _bond_token(m, b, j)
                 key = ranks[j] if weights is None else weights[i, j]
-                rows.append((k, j, out, back, key))
+                rows.append((k, j, out, back, key, self.label(k, i, j, out)))
                 if k in self._ring:
-                    ring_rows.append((k, j, out, back, ranks[j]))
+                    ring_rows.append((k, j, out, back, ranks[j], None))
             rows.sort(key=lambda r: r[4])
             ring_rows.sort(key=lambda r: r[4])
             self.rows[i] = rows
             self.tied[i] = len({r[4] for r in rows}) < len(rows)
-            self.hanging[i] = (self.tokens[i] is not None
-                               and len(rows) - len(ring_rows) >= 2)
             if ring_rows:
                 self.ring_rows[i] = ring_rows
                 self.ring_tied[i] = (len({r[4] for r in ring_rows})
                                      < len(ring_rows))
-        self._codes: dict[tuple[int, int], int | None] = {}
-        self._code_ids: dict[tuple, int] = {}
         self._orderings: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
 
-    def code(self, parent: int, child: int) -> int | None:
-        """Hanging code of the side of bond parent-child that holds child.
+    def label(self, k: int, parent: int, child: int,
+              token: str) -> tuple[int, str] | None:
+        """(rank, bond token) of the side of bond k that holds child.
 
-        None unless the bond is a bridge and that side is acyclic and free
-        of chiral atoms. Equal codes mean equal trees of atom and bond
-        tokens, so the two sides emit the same strings.
+        None unless parent is not chiral, bond k is a bridge, and that side
+        (the DFS subtree of child, or all outside the subtree of parent) has
+        no blockers. Equal labels on one parent mean equal trees of atom and
+        bond tokens, so the two sides emit the same strings.
         """
-        codes = self._codes
-        if (parent, child) in codes:
-            return codes[parent, child]
-        # Post-order over the hanging side without recursion; an entry is
-        # (atom, its row to the next atom down, children coded yet).
-        todo = [(parent, next(r for r in self.rows[parent] if r[1] == child),
-                 False)]
-        while todo:
-            p, row, expanded = todo.pop()
-            c = row[1]
-            if not expanded:
-                if (p, c) in codes:
-                    continue
-                if row[0] in self._ring or self.tokens[c] is None:
-                    codes[p, c] = None
-                    continue
-                todo.append((p, row, True))
-                todo.extend((c, r, False) for r in self.rows[c] if r[1] != p)
-                continue
-            below = [codes[c, r[1]] for r in self.rows[c] if r[1] != p]
-            if None in below:
-                codes[p, c] = None
-                continue
-            label = (row[2], self.tokens[c], tuple(sorted(below)))
-            codes[p, c] = self._code_ids.setdefault(label, len(self._code_ids))
-        return codes[parent, child]
+        if k in self._ring or self.tokens[parent] is None:
+            return None
+        if self._tree_bond[child] == k:
+            blockers = self._blockers[child] - bool(self.m.bonds[k].stereo)
+        else:
+            blockers = self._blockers[self._root] - self._blockers[parent]
+        return None if blockers else (self._ranks[child], token)
 
     def orderings(self, labels: tuple[int, ...]) -> list[tuple[int, ...]]:
         """Distinct orderings of a tie group whose members carry `labels`.
@@ -376,7 +339,7 @@ def _emit(tab: _Fragment, start: int,
     slot_of: dict[int, int] = {}
     next_ring = 1
 
-    def settle(items: list, hanging_parent: int | None) -> list:
+    def settle(items: list) -> list:
         """Order runs of equal keys in `items` by the decision odometer."""
         out = []
         lo = 0
@@ -386,14 +349,11 @@ def _emit(tab: _Fragment, start: int,
                 hi += 1
             group = items[lo:hi]
             if len(group) > 1:
-                if hanging_parent is None:
-                    labels = tuple(range(len(group)))
-                else:
-                    # Members with one hanging code share a label: the
-                    # position of that code's first member.
-                    codes = [tab.code(hanging_parent, r[1]) for r in group]
-                    labels = tuple(n if code is None else codes.index(code)
-                                   for n, code in enumerate(codes))
+                # Members with one (rank, bond token) label share the
+                # position of that label's first member.
+                found = [r[5] for r in group]
+                labels = tuple(n if lab is None else found.index(lab)
+                               for n, lab in enumerate(found))
                 orders = tab.orderings(labels)
                 if len(orders) > 1:
                     slot = len(radixes)
@@ -421,8 +381,8 @@ def _emit(tab: _Fragment, start: int,
             closures = [r for r in ring_rows[i]
                         if r[1] in visited and r[0] not in used]
             if tab.ring_tied[i]:
-                closures = settle(closures, None)
-            for k, j, _, back, _ in closures:
+                closures = settle(closures)
+            for k, j, _, back, _, _ in closures:
                 used.add(k)
                 digit = (str(next_ring) if next_ring < 10
                          else f"%{next_ring:02d}")
@@ -440,7 +400,7 @@ def _emit(tab: _Fragment, start: int,
         if tab.tied[i] and len(children) > 1:
             # Children group by branch weight only; orderings within a
             # weight class are settled by the string comparison.
-            children = settle(children, i if tab.hanging[i] else None)
+            children = settle(children)
         stack.append([i, children, 0, ref, -1])
 
         # Descend into the next child not reached since, or close frames.

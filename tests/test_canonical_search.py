@@ -47,6 +47,10 @@ STEREO_INPUTS = [
     # ordering of either changes the string.
     "C1CC1[C@](C)(CC)CC", "c1ccccc1[C@](O)(C)C",
     "CCC(C)(C[C@@H](O)F)C[C@H](O)F",
+    # Tied groups of one refinement rank that differ only in a chiral atom,
+    # in a stereo bond inside, or in the stereo bond to their parent.
+    "CC(C)(C[C@H](F)O)CC(F)O", "OC(C/C=C\\C)(C/C=C\\C)C/C=C/C",
+    "C(\\F)(/F)=C/C",
 ]
 MULTI_FRAGMENT_INPUTS = [
     "[NH4+].[Cl-]", "CC.O", "c1ccccc1.C(F)(F)F", "[Na+].[O-]C(=O)CC(C)(C)C",
@@ -295,6 +299,42 @@ ADVERSARIAL = [
     ("C1=CC2=CC=C3C=CC4=CC=C5C=CC6=CC=C1C7=C2C3=C4C5=C67",
      "C12=C3C4=C5C6=C1C7=CC=C2C=CC3=CC=C4C=CC5=CC=C6C=C7", 5.0),
 ]
+
+
+# Emissions per input, recorded before hanging groups were labelled by
+# refinement rank. A count that moves means the pruning changed.
+EMISSIONS = {
+    "CC(C)(C)C(C)(C)C": 4,
+    "OC(C(F)(F)F)(C(F)(F)F)C(F)(F)F": 4,
+    "C(C1CC1)(C1CC1)(C1CC1)C1CC1": 1536,
+    "CC(C)(C1CC1)C1CC1": 40,
+    "C12C3C4C1C5C2C3C45": 1344,
+    "C(C(F)(F)F)(C(F)(F)F)(C(F)(F)F)C(F)(F)F": 5,
+    "CC(C)(C)c1cc(cc(c1)C(C)(C)C)C(C)(C)C": 12,
+    "c1(C(C)(C)C)cc(C(C)(C)C)cc(C(C)(C)C)c1": 12,
+    "CC(C)CCCC(C)C1CCC2C1(CCC3C2CC=C4C3(CCC(C4)O)C)C": 1169,
+    "C1=CC2=CC=C3C=CC4=CC=C5C=CC6=CC=C1C7=C2C3=C4C5=C67": 22488,
+}
+
+
+def test_emission_counts_are_pinned(monkeypatch):
+    from chemlinker.molstring import write
+
+    assert set(EMISSIONS) == set(SYMMETRIC_INPUTS) | {a[0] for a in ADVERSARIAL}
+    calls = []
+    emit = write._emit
+
+    def counting(*args):
+        calls.append(None)
+        return emit(*args)
+
+    monkeypatch.setattr(write, "_emit", counting)
+    counts = {}
+    for smiles in EMISSIONS:
+        calls.clear()
+        canonical_smiles(parse_smiles(smiles))
+        counts[smiles] = len(calls)
+    assert counts == EMISSIONS
 
 
 @pytest.mark.parametrize("smiles,canon,seconds", ADVERSARIAL,

@@ -212,6 +212,22 @@ def test_unreadable_checkpoint_exits_1(capsys, tmp_path, tiny_checkpoint):
         assert "error:" in err
 
 
+def test_generate_without_text_vocabulary_exits_1(capsys, tmp_path,
+                                                  tiny_checkpoint):
+    """Text ids mean nothing without the vocabulary `train` saved."""
+    data, _ = tiny_checkpoint
+    ckpt = tmp_path / "model.ckpt"
+    code, _, _ = run(capsys, "train", "--data", str(data),
+                     "--out", str(ckpt), "--steps", "1")
+    assert code == 0
+    Path(str(ckpt) + ".vocab.json").unlink()
+    code, out, err = run(capsys, "generate", "--ckpt", str(ckpt),
+                         "--text", "molecule written as C C O")
+    assert code == 1
+    assert out == ""
+    assert "model.ckpt.vocab.json" in err
+
+
 # --- consensus --------------------------------------------------------------------
 
 

@@ -300,6 +300,20 @@ def test_decode_nested_branches_needs_no_recursion():
     assert canonical_smiles(m) == "C"
 
 
+def test_long_aromatic_ring_kekulizes_without_recursion(capsys):
+    """A 2,002-atom aromatic ring parses, and `selfies-encode` takes it,
+    under the default recursion limit."""
+    from chemlinker.cli import main
+
+    ring = "c1" + "c" * 2001 + "1"
+    m = parse_smiles(ring)
+    assert len(m.atoms) == 2002
+    assert main(["selfies-encode", ring]) == 0
+    decoded = decode_selfies(capsys.readouterr().out.strip())
+    assert len(decoded.atoms) == 2002
+    assert all(a.aromatic for a in decoded.atoms)
+
+
 def test_split_tokens_rejects_plain_text():
     with pytest.raises(DecodeFailure):
         split_tokens("not selfies")
