@@ -66,10 +66,7 @@ def _sha256(path) -> str:
 
 def _write_manifest(args, outputs, inputs, started: float,
                     seed=None) -> None:
-    config = {k: v for k, v in vars(args).items()
-              if k != "func" and not isinstance(v, (bytes,))}
-    config = {k: (str(v) if isinstance(v, Path) else v)
-              for k, v in config.items()}
+    config = {k: v for k, v in vars(args).items() if k != "func"}
     manifest = {
         "subcommand": args.subcommand,
         "config": config,

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from scipy.stats import rankdata
+import numpy as np
 
 from chemlinker.errors import EmptySet, EmptyTable
 
@@ -32,7 +32,11 @@ class ScoreTable:
     def add(self, molecule_id: str, program: str, score: float) -> None:
         if program not in self.directions:
             raise ValueError(f"program {program!r} has no declared direction")
-        self.scores.setdefault(program, {})[molecule_id] = float(score)
+        score = float(score)
+        if math.isnan(score):
+            raise ValueError(
+                f"score of {molecule_id!r} under {program!r} is NaN")
+        self.scores.setdefault(program, {})[molecule_id] = score
 
     @property
     def molecules(self) -> list[str]:
@@ -57,7 +61,9 @@ def _program_ranks(table: ScoreTable, program: str, molecules) -> dict:
     elif table.directions[program] != LOWER_IS_BETTER:
         raise ValueError(
             f"unknown direction {table.directions[program]!r}")
-    ranks = rankdata(values, method="average")
+    # Tied values share the mean of their 1-based sorted positions.
+    _, tie, count = np.unique(values, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(count) - (count - 1) / 2)[tie]
     out = {m: float(r) for m, r in zip(scored, ranks)}
     worst = float(len(molecules))
     for m in molecules:

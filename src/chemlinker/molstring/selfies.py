@@ -87,20 +87,20 @@ class _Deriver:
         self.atoms: list[Atom] = []
         self.bonds: list[Bond] = []
         self.capacity: list[int] = []
-        self.order: list[int] = []      # derivation order of atom indices
+        self.bonded: set[tuple[int, int]] = set()   # (low, high) atom pairs
         self.stopped = False
 
-    def derive(self, pos: int, limit: int, attach: int | None,
-               init_order: int) -> None:
-        """Derive a chain from tokens[pos:limit], branches included.
+    def derive(self) -> None:
+        """Derive the main chain from all tokens, branches included.
 
         A branch is derived in place with its own (limit, previous atom,
         pending bond order) and the outer chain resumes after its payload;
         the suspended chains sit on an explicit stack, so branch nesting
         depth is not bounded by the interpreter's recursion limit.
         """
-        prev = attach
-        pending = init_order
+        pos, limit = 0, len(self.tokens)
+        prev: int | None = None
+        pending = SINGLE
         # (limit, prev, pending, resume position) of each suspended chain
         suspended: list[tuple[int, int | None, int, int]] = []
         while True:
@@ -135,6 +135,7 @@ class _Deriver:
                 self.capacity.append(cap - order)
                 if prev is not None:
                     self.bonds.append(Bond(a=prev, b=idx, order=order))
+                    self.bonded.add((prev, idx))
                     self.capacity[prev] -= order
                 prev = idx
                 continue
@@ -175,13 +176,13 @@ class _Deriver:
         target = max(0, cur - distance)
         if target == cur:
             return
-        if any((b.a, b.b) in ((cur, target), (target, cur))
-               for b in self.bonds):
+        if (target, cur) in self.bonded:
             return
         order = min(order, self.capacity[cur], self.capacity[target])
         if order <= 0:
             return
         self.bonds.append(Bond(a=target, b=cur, order=order))
+        self.bonded.add((target, cur))
         self.capacity[cur] -= order
         self.capacity[target] -= order
 
@@ -195,7 +196,7 @@ def decode_selfies(tokens) -> Molecule:
     if isinstance(tokens, str):
         tokens = split_tokens(tokens)
     deriver = _Deriver(list(tokens))
-    deriver.derive(0, len(deriver.tokens), None, SINGLE)
+    deriver.derive()
     if not deriver.atoms:
         raise DecodeFailure("no atoms derivable from token string")
     mol = Molecule(deriver.atoms, deriver.bonds)
@@ -226,11 +227,11 @@ def encode_selfies(m: Molecule) -> list[str]:
             raise UnsupportedFeature(
                 "non-default hydrogen count not representable in SELFIES")
 
-    used: set[int] = set()
-    position: dict[int, int] = {}   # visited atom -> pre-order position
+    disc, _, _, tree_bond, kids = mk.dfs_forest()
 
-    def atom_token(i: int, order: int) -> str:
+    def atom_token(i: int) -> str:
         atom = mk.atoms[i]
+        order = mk.bonds[tree_bond[i]].order if tree_bond[i] >= 0 else SINGLE
         charge = ""
         if atom.formal_charge:
             charge = f"{'+' if atom.formal_charge > 0 else '-'}1"
@@ -249,51 +250,26 @@ def encode_selfies(m: Molecule) -> list[str]:
             raise UnsupportedFeature("molecule too large for Ring3/Branch3")
         return str(size), [INDEX_ALPHABET[d] for d in digits]
 
-    def enter(i: int, bond_order: int):
-        """Visit atom i; returns its frame (tokens, children, subtrees)."""
-        position[i] = len(position)
-        tokens = [atom_token(i, bond_order)]
-        closures = []
-        children = []
-        for k, b in mk.incident(i):
-            if k in used:
-                continue
-            j = b.other(i)
-            if j in position:
-                closures.append((b, k, j))
-            else:
-                children.append((b, k, j))
-        for b, k, j in sorted(closures, key=lambda c: position[c[2]]):
-            used.add(k)
-            distance = position[i] - position[j]
-            size, idx = index_tokens(distance - 1)
+    # Atoms are written in DFS pre-order (position = disc). A child's disc
+    # is larger than its parent's, so walking the atoms from the last
+    # discovered assembles every subtree before the atom it hangs off.
+    preorder = sorted(range(len(mk.atoms)), key=disc.__getitem__)
+    subtrees: dict[int, list[str]] = {}
+    for i in reversed(preorder):
+        tokens = [atom_token(i)]
+        closures = [(disc[b.other(i)], b) for k, b in mk.incident(i)
+                    if k != tree_bond[i] and disc[b.other(i)] < disc[i]]
+        for d, b in sorted(closures, key=lambda c: c[0]):
+            size, idx = index_tokens(disc[i] - d - 1)
             tokens.append(f"[{_PREFIX_OF[b.order]}Ring{size}]")
             tokens.extend(idx)
-        return tokens, iter(children), []
-
-    # Depth-first with an explicit stack, so chain length is not bounded by
-    # the interpreter's recursion limit.
-    stack = [enter(0, SINGLE)]
-    while True:
-        tokens, children, subtrees = stack[-1]
-        for b, k, j in children:
-            if k in used:
-                continue
-            # A neighbor first visited inside an earlier subtree closes the
-            # ring from its own side, marking the bond used there.
-            assert j not in position
-            used.add(k)
-            stack.append(enter(j, b.order))
-            break
-        else:
-            stack.pop()
-            for sub in subtrees[:-1]:
-                size, idx = index_tokens(len(sub) - 1)
-                tokens.append(f"[Branch{size}]")
-                tokens.extend(idx)
-                tokens.extend(sub)
-            if subtrees:
-                tokens.extend(subtrees[-1])
-            if not stack:
-                return tokens
-            stack[-1][2].append(tokens)
+        # Every subtree but the last is a branch; the last continues the chain.
+        *branches, chain = [subtrees.pop(j) for j in kids[i]] or [[]]
+        for sub in branches:
+            size, idx = index_tokens(len(sub) - 1)
+            tokens.append(f"[Branch{size}]")
+            tokens.extend(idx)
+            tokens.extend(sub)
+        tokens.extend(chain)
+        subtrees[i] = tokens
+    return subtrees[0]

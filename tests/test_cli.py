@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import chemlinker
 from chemlinker.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -262,3 +266,29 @@ def test_consensus_empty_table_exits_1(capsys, tmp_path):
                        str(tmp_path / "o.csv"))
     assert code == 1
     assert "error:" in err
+
+
+def test_consensus_nan_score_exits_1(capsys, tmp_path):
+    scores = tmp_path / "s.csv"
+    dirs = tmp_path / "d.json"
+    scores.write_text("molecule_id,program,score\nA,p1,nan\nB,p1,nan\n"
+                      "C,p1,nan\n")
+    dirs.write_text('{"p1": "lower"}')
+    code, _, err = run(capsys, "consensus", "--scores", str(scores),
+                       "--dirs", str(dirs), "--out",
+                       str(tmp_path / "o.csv"))
+    assert code == 1
+    assert "NaN" in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    """numpy is the only runtime dependency: importing the CLI must not
+    pull in scipy."""
+    src = str(Path(chemlinker.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = ("import sys, chemlinker.cli; print(sorted(m for m in sys.modules"
+             " if m == 'scipy' or m.startswith('scipy.')))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

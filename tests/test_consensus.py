@@ -5,13 +5,14 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from chemlinker.errors import EmptySet, EmptyTable
 from chemlinker.consensus import (
     HIGHER_IS_BETTER,
     LOWER_IS_BETTER,
     ScoreTable,
+    _program_ranks,
     background_report,
     ecr_scores,
     load_score_table,
@@ -100,6 +101,33 @@ def test_tied_input_order_irrelevant(order):
     assert scores["A"] == scores["B"] == scores["C"]
 
 
+def _oracle_rank(value, values) -> float:
+    """Mean of the 1-based sorted positions that `value` and its ties take."""
+    less = sum(1 for v in values if v < value)
+    equal = sum(1 for v in values if v == value)
+    return less + (equal + 1) / 2
+
+
+@given(st.lists(st.one_of(st.none(), st.sampled_from(
+           [-math.inf, math.inf, -0.0, 0.0, -1.5, 1.5, 2.0, 1e300])),
+       min_size=1, max_size=30),
+       st.sampled_from([LOWER_IS_BETTER, HIGHER_IS_BETTER]))
+def test_program_ranks_match_average_rank_oracle(scores, direction):
+    # None marks a molecule the program did not score; "ref" keeps every
+    # molecule in the table.
+    assume(any(v is not None for v in scores))
+    mols = [f"m{i}" for i in range(len(scores))]
+    rows = [(m, "ref", 0.0) for m in mols]
+    rows += [(m, "p", v) for m, v in zip(mols, scores) if v is not None]
+    table = _table({"p": direction, "ref": LOWER_IS_BETTER}, rows)
+    sign = 1 if direction == LOWER_IS_BETTER else -1
+    keyed = [sign * v for v in scores if v is not None]
+    expected = {m: (float(len(mols)) if v is None
+                    else _oracle_rank(sign * v, keyed))
+                for m, v in zip(mols, scores)}
+    assert _program_ranks(table, "p", table.molecules) == expected
+
+
 @given(st.lists(st.integers(-5000, 5000), min_size=2, max_size=8,
                 unique=True),
        st.sampled_from([lambda x: 3 * x + 1, math.exp,
@@ -127,6 +155,18 @@ def test_sigma_rescales_but_preserves_order_when_complete(values, sigma):
                    [(m, "p", v) for m, v in zip(mols, values)])
     assert rank_molecules(table, sigma=sigma) == rank_molecules(table,
                                                                 sigma=1.0)
+
+
+def test_nan_score_rejected(tmp_path):
+    with pytest.raises(ValueError, match="NaN"):
+        ScoreTable(directions={"p": LOWER_IS_BETTER}).add("A", "p", math.nan)
+    scores_csv = tmp_path / "s.csv"
+    dirs_json = tmp_path / "d.json"
+    scores_csv.write_text("molecule_id,program,score\n"
+                          "A,p,nan\nB,p,nan\nC,p,nan\n")
+    dirs_json.write_text('{"p": "lower"}')
+    with pytest.raises(ValueError, match="NaN"):
+        load_score_table(scores_csv, dirs_json)
 
 
 def test_scores_nonnegative_and_default_sigma():

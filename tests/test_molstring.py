@@ -3,6 +3,7 @@
 import inspect
 import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -298,6 +299,18 @@ def test_decode_nested_branches_needs_no_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert canonical_smiles(m) == "C"
+
+
+def test_decode_many_ring_tokens_in_linear_time():
+    """4,000 Ring1 tokens (each reading the next [C] as its index) that
+    repeat the chain bond are skipped by a set lookup, not a scan of every
+    bond so far."""
+    n = 4000
+    started = time.perf_counter()
+    m = decode_selfies("[C]" + "[C][Ring1][C]" * n)
+    elapsed = time.perf_counter() - started
+    assert (len(m.atoms), len(m.bonds)) == (n + 1, n)
+    assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
 
 def test_long_aromatic_ring_kekulizes_without_recursion(capsys):
