@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 
 from chemlinker import __version__
-from chemlinker.errors import ChemlinkerError, VocabError
+from chemlinker.errors import ChemlinkerError, LengthMismatch, VocabError
 from chemlinker.adapternet import (
     TrainConfig,
     Vocab,
@@ -112,6 +112,10 @@ def _cmd_eval(args, started):
     if args.ref is not None:
         preds = Path(args.pred).read_text(encoding="utf-8").splitlines()
         refs = Path(args.ref).read_text(encoding="utf-8").splitlines()
+        if len(preds) != len(refs):
+            raise LengthMismatch(
+                f"{args.pred} has {len(preds)} lines but {args.ref} has "
+                f"{len(refs)}")
         pairs = [(p, r) for p, r in zip(preds, refs) if p or r]
         inputs = [args.pred, args.ref]
     else:

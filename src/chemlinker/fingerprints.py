@@ -6,7 +6,10 @@ element number, formal charge (two's complement), heavy-atom degree,
 hydrogen count; bond orders interleaved along the traversal — then hashed
 with 64-bit FNV-1a; the bit index is the hash modulo the bit width.
 Children of a circular environment are ordered by (bond order, serialized
-child bytes), which makes every scheme invariant under atom relabeling.
+child bytes), and each undirected path is hashed once, in the smaller of
+its two byte directions, which makes every scheme invariant under atom
+relabeling. Each call serializes every environment and path once and
+hashes each distinct string once.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from chemlinker.molstring.model import (
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _U64 = (1 << 64) - 1
+_FNV_PRIME4 = pow(_FNV_PRIME, 4, 1 << 64)
 
 
 def fnv1a64(data: bytes) -> int:
@@ -70,34 +74,59 @@ class FingerprintBitset:
         return f"keys-{self.params[0]}"
 
 
+def _check_nbits(nbits: int) -> None:
+    if nbits < 1:
+        raise ValueError("nbits must be at least 1")
+
+
+def _fnv1a64_fields(data: bytes) -> int:
+    """`fnv1a64` of a string of little-endian u32 fields, a field at a time.
+
+    A field below 256 is one byte and three zero bytes, and XOR with zero
+    changes nothing, so it costs one XOR and one multiply by P**4.
+    """
+    h = _FNV_OFFSET
+    for value in struct.unpack(f"<{len(data) >> 2}I", data):
+        if value < 256:
+            h = ((h ^ value) * _FNV_PRIME4) & _U64
+        else:
+            for shift in (0, 8, 16, 24):
+                h = ((h ^ (value >> shift & 0xFF)) * _FNV_PRIME) & _U64
+    return h
+
+
+def _bits(strings, nbits: int) -> frozenset:
+    return frozenset(_fnv1a64_fields(s) % nbits for s in strings)
+
+
 def circular_fp(m: Molecule, radius: int = 2,
                 nbits: int = 2048) -> FingerprintBitset:
     """Hash every atom-centered environment of radius 0..radius."""
     if not 0 <= radius <= 4:
         raise ValueError("radius must be in [0, 4]")
-    bits = set()
-    for i in range(len(m.atoms)):
-        for r in range(radius + 1):
-            bits.add(fnv1a64(_environment_bytes(m, i, None, r)) % nbits)
-    return FingerprintBitset("circular", nbits, frozenset(bits), (radius,))
+    _check_nbits(nbits)
+    atom = [_atom_bytes(m, i) for i in range(len(m.atoms))]
+    built = {}
 
-
-def _environment_bytes(m: Molecule, i: int, parent: int | None,
-                       depth: int) -> bytes:
-    """Serialized rooted environment tree; no immediate backtracking."""
-    out = _atom_bytes(m, i)
-    if depth == 0:
+    def environment(i: int, parent: int | None, depth: int) -> bytes:
+        """Serialized rooted environment tree; no immediate backtracking."""
+        key = (i, parent, depth)
+        out = built.get(key)
+        if out is None:
+            out = atom[i]
+            if depth:
+                branches = sorted((b.order, environment(j, i, depth - 1))
+                                  for b in m.bonds_of(i)
+                                  if (j := b.other(i)) != parent)
+                for order, child in branches:
+                    out += _u32(order) + child
+            built[key] = out
         return out
-    branches = []
-    for b in m.bonds_of(i):
-        j = b.other(i)
-        if j == parent:
-            continue
-        branches.append((b.order,
-                         _environment_bytes(m, j, i, depth - 1)))
-    for order, child in sorted(branches):
-        out += _u32(order) + child
-    return out
+
+    strings = {environment(i, None, r)
+               for i in range(len(m.atoms)) for r in range(radius + 1)}
+    return FingerprintBitset("circular", nbits, _bits(strings, nbits),
+                             (radius,))
 
 
 def path_fp(m: Molecule, max_len: int = 7,
@@ -105,34 +134,34 @@ def path_fp(m: Molecule, max_len: int = 7,
     """Hash all simple linear bond paths of length 1..max_len."""
     if not 1 <= max_len <= 7:
         raise ValueError("max_len must be in [1, 7]")
-    bits = set()
+    _check_nbits(nbits)
+    atom = [_atom_bytes(m, i) for i in range(len(m.atoms))]
+    # Per neighbour j of atom i: the bytes a step to j appends to the
+    # forward string and prepends to the reverse one.
+    steps = [[] for _ in m.atoms]
+    for b in m.bonds:
+        order = _u32(b.order)
+        steps[b.a].append((b.b, order + atom[b.b], atom[b.b] + order))
+        steps[b.b].append((b.a, order + atom[b.a], atom[b.a] + order))
+    strings = set()
 
-    def extend(path: list[int], orders: list[int]) -> None:
-        if orders:
-            bits.add(fnv1a64(_path_bytes(m, path, orders)) % nbits)
-        if len(orders) == max_len:
-            return
-        tail = path[-1]
-        for b in m.bonds_of(tail):
-            j = b.other(tail)
-            if j not in path:
-                extend(path + [j], orders + [b.order])
+    def extend(path: list[int], forward: bytes, reverse: bytes) -> None:
+        more = len(path) < max_len
+        for j, ahead, behind in steps[path[-1]]:
+            if j in path:
+                continue
+            fwd = forward + ahead
+            rev = behind + reverse
+            if path[0] < j:     # each undirected path once, from its lower end
+                strings.add(min(fwd, rev))
+            if more:
+                path.append(j)
+                extend(path, fwd, rev)
+                path.pop()
 
     for i in range(len(m.atoms)):
-        extend([i], [])
-    return FingerprintBitset("path", nbits, frozenset(bits), (max_len,))
-
-
-def _path_bytes(m: Molecule, path: list[int], orders: list[int]) -> bytes:
-    def one_way(atoms, bonds):
-        out = _atom_bytes(m, atoms[0])
-        for atom, order in zip(atoms[1:], bonds):
-            out += _u32(order) + _atom_bytes(m, atom)
-        return out
-
-    forward = one_way(path, orders)
-    backward = one_way(path[::-1], orders[::-1])
-    return min(forward, backward)
+        extend([i], atom[i], atom[i])
+    return FingerprintBitset("path", nbits, _bits(strings, nbits), (max_len,))
 
 
 # --- structural keys -----------------------------------------------------------

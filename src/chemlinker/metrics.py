@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 
-from chemlinker.errors import InvalidReference, ParseError
+from chemlinker.errors import InvalidReference, MalformedRow, ParseError
 from chemlinker.fingerprints import circular_fp, key_fp, path_fp, tanimoto
 from chemlinker.molstring import canonical_smiles, parse_smiles
 
@@ -55,29 +55,47 @@ def evaluate_pairs(pairs) -> EvalReport:
     """Score (generated, reference) string pairs.
 
     Every reference must parse (InvalidReference otherwise); generated
-    strings may be arbitrary. Means are accumulated in input order.
+    strings may be arbitrary. Means are accumulated in input order. Each
+    distinct string is parsed, canonicalized and fingerprinted once.
     """
     pairs = list(pairs)
     n = len(pairs)
     n_valid = 0
     n_exact = 0
     sums = [0.0, 0.0, 0.0]    # keys, path, circular
+    # Holding no ParseError keeps the traceback's frames, and with them
+    # every parsed molecule, out of a reference cycle.
+    parsed = {}               # string -> Molecule, or None if it does not parse
+    features = {}             # string -> (canonical, keys, path, circular)
+
+    def features_of(smiles):
+        if smiles not in features:
+            mol = parsed[smiles]
+            features[smiles] = (canonical_smiles(mol), key_fp(mol),
+                                path_fp(mol), circular_fp(mol))
+        return features[smiles]
+
     for generated, reference in pairs:
-        try:
-            ref_mol = parse_smiles(reference)
-        except ParseError as exc:
-            raise InvalidReference(
-                f"reference does not parse: {reference!r}") from exc
-        try:
-            gen_mol = parse_smiles(generated)
-        except ParseError:
+        if parsed.get(reference) is None:
+            try:
+                parsed[reference] = parse_smiles(reference)
+            except ParseError as exc:
+                raise InvalidReference(
+                    f"reference does not parse: {reference!r}") from exc
+        if generated not in parsed:
+            try:
+                parsed[generated] = parse_smiles(generated)
+            except ParseError:
+                parsed[generated] = None
+        if parsed[generated] is None:
             continue
         n_valid += 1
-        if canonical_smiles(gen_mol) == canonical_smiles(ref_mol):
+        gen_canonical, *gen_fps = features_of(generated)
+        ref_canonical, *ref_fps = features_of(reference)
+        if gen_canonical == ref_canonical:
             n_exact += 1
-        sums[0] += tanimoto(key_fp(gen_mol), key_fp(ref_mol))
-        sums[1] += tanimoto(path_fp(gen_mol), path_fp(ref_mol))
-        sums[2] += tanimoto(circular_fp(gen_mol), circular_fp(ref_mol))
+        for k, (gen_fp, ref_fp) in enumerate(zip(gen_fps, ref_fps)):
+            sums[k] += tanimoto(gen_fp, ref_fp)
     if n == 0:
         return EvalReport(0, 0, 0.0, 0.0, 0.0, 0.0, 0.0)
     means = [s / n_valid if n_valid else 0.0 for s in sums]
@@ -96,10 +114,14 @@ def load_pairs_tsv(path) -> list[tuple[str, str]]:
     """Read `generated<TAB>reference` rows; blank lines are skipped."""
     pairs = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_number, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            generated, reference = line.split("\t")
-            pairs.append((generated, reference))
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise MalformedRow(
+                    f"{path}:{line_number}: expected generated<TAB>reference,"
+                    f" got {len(fields)} fields", line_number)
+            pairs.append((fields[0], fields[1]))
     return pairs

@@ -62,6 +62,16 @@ def test_fp_schemes(capsys):
     assert out.startswith("keys-default-v1/64:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["fp", "CC", "--scheme", "path", "--nbits", "0"],
+    ["fp", "C", "--scheme", "circ", "--nbits", "-5"],
+])
+def test_fp_bad_nbits_exits_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 # --- eval -------------------------------------------------------------------------
 
 
@@ -92,6 +102,25 @@ def test_eval_writes_report_and_manifest(capsys, tmp_path):
     assert manifest["subcommand"] == "eval"
     assert str(pred) in manifest["input_hashes"]
     assert manifest["version"]
+
+
+def test_eval_line_count_mismatch_exits_1(capsys, tmp_path):
+    pred = tmp_path / "pred.txt"
+    ref = tmp_path / "ref.txt"
+    pred.write_text("CCO\nCCN\n")
+    ref.write_text("CCO\nCCN\nCCC\n")
+    code, out, err = run(capsys, "eval", "--pred", str(pred),
+                         "--ref", str(ref))
+    assert code == 1 and out == ""
+    assert "error:" in err and "2" in err and "3" in err
+
+
+def test_eval_malformed_row_exits_1(capsys, tmp_path):
+    pred = tmp_path / "pairs.tsv"
+    pred.write_text("CCO\tCCO\nCCO\tCCN\tCCC\n")
+    code, out, err = run(capsys, "eval", "--pred", str(pred))
+    assert code == 1 and out == ""
+    assert f"{pred}:2" in err
 
 
 # --- dataset ----------------------------------------------------------------------

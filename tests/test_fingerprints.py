@@ -11,6 +11,7 @@ from chemlinker.errors import SchemeMismatch
 from chemlinker.fingerprints import (
     FingerprintBitset,
     KeySet,
+    _fnv1a64_fields,
     circular_fp,
     default_keyset,
     fnv1a64,
@@ -23,6 +24,9 @@ from chemlinker.molstring.model import ELEMENT_NUMBERS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS = (FIXTURES / "corpus_500.smi").read_text().split()
+# corpus_500 holds no negative charge, so these are the only molecules with
+# a u32 field of 256 or more (the two's complement of the charge).
+CHARGED = ["CC(=O)[O-]", "[NH4+].[Cl-]", "C[N-]C", "[O-][N+](=O)c1ccccc1"]
 
 
 # --- independent oracle: brute-force environment enumeration -------------------
@@ -70,11 +74,63 @@ def oracle_circular_bits(m, radius, nbits):
 def test_circular_matches_oracle_on_small_molecules():
     small = [s for s in CORPUS if len(parse_smiles(s).atoms) <= 12][:60]
     assert len(small) >= 20
-    for s in small + ["C", "c1ccccc1", "CC(N)C(=O)O", "c1cc[nH]c1"]:
+    for s in small + CHARGED + ["C", "c1ccccc1", "CC(N)C(=O)O", "c1cc[nH]c1"]:
         m = parse_smiles(s)
-        for radius in (0, 1, 2):
+        for radius in range(5):
             assert (circular_fp(m, radius).bits
                     == oracle_circular_bits(m, radius, 2048)), (s, radius)
+
+
+# --- independent oracle: brute-force path enumeration --------------------------
+#
+# Re-derives path fingerprint bits from scratch: enumerates every simple path
+# from both of its ends, looks bond orders up by atom pair, packs both
+# directions with the oracle's own packer and keeps the smaller one. Shares
+# only the hash function with the library.
+
+def _oracle_simple_paths(m, max_len):
+    paths = []
+    stack = [[i] for i in range(len(m.atoms))]
+    while stack:
+        path = stack.pop()
+        if len(path) > 1:
+            paths.append(path)
+        if len(path) <= max_len:
+            for b in m.bonds_of(path[-1]):
+                j = b.other(path[-1])
+                if j not in path:
+                    stack.append(path + [j])
+    return paths
+
+
+def _oracle_pack(m, path, order_of):
+    fields = list(_oracle_atom_fields(m, path[0]))
+    for a, b in zip(path, path[1:]):
+        fields.append(order_of[frozenset((a, b))])
+        fields.extend(_oracle_atom_fields(m, b))
+    return b"".join(v.to_bytes(4, "little") for v in fields)
+
+
+def oracle_path_hashes(m, max_len):
+    """(bond count, FNV-1a hash) of every path of 1..max_len bonds."""
+    order_of = {frozenset((b.a, b.b)): b.order for b in m.bonds}
+    out = set()
+    for path in _oracle_simple_paths(m, max_len):
+        blob = min(_oracle_pack(m, path, order_of),
+                   _oracle_pack(m, path[::-1], order_of))
+        out.add((len(path) - 1, fnv1a64(blob)))
+    return out
+
+
+def test_path_matches_oracle():
+    for s in CORPUS[::12] + CHARGED + ["C", "C1CC1", "c1ccccc1", "C#N"]:
+        m = parse_smiles(s)
+        hashes = oracle_path_hashes(m, 7)
+        for max_len in range(1, 8):
+            for nbits in (7, 64, 2048):
+                want = frozenset(h % nbits for n, h in hashes if n <= max_len)
+                assert path_fp(m, max_len, nbits).bits == want, (
+                    s, max_len, nbits)
 
 
 # --- pinned examples -----------------------------------------------------------
@@ -192,3 +248,23 @@ def test_fnv1a64_reference_vectors():
     assert fnv1a64(b"") == 0xCBF29CE484222325
     assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
     assert fnv1a64(b"foobar") == 0x85944171F73967E8
+
+
+def test_fieldwise_hash_equals_fnv1a64():
+    rng = random.Random(5)
+    for n_fields in list(range(6)) + [rng.randrange(6, 60) for _ in range(300)]:
+        fields = [rng.randrange(256) if rng.random() < 0.7
+                  else rng.choice([rng.randrange(256, 1 << 32),
+                                   (-rng.randrange(1, 4)) % (1 << 32)])
+                  for _ in range(n_fields)]
+        blob = b"".join(v.to_bytes(4, "little") for v in fields)
+        assert _fnv1a64_fields(blob) == fnv1a64(blob), fields
+
+
+@pytest.mark.parametrize("nbits", [0, -5])
+def test_nbits_below_one_rejected(nbits):
+    m = parse_smiles("CC")
+    with pytest.raises(ValueError):
+        circular_fp(m, nbits=nbits)
+    with pytest.raises(ValueError):
+        path_fp(m, nbits=nbits)

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chemlinker.errors import InvalidReference
+import chemlinker.metrics as metrics
+from chemlinker.errors import InvalidReference, ParseError
+from chemlinker.fingerprints import circular_fp, key_fp, path_fp, tanimoto
 from chemlinker.metrics import EvalReport, evaluate_pairs, exact_match
+from chemlinker.molstring import canonical_smiles, parse_smiles
 
 
 def test_exact_match_examples():
@@ -42,6 +45,12 @@ def test_half_valid_pairs():
 def test_unparsable_reference_aborts():
     with pytest.raises(InvalidReference):
         evaluate_pairs([("CCO", "C(")])
+
+
+def test_first_unparseable_reference_raises():
+    pairs = [("CCO", "CCO"), ("C(", "CCN"), ("CCO", "C1CC"), ("CCO", "C(")]
+    with pytest.raises(InvalidReference, match="C1CC"):
+        evaluate_pairs(pairs)
 
 
 def test_exact_never_exceeds_validity():
@@ -95,3 +104,56 @@ def test_fractions_in_range(pairs):
                   report.rdk_fts, report.morgan_fts):
         assert 0.0 <= value <= 1.0
     assert report.exact <= report.validity
+
+
+# --- deduplication -----------------------------------------------------------------
+
+
+def _pair_by_pair(pairs):
+    """evaluate_pairs without deduplication: every pair scored from scratch."""
+    n_valid = n_exact = 0
+    sums = [0.0, 0.0, 0.0]
+    for generated, reference in pairs:
+        ref = parse_smiles(reference)
+        try:
+            gen = parse_smiles(generated)
+        except ParseError:
+            continue
+        n_valid += 1
+        n_exact += canonical_smiles(gen) == canonical_smiles(ref)
+        for k, fp in enumerate((key_fp, path_fp, circular_fp)):
+            sums[k] += tanimoto(fp(gen), fp(ref))
+    means = [s / n_valid if n_valid else 0.0 for s in sums]
+    return EvalReport(len(pairs), n_valid, n_valid / len(pairs),
+                      n_exact / len(pairs), *means)
+
+
+REPEATED = [("CCO", "CCO"), ("CCN", "OCC"), ("C(", "CCO"), ("OCC", "CCO"),
+            ("c1ccccc1O", "Oc1ccccc1"), ("CCN", "CCO"), ("C(", "CCN"),
+            ("CCO", "CCN"), ("c1ccccc1O", "CCO"), ("CCO", "CCO")]
+
+
+def test_deduplicated_report_equals_pair_by_pair():
+    rng = random.Random(8)
+    for _ in range(20):
+        pairs = [rng.choice(REPEATED) for _ in range(rng.randrange(1, 25))]
+        assert evaluate_pairs(pairs) == _pair_by_pair(pairs)
+
+
+def test_each_distinct_string_parsed_and_fingerprinted_once(monkeypatch):
+    calls = {"parse": [], "path": []}
+
+    def counting(key, fn):
+        def wrapper(arg, *args, **kwargs):
+            calls[key].append(arg)
+            return fn(arg, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(metrics, "parse_smiles",
+                        counting("parse", metrics.parse_smiles))
+    monkeypatch.setattr(metrics, "path_fp", counting("path", metrics.path_fp))
+    generations = ["CCO", "CCN", "C(", "OCC", "CCN", "C(", "CCO"]
+    report = evaluate_pairs([(g, "c1ccccc1") for g in generations])
+    assert report.n_pairs == 7 and report.n_valid == 5
+    assert sorted(calls["parse"]) == sorted({"c1ccccc1", *generations})
+    assert len(calls["path"]) == 4      # CCO, CCN, OCC and the reference
