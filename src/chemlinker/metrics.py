@@ -56,7 +56,9 @@ def evaluate_pairs(pairs) -> EvalReport:
 
     Every reference must parse (InvalidReference otherwise); generated
     strings may be arbitrary. Means are accumulated in input order. Each
-    distinct string is parsed, canonicalized and fingerprinted once.
+    distinct string is parsed and brought to its `aromatic_form` (the
+    molecule `canonical_smiles` writes, so Kekulé and aromatic spellings
+    score alike) once, and that form is canonicalized and fingerprinted.
     """
     pairs = list(pairs)
     n = len(pairs)
@@ -70,7 +72,7 @@ def evaluate_pairs(pairs) -> EvalReport:
 
     def features_of(smiles):
         if smiles not in features:
-            mol = parsed[smiles]
+            mol = parsed[smiles].aromatic_form()
             features[smiles] = (canonical_smiles(mol), key_fp(mol),
                                 path_fp(mol), circular_fp(mol))
         return features[smiles]

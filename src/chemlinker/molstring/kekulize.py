@@ -67,6 +67,30 @@ def _match(order: list[int], adj: dict[int, list[int]],
             return False
 
 
+def _depth_first(needy: list[int], adj: dict[int, list[int]]) -> list[int]:
+    """Needy atoms in depth-first order, lowest index first.
+
+    Pairing along paths strands no atom on a chain or a ring whatever the
+    atom order, where plain index order can send `_match` into exponential
+    backtracking (a 2,002-atom aromatic ring in random atom order). Where
+    index order is already depth-first, as for most parsed SMILES, the
+    order and so the matching are unchanged.
+    """
+    seen: set[int] = set()
+    order = []
+    for root in needy:
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            if i in seen:
+                continue
+            seen.add(i)
+            order.append(i)
+            stack.extend(sorted((j for j in adj[i] if j not in seen),
+                                reverse=True))
+    return order
+
+
 def kekulize(m: Molecule) -> dict[int, int]:
     """Assign single/double orders to aromatic bonds.
 
@@ -90,7 +114,7 @@ def kekulize(m: Molecule) -> dict[int, int]:
                 adj[b].append(a)
                 pairable[frozenset((a, b))] = k
         mate: dict[int, int] = {}
-        if not _match(needy, adj, mate):
+        if not _match(_depth_first(needy, adj), adj, mate):
             raise KekulizationFailure(
                 "no Kekule assignment for aromatic system "
                 f"of {len(atoms)} atoms")
@@ -120,12 +144,12 @@ def kekulized(m: Molecule) -> Molecule:
     if not any(a.aromatic for a in m.atoms):
         return m
     orders = kekulize(m)
-    bonds = [replace(b, order=orders.get(k, b.order))
+    bonds = [replace(b, order=orders[k]) if k in orders else b
              for k, b in enumerate(m.bonds)]
-    atoms = [replace(a, aromatic=False,
-                     explicit_h=m.hydrogen_count(i) if a.aromatic else a.explicit_h)
+    atoms = [replace(a, aromatic=False, explicit_h=m.hydrogen_count(i))
+             if a.aromatic else a
              for i, a in enumerate(m.atoms)]
-    return Molecule(atoms, bonds, validate=False)
+    return m.on_same_graph(atoms, bonds)
 
 
 # --- perception (used on SELFIES-decoded Kekule graphs) ---------------------
@@ -204,7 +228,7 @@ def aromatize(m: Molecule) -> Molecule:
     bonds = [replace(b, order=AROMATIC) if k in arom_bonds else b
              for k, b in enumerate(m.bonds)]
     try:
-        return Molecule(atoms, bonds)
+        return m.on_same_graph(atoms, bonds, validate=True)
     except KekulizationFailure:
         # Perception disagreed with the validator; keep the Kekule form,
         # which is already valid.

@@ -11,6 +11,7 @@ on the instance.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from chemlinker.errors import ValenceViolation
 
@@ -84,6 +85,7 @@ class Bond:
         return self.b if i == self.a else self.a
 
 
+@lru_cache(maxsize=1024)
 def allowed_valences(element: str, charge: int) -> tuple[int, ...]:
     """Valence states for an organic-subset element adjusted for charge.
 
@@ -99,6 +101,7 @@ def allowed_valences(element: str, charge: int) -> tuple[int, ...]:
     return tuple(max(v, 0) for v in vals)
 
 
+@lru_cache(maxsize=1024)
 def default_hydrogens(element: str, charge: int, aromatic: bool,
                       bosum: int) -> int | None:
     """Hydrogens the valence table implies for a bracket-free atom.
@@ -123,7 +126,7 @@ class Molecule:
     """Immutable attributed molecular graph."""
 
     __slots__ = ("atoms", "bonds", "_adj", "_incident", "_hcounts",
-                 "_forest", "_ring_bonds", "_smallest_rings")
+                 "_forest", "_ring_bonds", "_smallest_rings", "_aromatic")
 
     def __init__(self, atoms, bonds, validate: bool = True):
         object.__setattr__(self, "atoms", tuple(atoms))
@@ -139,6 +142,7 @@ class Molecule:
         object.__setattr__(self, "_forest", None)
         object.__setattr__(self, "_ring_bonds", None)
         object.__setattr__(self, "_smallest_rings", None)
+        object.__setattr__(self, "_aromatic", None)
         object.__setattr__(self, "_hcounts", self._compute_hcounts())
         if validate:
             self._validate()
@@ -309,6 +313,29 @@ class Molecule:
             object.__setattr__(self, "_smallest_rings", tuple(rings))
         return self._smallest_rings
 
+    def aromatic_form(self) -> "Molecule":
+        """One spelling for Kekulé and aromatic input, computed once:
+        aromatize(kekulized(self)).
+
+        Where perception marks nothing, or the validator rejects its marks,
+        aromatize returns its Kekulé input unchanged, whose double bonds
+        follow the matching kekulize found and so the atom order; the
+        molecule itself is kept then. The form is its own aromatic form.
+        """
+        if self._aromatic is None:
+            from chemlinker.molstring.kekulize import aromatize, kekulized
+
+            kek = kekulized(self)
+            form = aromatize(kek)
+            # False marks a molecule that is its own form, with no
+            # reference cycle.
+            if form is kek:
+                object.__setattr__(self, "_aromatic", False)
+            else:
+                object.__setattr__(form, "_aromatic", False)
+                object.__setattr__(self, "_aromatic", form)
+        return self if self._aromatic is False else self._aromatic
+
     def has_stereo(self) -> bool:
         return (any(a.chirality for a in self.atoms)
                 or any(b.stereo for b in self.bonds))
@@ -370,11 +397,22 @@ class Molecule:
 
     # --- transforms ---------------------------------------------------------
 
+    def on_same_graph(self, atoms, bonds, validate: bool = False) -> "Molecule":
+        """A molecule with new atom and bond attributes on this one's graph
+        (every bond joins the same two atoms); the depth-first forest, ring
+        bonds and smallest rings carry over instead of being recomputed."""
+        m = Molecule(atoms, bonds, validate=False)
+        for name in ("_forest", "_ring_bonds", "_smallest_rings"):
+            object.__setattr__(m, name, getattr(self, name))
+        if validate:
+            m._validate()
+        return m
+
     def strip_stereo(self) -> "Molecule":
         """Copy with all chirality marks and bond stereo removed."""
         atoms = [replace(a, chirality=CHI_NONE, chiral_ref=()) for a in self.atoms]
         bonds = [replace(b, stereo=STEREO_NONE) for b in self.bonds]
-        return Molecule(atoms, bonds, validate=False)
+        return self.on_same_graph(atoms, bonds)
 
     def renumbered(self, perm: list[int]) -> "Molecule":
         """Copy with atom i moved to position perm[i].

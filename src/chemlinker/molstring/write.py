@@ -1,45 +1,30 @@
 """SMILES emission and canonicalization.
 
-Canonical form: Morgan-style iterative invariant refinement assigns ranks;
-remaining ties are broken by emitting every tied traversal and keeping the
-lexicographically smallest string, so the output is independent of input
-atom order.
+Canonical form v2 (chemlinker 0.2.0) writes `m.aromatic_form()`, so Kekulé
+and aromatic spellings share a string, one fragment at a time:
 
-The search over tied traversals is an odometer. One emission is a
-depth-first walk that orders each atom's ring closures by rank and its
-children by branch weight; every run of equal keys it meets is a tie point,
-and the decision list picks one ordering at each tie point in the order the
-walk meets them (pre-order). The emission reports the number of orderings
-(the radix) of every tie point it reached, and the next decision list is
-the previous one counted up by one in the last position, with carries, so
-every reachable combination is emitted once per start atom.
-
-Each call builds one `_Fragment` table per fragment and drops it
-on return: atom and bond tokens, each atom's incident rows pre-sorted by
-their keys, branch weights read off the molecule's depth-first forest,
-and the orderings of each tie pattern. An emission only filters and
-orders rows and writes tokens; chiral atoms alone get their token from
-the emitted neighbour order.
-
-Interchangeable hanging groups are tried once. Tied children that hang
-off a non-chiral parent by bridges, as trees free of chiral atoms and
-stereo bonds, with equal refinement rank and one bond token from the
-parent, emit the same set of strings whichever comes first: the ranks are
-a stable refinement, so such sides are equal trees of atom and bond tokens
-(by induction down the trees), nothing outside a side reads its atoms,
-and it takes no ring digit. So a tie group enumerates each distinct
-ordering of (rank, bond token) labels once, and of several terminal start
-atoms with one label on one non-chiral parent only the first is a start.
-The output is the same string the full enumeration picks; sides with a
-ring have no label and are still enumerated in every order.
-
-Each start stops after `_MAX_VARIANTS` emissions; past that cap the string
-is the smallest of those emitted and may depend on atom order.
+1. Refine. Atoms start in cells of equal invariants: element, degree,
+   bond-order sum (highest first: `C(=O)O`), charge, hydrogens, ring
+   membership, aromaticity, isotope. Each splitter cell splits the cells
+   whose atoms differ in bond-order-weighted neighbours in it, until the
+   partition is equitable. Only cells next to a splitter are looked at,
+   and a split cell queues its parts but the largest (Hopcroft), so chains
+   and rings refine in linear time. An atom's rank is its cell's start.
+2. Search. While a cell holds several atoms, individualization-refinement
+   (McKay & Piperno 2014) gives each in turn a cell of its own ahead of the
+   rest and refines again, depth first, down to leaves with total ranks.
+   The smallest leaf string wins. Two leaves with one string map atom to
+   atom by position, an automorphism (stereo included), which merges the
+   candidates of every node on the path it fixes into orbits; a candidate
+   in the orbit of an explored one is skipped.
+3. Emit. Start at the lowest-ranked atom; lighter branches first (branch
+   weight: atoms beyond the bond), ties by rank; ring closures by rank.
+   Where refinement alone makes the ranks total, this is the only emission.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from collections import deque
 
 from chemlinker.molstring.model import (
     AROMATIC,
@@ -56,11 +41,10 @@ from chemlinker.molstring.model import (
 )
 
 _BOND_TOKEN = {SINGLE: "", DOUBLE: "=", TRIPLE: "#", AROMATIC: ""}
-_MAX_VARIANTS = 20000
-# String comparison for picking the canonical variant: '(' sorts above every
-# other character so traversals that defer branching win, giving the familiar
-# "CC(N)..." shape instead of "C(C)(N)...".
-_CMP_TABLE = str.maketrans({"(": "\x7f"})
+_ORDER_SUM = {SINGLE: 2, DOUBLE: 4, TRIPLE: 6, AROMATIC: 3}
+# Splitter counts weigh a neighbour by its bond order.
+_ORDER_WEIGHT = {SINGLE: 1, DOUBLE: 1 << 12, TRIPLE: 1 << 24,
+                 AROMATIC: 1 << 36}
 
 
 def write_smiles(m: Molecule, canonical: bool = False) -> str:
@@ -69,17 +53,12 @@ def write_smiles(m: Molecule, canonical: bool = False) -> str:
     With canonical=True the output string is identical for every atom
     ordering of isomorphic inputs; fragments are emitted sorted.
     """
-    ranks = _canonical_ranks(m) if canonical else list(range(len(m.atoms)))
-    parts = []
-    for frag in m.fragments():
-        if canonical:
-            parts.append(_best_fragment_string(m, frag, ranks))
-        else:
-            parts.append(_emit(_Fragment(m, frag, ranks, None), frag[0],
-                               [])[0])
-    if canonical:
-        parts.sort()
-    return ".".join(parts)
+    if not canonical:
+        rank = range(len(m.atoms))
+        return ".".join(_emit(m, *_tables(m, frag, None), frag[0], rank)[0]
+                        for frag in m.fragments())
+    return ".".join(sorted(_canonical_fragment(m, frag)
+                           for frag in m.fragments()))
 
 
 def canonical_smiles(text_or_mol) -> str:
@@ -87,96 +66,156 @@ def canonical_smiles(text_or_mol) -> str:
     from chemlinker.molstring.smiles import parse_smiles
 
     m = text_or_mol
-    if isinstance(m, str):
-        m = parse_smiles(m)
-    return write_smiles(m, canonical=True)
+    m = parse_smiles(m) if isinstance(m, str) else m
+    return write_smiles(m.aromatic_form(), canonical=True)
 
 
-# --- invariant refinement -----------------------------------------------------
+# --- refinement and search -------------------------------------------------------
+# A partition is (lab, where, cell, end): atoms cell by cell, each atom's place
+# in lab, each atom's cell start (its rank), each cell's end by its start.
 
 
-def _canonical_ranks(m: Molecule) -> list[int]:
-    ring_flags = m.ring_atom_flags()
-    inv = []
-    for i, a in enumerate(m.atoms):
-        order2 = sum({SINGLE: 2, DOUBLE: 4, TRIPLE: 6, AROMATIC: 3}[b.order]
-                     for b in m.bonds_of(i))
-        inv.append((ELEMENT_NUMBERS[a.element], m.degree(i), order2,
-                    a.formal_charge, m.hydrogen_count(i), ring_flags[i],
-                    a.aromatic, a.isotope or 0))
-    ranks = _ranks_of(inv)
-    n_classes = len(set(ranks))
-    for _ in range(2 * len(m.atoms) + 1):
-        refined = [
-            (ranks[i],
-             tuple(sorted((b.order, ranks[b.other(i)]) for b in m.bonds_of(i))))
-            for i in range(len(m.atoms))
-        ]
-        new_ranks = _ranks_of(refined)
-        new_classes = len(set(new_ranks))
-        if new_classes == n_classes:
-            return new_ranks
-        ranks, n_classes = new_ranks, new_classes
-    return ranks
+def _canonical_fragment(m: Molecule, frag: list[int]) -> str:
+    ring = m.ring_atom_flags()
+    inv = {i: (ELEMENT_NUMBERS[m.atoms[i].element], m.degree(i),
+               -sum(_ORDER_SUM[b.order] for b in m.bonds_of(i)),
+               m.atoms[i].formal_charge, m.hydrogen_count(i), ring[i],
+               m.atoms[i].aromatic, m.atoms[i].isotope or 0) for i in frag}
+    lab = sorted(frag, key=inv.__getitem__)
+    starts = [p for p, i in enumerate(lab)
+              if not p or inv[i] != inv[lab[p - 1]]]
+    ends = starts[1:] + [len(lab)]
+    part = (lab, {i: p for p, i in enumerate(lab)},
+            {i: s for s, e in zip(starts, ends) for i in lab[s:e]},
+            dict(zip(starts, ends)))
+    adj = {i: [(b.other(i), _ORDER_WEIGHT[b.order]) for b in m.bonds_of(i)]
+           for i in frag}
+    _refine(part, adj, starts)
+    tokens, rows = _tables(m, frag, _branch_weights(m, frag))
+
+    def emit(part) -> tuple[str, list[int]]:
+        return _emit(m, tokens, rows, part[0][0], part[2])
+
+    if _target(part) is None:
+        return emit(part)[0]
+    return _search(part, adj, emit)
 
 
-def _ranks_of(invariants) -> list[int]:
-    order = {v: r for r, v in enumerate(sorted(set(invariants)))}
-    return [order[v] for v in invariants]
+def _target(part) -> int | None:
+    """Start of the first cell of several atoms; None when ranks are total."""
+    return min((s for s, e in part[3].items() if e > s + 1), default=None)
+
+
+def _individualized(part, v: int, adj):
+    """Copy of `part` with v alone ahead of the rest of its cell, refined."""
+    lab, where, cell, end = (part[0][:], dict(part[1]), dict(part[2]),
+                             dict(part[3]))
+    s = cell[v]
+    u, q = lab[s], where[v]
+    lab[s], lab[q], where[v], where[u] = v, u, s, q
+    for x in lab[s + 1:end[s]]:
+        cell[x] = s + 1
+    end[s + 1], end[s] = end[s], s + 1
+    _refine((lab, where, cell, end), adj, [s])
+    return lab, where, cell, end
+
+
+def _refine(part, adj, queue: list[int]) -> None:
+    """Split cells by weighted neighbour counts in each queued cell."""
+    lab, where, cell, end = part
+    pending, queue = set(queue), deque(queue)
+    while queue:
+        w = queue.popleft()
+        pending.discard(w)
+        counts: dict[int, int] = {}
+        for y in lab[w:end[w]]:
+            for x, weight in adj[y]:
+                counts[x] = counts.get(x, 0) + weight
+        touched: dict[int, list[int]] = {}
+        for x in counts:
+            if end[cell[x]] > cell[x] + 1:
+                touched.setdefault(cell[x], []).append(x)
+        for s in sorted(touched):
+            xs, e = touched[s], end[s]
+            if len(xs) == e - s and len({counts[x] for x in xs}) == 1:
+                continue
+            # Touched atoms move to the tail, by count; the untouched
+            # (count 0) keep the cell's start.
+            xs.sort(key=counts.__getitem__)
+            tail = e - len(xs)
+            parts = [s] if tail > s else []
+            for p, x in enumerate(xs, tail):
+                y, q = lab[p], where[x]
+                lab[p], lab[q], where[x], where[y] = x, y, p, q
+                if p == tail or counts[x] != counts[xs[p - tail - 1]]:
+                    parts.append(p)
+                cell[x] = parts[-1]
+            for a, b in zip(parts, parts[1:] + [e]):
+                end[a] = b
+            if s not in pending:
+                parts.remove(max(parts, key=lambda a: end[a] - a))
+            new = [a for a in parts if a not in pending]
+            queue.extend(new)
+            pending.update(new)
+
+
+def _search(root, adj, emit) -> str:
+    """Smallest leaf string below `root`, pruned by automorphisms found."""
+    def node(part, path):   # partition, path, candidates, explored, orbits
+        t = _target(part)
+        return part, path, part[0][t:part[3][t]], [], {}
+
+    best = None     # (string, atoms in emission order, path)
+    stack = [node(root, [])]
+    while stack:
+        part, path, cands, explored, orbit = stack[-1]
+        reps = {_find(orbit, c) for c in explored}
+        c = next((c for c in cands if _find(orbit, c) not in reps), None)
+        if c is None:
+            stack.pop()
+            continue
+        explored.append(c)
+        child = _individualized(part, c, adj)
+        if _target(child) is not None:
+            stack.append(node(child, path + [c]))
+            continue
+        leaf = path + [c]
+        s, order = emit(child)
+        if best is None or s < best[0]:
+            best = (s, order, leaf)
+        elif s == best[0]:
+            gamma = dict(zip(best[1], order))
+            fixed = next((n for n, a in enumerate(leaf) if gamma[a] != a),
+                         len(leaf))
+            for n in stack[:fixed + 1]:
+                for x in n[2]:
+                    a, b = _find(n[4], x), _find(n[4], gamma[x])
+                    if a != b:
+                        n[4][a] = b
+            # Where the paths part, gamma maps the explored branch onto
+            # this one, so nothing below this one can write another string.
+            split = next(n for n, a in enumerate(leaf) if best[2][n] != a)
+            if split <= fixed and gamma[best[2][split]] == leaf[split]:
+                del stack[split + 1:]
+    return best[0]
+
+
+def _find(parent: dict[int, int], x: int) -> int:
+    while parent.get(x, x) != x:
+        parent[x] = x = parent.get(parent[x], parent[x])    # path halving
+    return x
 
 
 # --- emission --------------------------------------------------------------------
 
 
-def _best_fragment_string(m: Molecule, frag: list[int],
-                          ranks: list[int]) -> str:
-    tab = _Fragment(m, frag, ranks, _branch_weights(m, frag))
-    # Only starts whose atom token begins with the smallest character can
-    # produce the winning string; the comparison is settled at position 0.
-    first = {i: "[" if tab.tokens[i] is None else tab.tokens[i][0]
-             for i in frag}
-    low = min(first.values())
-    best = None
-    best_key = None
-    hanging_starts = set()
-    for start in frag:
-        if first[start] != low:
-            continue
-        if m.degree(start) == 1:
-            # Terminal atoms with one label on one non-chiral parent start
-            # the same set of strings: keep the first.
-            k, parent, _, token = tab.rows[start][0][:4]
-            label = tab.label(k, parent, start, token)
-            if label is not None:
-                if (parent, label) in hanging_starts:
-                    continue
-                hanging_starts.add((parent, label))
-        decisions: list[int] = []
-        emitted = 0
-        while True:
-            s, radixes = _emit(tab, start, decisions)
-            key = s.translate(_CMP_TABLE)
-            if best is None or key < best_key:
-                best, best_key = s, key
-            emitted += 1
-            if emitted > _MAX_VARIANTS:
-                break
-            decisions = _next_decisions(decisions, radixes)
-            if decisions is None:
-                break
-    return best
-
-
 def _branch_weights(m: Molecule, frag: list[int]) -> dict[tuple[int, int], int]:
     """weights[i, j] = atoms reachable from neighbor j with atom i removed.
 
-    Emitting lighter neighbors first keeps short decorations in branches and
-    lets the longest chain run to the end of the string.
-
-    Read off the molecule's depth-first forest: removing atom i leaves each
-    DFS child subtree that cannot reach above i (low >= disc[i]) as a
-    component of its own, and everything else (the part above i and the
-    other child subtrees) as one component.
+    Lighter neighbors first keeps short decorations in branches and lets the
+    longest chain run to the end. Read off the depth-first forest: removing
+    i leaves each DFS child subtree that cannot reach above i (low >= disc[i])
+    as a component of its own, and everything else as one component.
     """
     disc, low, size, tree_bond, kids = m.dfs_forest()
     n = len(frag)
@@ -202,9 +241,7 @@ def _branch_weights(m: Molecule, frag: list[int]) -> dict[tuple[int, int], int]:
 
 def _bond_token(m: Molecule, bond, from_atom: int) -> str:
     if bond.stereo:
-        up = bond.stereo == STEREO_UP
-        if bond.a != from_atom:
-            up = not up
+        up = (bond.stereo == STEREO_UP) == (bond.a == from_atom)
         return "/" if up else "\\"
     if bond.order == SINGLE and (m.atoms[bond.a].aromatic
                                  and m.atoms[bond.b].aromatic):
@@ -212,262 +249,95 @@ def _bond_token(m: Molecule, bond, from_atom: int) -> str:
     return _BOND_TOKEN[bond.order]
 
 
-class _Fragment:
-    """What every emission of one fragment reads, built once per call.
-
-    tokens[i]: atom token of i, None for a chiral atom (its mark depends on
-    the emitted neighbour order). rows[i]: (bond index, neighbour, token
-    i->j, token j->i, key, `label`) per incident bond, sorted by key (branch
-    weight, or rank without weights), ties in incident order. ring_rows[i]:
-    the ring-bond rows keyed and sorted by neighbour rank, the only rows
-    that can close a ring. tied[i] / ring_tied[i]: the rows hold equal keys.
-    """
-
-    __slots__ = ("m", "tokens", "rows", "ring_rows", "tied", "ring_tied",
-                 "_ring", "_ranks", "_root", "_tree_bond",
-                 "_blockers", "_orderings")
-
-    def __init__(self, m: Molecule, frag: list[int], ranks: list[int],
-                 weights: dict[tuple[int, int], int] | None):
-        self.m = m
-        self._ring = m.ring_bonds()
-        self._ranks = ranks
-        self.tokens = {i: None if m.atoms[i].chirality
-                       else _atom_token(m, i, []) for i in frag}
-        # _blockers[i]: chiral atoms, and ring or stereo tree bonds, in the
-        # DFS subtree of i, its own tree bond included; children first.
-        disc, _, _, tree_bond, kids = m.dfs_forest()
-        self._root = frag[0]
-        self._tree_bond = tree_bond
-        self._blockers = {}
-        for i in sorted(frag, key=disc.__getitem__, reverse=True):
-            k = tree_bond[i]
-            self._blockers[i] = (
-                bool(m.atoms[i].chirality)
-                + (k >= 0 and (k in self._ring or bool(m.bonds[k].stereo)))
-                + sum(self._blockers[c] for c in kids[i]))
-        self.rows = {}
-        self.ring_rows = {}
-        self.tied = {}
-        self.ring_tied = {}
-        for i in frag:
-            rows = []
-            ring_rows = []
-            for k, b in m.incident(i):
-                j = b.other(i)
-                out, back = _bond_token(m, b, i), _bond_token(m, b, j)
-                key = ranks[j] if weights is None else weights[i, j]
-                rows.append((k, j, out, back, key, self.label(k, i, j, out)))
-                if k in self._ring:
-                    ring_rows.append((k, j, out, back, ranks[j], None))
-            rows.sort(key=lambda r: r[4])
-            ring_rows.sort(key=lambda r: r[4])
-            self.rows[i] = rows
-            self.tied[i] = len({r[4] for r in rows}) < len(rows)
-            if ring_rows:
-                self.ring_rows[i] = ring_rows
-                self.ring_tied[i] = (len({r[4] for r in ring_rows})
-                                     < len(ring_rows))
-        self._orderings: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-
-    def label(self, k: int, parent: int, child: int,
-              token: str) -> tuple[int, str] | None:
-        """(rank, bond token) of the side of bond k that holds child.
-
-        None unless parent is not chiral, bond k is a bridge, and that side
-        (the DFS subtree of child, or all outside the subtree of parent) has
-        no blockers. Equal labels on one parent mean equal trees of atom and
-        bond tokens, so the two sides emit the same strings.
-        """
-        if k in self._ring or self.tokens[parent] is None:
-            return None
-        if self._tree_bond[child] == k:
-            blockers = self._blockers[child] - bool(self.m.bonds[k].stereo)
-        else:
-            blockers = self._blockers[self._root] - self._blockers[parent]
-        return None if blockers else (self._ranks[child], token)
-
-    def orderings(self, labels: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """Distinct orderings of a tie group whose members carry `labels`.
-
-        Each ordering lists group positions; members with equal labels keep
-        their relative order. With labels 0, 1, ..., g-1 this is every
-        permutation, in `itertools.permutations` order.
-        """
-        found = self._orderings.get(labels)
-        if found is None:
-            members: dict[int, list[int]] = {}
-            for pos, label in enumerate(labels):
-                members.setdefault(label, []).append(pos)
-            found = []
-            for seq in sorted(set(permutations(labels))):
-                nxt = {label: iter(pos) for label, pos in members.items()}
-                found.append(tuple(next(nxt[label]) for label in seq))
-            self._orderings[labels] = found
-        return found
+def _tables(m: Molecule, frag: list[int], weights):
+    """Atom tokens (None for a chiral atom, whose mark depends on the
+    emitted neighbour order) and per-atom rows (bond index, neighbour,
+    token i->j, token j->i, branch weight or 0) of one fragment."""
+    tokens, rows = {}, {}
+    for i in frag:
+        tokens[i] = None if m.atoms[i].chirality else _atom_token(m, i, [])
+        rows[i] = [(k, b.other(i), _bond_token(m, b, i),
+                    _bond_token(m, b, b.other(i)),
+                    weights[i, b.other(i)] if weights else 0)
+                   for k, b in m.incident(i)]
+    return tokens, rows
 
 
-def _next_decisions(decisions: list[int], radixes: list[int]):
-    decisions = decisions + [0] * (len(radixes) - len(decisions))
-    for pos in range(len(radixes) - 1, -1, -1):
-        decisions[pos] += 1
-        if decisions[pos] < radixes[pos]:
-            return decisions[:pos + 1] + [0] * (len(radixes) - pos - 1)
-        decisions[pos] = 0
-    return None
-
-
-def _emit(tab: _Fragment, start: int,
-          decisions: list[int]) -> tuple[str, list[int]]:
-    """One deterministic DFS emission.
-
-    `decisions` selects orderings at tie points in discovery order; the
-    radix (number of orderings) of every tie point reached is returned so
-    callers can enumerate all variants.
-    """
-    m, tokens, rows, ring_rows = tab.m, tab.tokens, tab.rows, tab.ring_rows
-    radixes: list[int] = []
-    visited = {start}
+def _emit(m: Molecule, tokens, rows, start: int,
+          rank) -> tuple[str, list[int]]:
+    """One depth-first emission from `start`: the string, and the atoms in
+    the order written. Children go lightest branch first, ties by rank;
+    ring closures by rank."""
+    head: dict[int, list[str]] = {}     # bond in, atom token, ring tokens
+    kids: dict[int, list[int]] = {}     # tree children, in order
+    # Neighbours of each chiral atom as a reader meets them before its
+    # branches: parent and in-bracket H, then ring partners.
+    seen: dict[int, list[int]] = {}
     used: set[int] = set()
-    # Neighbor order of each chiral atom as a reader of the output sees
-    # it: parent and in-bracket H, then ring-closure partners, then
-    # branch children.
-    refs: dict[int, tuple[list[int], list[int], list[int]]] = {}
-    # An atom's piece is its token (empty for a chiral atom until the end)
-    # followed by its ring tokens as they are assigned.
-    pieces: list[str] = []
-    slot_of: dict[int, int] = {}
     next_ring = 1
-
-    def settle(items: list) -> list:
-        """Order runs of equal keys in `items` by the decision odometer."""
-        out = []
-        lo = 0
-        while lo < len(items):
-            hi = lo + 1
-            while hi < len(items) and items[hi][4] == items[lo][4]:
-                hi += 1
-            group = items[lo:hi]
-            if len(group) > 1:
-                # Members with one (rank, bond token) label share the
-                # position of that label's first member.
-                found = [r[5] for r in group]
-                labels = tuple(n if lab is None else found.index(lab)
-                               for n, lab in enumerate(found))
-                orders = tab.orderings(labels)
-                if len(orders) > 1:
-                    slot = len(radixes)
-                    radixes.append(len(orders))
-                    choice = decisions[slot] if slot < len(decisions) else 0
-                    group = [group[p] for p in orders[choice]]
-            out.extend(group)
-            lo = hi
-        return out
-
-    # Explicit-stack DFS; atoms are entered, and tie points met, in pre-order.
-    # A frame is [atom, ordered children, next child, ref lists or None,
-    # piece index of the last descended child's "(" or -1].
-    stack: list[list] = []
-    i, parent = start, None
-    while True:
-        slot_of[i] = len(pieces)
-        pieces.append(tokens[i] or "")
-        ref = None
+    stack = [(start, None, -1, "")]
+    while stack:
+        i, parent, k, out = stack.pop()
+        if i in head:
+            continue    # reached first by another path, which closed k
+        used.add(k)
+        head[i], kids[i] = [out, tokens[i] or ""], []
+        if parent is not None:
+            kids[parent].append(i)
         if tokens[i] is None:
-            ref = refs[i] = ([] if parent is None else [parent], [], [])
-            if m.hydrogen_count(i):
-                ref[0].append(-1)
-        if i in ring_rows:
-            closures = [r for r in ring_rows[i]
-                        if r[1] in visited and r[0] not in used]
-            if tab.ring_tied[i]:
-                closures = settle(closures)
-            for k, j, _, back, _, _ in closures:
-                used.add(k)
-                digit = (str(next_ring) if next_ring < 10
-                         else f"%{next_ring:02d}")
-                next_ring += 1
-                # Opener side carries the bond symbol; stereo direction is
-                # j -> i.
-                pieces[slot_of[j]] += back + digit
-                pieces[-1] += digit
-                if j in refs:
-                    refs[j][1].append(i)
-                if ref is not None:
-                    ref[1].append(j)
-        children = [r for r in rows[i] if r[1] not in visited
-                    and r[0] not in used]
-        if tab.tied[i] and len(children) > 1:
-            # Children group by branch weight only; orderings within a
-            # weight class are settled by the string comparison.
-            children = settle(children)
-        stack.append([i, children, 0, ref, -1])
+            seen[i] = ([] if parent is None else [parent]) + [-1] * (
+                m.hydrogen_count(i) > 0)
+        for k, j, _, back, _ in sorted(
+                (r for r in rows[i] if r[1] in head and r[0] not in used),
+                key=lambda r: rank[r[1]]):
+            used.add(k)
+            digit = str(next_ring) if next_ring < 10 else f"%{next_ring:02d}"
+            next_ring += 1
+            # The opener carries the bond symbol; stereo reads j -> i.
+            head[j].append(back + digit)
+            head[i].append(digit)
+            for a, b in ((i, j), (j, i)):
+                if a in seen:
+                    seen[a].append(b)
+        stack.extend((j, i, k, out) for k, j, out, _, _ in sorted(
+            (r for r in rows[i] if r[1] not in head),
+            key=lambda r: (r[4], rank[r[1]]), reverse=True))
 
-        # Descend into the next child not reached since, or close frames.
-        while stack:
-            frame = stack[-1]
-            children, pos = frame[1], frame[2]
-            while pos < len(children) and children[pos][0] in used:
-                pos += 1
-            if pos < len(children):
-                k, j, out = children[pos][:3]
-                frame[2] = pos + 1
-                used.add(k)
-                visited.add(j)
-                if frame[3] is not None:
-                    frame[3][2].append(j)
-                frame[4] = len(pieces)
-                pieces.append("(")
-                pieces.append(out)
-                i, parent = j, frame[0]
-                break
-            stack.pop()
-            if frame[4] >= 0:
-                # The last child runs on unbracketed.
-                pieces[frame[4]] = ""
-                pieces.pop()
-            if stack:
-                pieces.append(")")
-        else:
-            break
-
-    for a, ref in refs.items():
-        pieces[slot_of[a]] = (_atom_token(m, a, ref[0] + ref[1] + ref[2])
-                              + pieces[slot_of[a]])
-    return "".join(pieces), radixes
+    parts, todo = [], [start]
+    while todo:
+        i = todo.pop()
+        if isinstance(i, str):
+            parts.append(i)
+            continue
+        if i in seen:
+            head[i][1] = _atom_token(m, i, seen[i] + kids[i])
+        parts += head[i]
+        if kids[i]:
+            # Every child but the last goes in a branch.
+            todo.append(kids[i][-1])
+            for c in reversed(kids[i][:-1]):
+                todo += [")", c, "("]
+    return "".join(parts), list(head)
 
 
 # --- atom tokens -----------------------------------------------------------------
 
 
 def _atom_token(m: Molecule, i: int, emitted_ref: list[int]) -> str:
-    atom = m.atoms[i]
+    atom, h = m.atoms[i], m.hydrogen_count(i)
     symbol = atom.element.lower() if atom.aromatic else atom.element
-    h = m.hydrogen_count(i)
-    plain_ok = (atom.element in ORGANIC_SUBSET
-                and atom.formal_charge == 0
-                and atom.isotope is None
-                and not atom.chirality
-                and default_hydrogens(atom.element, atom.formal_charge,
-                                      atom.aromatic, m.base_order_sum(i)) == h)
-    if plain_ok:
+    charge = atom.formal_charge
+    if (atom.element in ORGANIC_SUBSET and not charge and atom.isotope is None
+            and not atom.chirality
+            and default_hydrogens(atom.element, 0, atom.aromatic,
+                                  m.base_order_sum(i)) == h):
         return symbol
-    parts = ["["]
-    if atom.isotope is not None:
-        parts.append(str(atom.isotope))
-    parts.append(symbol)
-    if atom.chirality:
-        parts.append(_emitted_chirality(atom, emitted_ref))
-    if h == 1:
-        parts.append("H")
-    elif h > 1:
-        parts.append(f"H{h}")
-    if atom.formal_charge:
-        sign = "+" if atom.formal_charge > 0 else "-"
-        mag = abs(atom.formal_charge)
-        parts.append(sign if mag == 1 else f"{sign}{mag}")
-    parts.append("]")
-    return "".join(parts)
+    return "".join((
+        "[", "" if atom.isotope is None else str(atom.isotope), symbol,
+        _emitted_chirality(atom, emitted_ref) if atom.chirality else "",
+        "H" * (h > 0) + (str(h) if h > 1 else ""),
+        ("+" if charge > 0 else "-") * (charge != 0)
+        + (str(abs(charge)) if abs(charge) > 1 else ""), "]"))
 
 
 def _emitted_chirality(atom, emitted_ref: list[int]) -> str:
@@ -476,22 +346,7 @@ def _emitted_chirality(atom, emitted_ref: list[int]) -> str:
     if sorted(stored) != sorted(emitted_ref) or len(stored) < 3:
         # Reference order unavailable (synthetic molecule); keep the mark.
         return atom.chirality
-    if _permutation_parity(stored, emitted_ref) == 0:
+    perm = [stored.index(x) for x in emitted_ref]
+    if sum(a > b for n, a in enumerate(perm) for b in perm[n + 1:]) % 2 == 0:
         return atom.chirality
     return CHI_CW if atom.chirality == CHI_CCW else CHI_CCW
-
-
-def _permutation_parity(src: list[int], dst: list[int]) -> int:
-    perm = [src.index(x) for x in dst]
-    parity = 0
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity

@@ -1,10 +1,16 @@
-"""The canonical SMILES search against a plain reference, plus time bounds.
+"""Canonical form v2 against the v1 search as an equivalence oracle, plus
+leaf counts and time bounds.
 
-The reference below is the search as it was before the writer kept
-per-fragment tables and tried interchangeable hanging groups once: one
-breadth-first search per bond for the branch weights, and every tie group
-enumerated as all of its permutations on every emission. The writer must
-return the same string wherever the reference stays under `_MAX_VARIANTS`.
+The reference below is canonical form v1 as it was before the writer kept
+per-fragment tables: v1 ranks, one breadth-first search per bond for the
+branch weights, every start atom whose token begins with the smallest
+character, and every tie group enumerated as all of its permutations on
+every emission, keeping the smallest string with "(" sorted last. It no
+longer supplies the expected strings. Both forms are complete invariants,
+so two inputs get the same v2 string exactly when they get the same
+reference string; the reference runs on `m.aromatic_form()`, the molecule
+v2 writes, so both see one spelling. The non-canonical writer still
+matches the reference byte for byte.
 """
 
 import random
@@ -22,14 +28,15 @@ from chemlinker.molstring import (
     token_alphabet,
     write_smiles,
 )
-from chemlinker.molstring.model import SINGLE, STEREO_UP
-from chemlinker.molstring.write import (
-    _BOND_TOKEN,
-    _CMP_TABLE,
-    _MAX_VARIANTS,
-    _atom_token,
-    _canonical_ranks,
+from chemlinker.molstring.model import (
+    AROMATIC,
+    DOUBLE,
+    ELEMENT_NUMBERS,
+    SINGLE,
+    STEREO_UP,
+    TRIPLE,
 )
+from chemlinker.molstring.write import _BOND_TOKEN, _atom_token
 
 from test_graph_facts import EDGE_CASES
 
@@ -59,10 +66,51 @@ MULTI_FRAGMENT_INPUTS = [
 SYMMETRIC_INPUTS = [
     "CC(C)(C)C(C)(C)C", "OC(C(F)(F)F)(C(F)(F)F)C(F)(F)F",
     "C(C1CC1)(C1CC1)(C1CC1)C1CC1", "CC(C)(C1CC1)C1CC1", "C12C3C4C1C5C2C3C45",
+    # adamantane
+    "C1C2CC3CC1CC(C2)C3",
 ]
+FIXED_INPUTS = ([row[0] for row in EDGE_CASES] + STEREO_INPUTS
+                + MULTI_FRAGMENT_INPUTS + SYMMETRIC_INPUTS)
 
 
-# --- reference search --------------------------------------------------------
+# --- reference: canonical form v1 ------------------------------------------
+
+# Each start stopped after this many emissions.
+_MAX_VARIANTS = 20000
+# '(' sorts above every other character, so traversals that defer
+# branching win ("CC(N)..." rather than "C(C)(N)...").
+_CMP_TABLE = str.maketrans({"(": "\x7f"})
+
+
+def _canonical_ranks(m):
+    """v1 ranks: invariants refined by full re-sorts until stable."""
+    ring_flags = m.ring_atom_flags()
+    inv = []
+    for i, a in enumerate(m.atoms):
+        order2 = sum({SINGLE: 2, DOUBLE: 4, TRIPLE: 6, AROMATIC: 3}[b.order]
+                     for b in m.bonds_of(i))
+        inv.append((ELEMENT_NUMBERS[a.element], m.degree(i), order2,
+                    a.formal_charge, m.hydrogen_count(i), ring_flags[i],
+                    a.aromatic, a.isotope or 0))
+    ranks = _ranks_of(inv)
+    n_classes = len(set(ranks))
+    for _ in range(2 * len(m.atoms) + 1):
+        refined = [
+            (ranks[i],
+             tuple(sorted((b.order, ranks[b.other(i)]) for b in m.bonds_of(i))))
+            for i in range(len(m.atoms))
+        ]
+        new_ranks = _ranks_of(refined)
+        new_classes = len(set(new_ranks))
+        if new_classes == n_classes:
+            return new_ranks
+        ranks, n_classes = new_ranks, new_classes
+    return ranks
+
+
+def _ranks_of(invariants):
+    order = {v: r for r, v in enumerate(sorted(set(invariants)))}
+    return [order[v] for v in invariants]
 
 
 def _ref_write(m, canonical):
@@ -237,12 +285,7 @@ def _ref_emit(m, start, ranks, weights, decisions):
     return "".join(pieces), radixes
 
 
-# --- writer against the reference -------------------------------------------
-
-
-def _assert_matches_reference(m, label):
-    assert canonical_smiles(m) == _ref_write(m, True), label
-    assert write_smiles(m, canonical=False) == _ref_write(m, False), label
+# --- v2 against the reference ------------------------------------------------
 
 
 def _shuffled(m, rng):
@@ -251,100 +294,184 @@ def _shuffled(m, rng):
     return m.renumbered(perm)
 
 
+def _assert_same_classes(mols, labels):
+    """v2 and the reference split `mols` into the same classes; each v2
+    string is its own canonical form, and the non-canonical writer matches
+    the reference."""
+    to_ref, to_v2 = {}, {}
+    for m, label in zip(mols, labels):
+        v2 = canonical_smiles(m)
+        ref = _ref_write(m.aromatic_form(), True)
+        assert to_ref.setdefault(v2, ref) == ref, label
+        assert to_v2.setdefault(ref, v2) == v2, label
+        assert canonical_smiles(v2) == v2, label
+        assert write_smiles(m) == _ref_write(m, False), label
+
+
 def test_corpus_matches_reference():
-    for smiles in CORPUS:
-        _assert_matches_reference(parse_smiles(smiles), smiles)
+    rng = random.Random(500)
+    mols = [parse_smiles(s) for s in CORPUS]
+    _assert_same_classes(mols + [_shuffled(m, rng) for m in mols],
+                         CORPUS + CORPUS)
 
 
-@pytest.mark.parametrize(
-    "smiles", [row[0] for row in EDGE_CASES] + STEREO_INPUTS
-    + MULTI_FRAGMENT_INPUTS + SYMMETRIC_INPUTS)
+@pytest.mark.parametrize("smiles", FIXED_INPUTS)
 def test_fixed_inputs_match_reference_in_any_atom_order(smiles):
     m = parse_smiles(smiles)
     rng = random.Random(smiles)
-    _assert_matches_reference(m, smiles)
-    for _ in range(3):
-        _assert_matches_reference(_shuffled(m, rng), smiles)
+    mols = [m] + [_shuffled(m, rng) for _ in range(4)]
+    assert len({canonical_smiles(x) for x in mols}) == 1
+    _assert_same_classes(mols, [smiles] * len(mols))
+
+
+def test_fixed_inputs_are_classed_as_by_reference():
+    rng = random.Random(11)
+    mols, labels = [], []
+    for smiles in FIXED_INPUTS:
+        m = parse_smiles(smiles)
+        mols += [m, _shuffled(m, rng)]
+        labels += [smiles, smiles]
+    _assert_same_classes(mols, labels)
 
 
 def test_random_selfies_decodes_match_reference():
     alphabet = token_alphabet()
     rng = random.Random(20261018)
-    checked = 0
-    while checked < 2000:
+    mols, labels = [], []
+    while len(mols) < 4000:
         text = "".join(rng.choice(alphabet)
                        for _ in range(rng.randint(1, 40)))
         try:
             m = decode_selfies(text)
         except DecodeFailure:
             continue
-        _assert_matches_reference(_shuffled(m, rng), text)
-        checked += 1
+        mols += [m, _shuffled(m, rng)]
+        labels += [text, text]
+    _assert_same_classes(mols, labels)
+
+
+def _unpruned_search(root, adj, emit):
+    """The smallest string over every leaf of the search tree."""
+    from chemlinker.molstring import write
+
+    best, stack = None, [root]
+    while stack:
+        part = stack.pop()
+        t = write._target(part)
+        if t is None:
+            s = emit(part)[0]
+            best = s if best is None or s < best else best
+            continue
+        stack.extend(write._individualized(part, c, adj)
+                     for c in part[0][t:part[3][t]])
+    return best
+
+
+def test_pruning_keeps_the_smallest_leaf(monkeypatch):
+    from chemlinker.molstring import write
+
+    # Every fixed input, and the adversarial ones whose whole tree is small.
+    inputs = FIXED_INPUTS + [ADVERSARIAL[i][0] for i in (1, 2, 3, 4)]
+    pruned = [canonical_smiles(parse_smiles(s)) for s in inputs]
+    monkeypatch.setattr(write, "_search", _unpruned_search)
+    assert [canonical_smiles(parse_smiles(s)) for s in inputs] == pruned
 
 
 # --- adversarial inputs: pinned strings and time bounds ----------------------
 
-# (input, canonical string, seconds allowed). The strings were recorded
-# from the reference search; the bounds sit well below its times on these
-# inputs (11 s, 0.6 s, 0.6 s, 0.9 s and 8 s on a 2-core x86-64 container).
+# (input, canonical string, seconds allowed for each of five atom orders).
+# v1 took 11 s, 0.6 s, 0.6 s, 0.9 s, 8 s, 14.7 s, 34.8 s and 3.8 s on these
+# inputs (2-core x86-64 container); v2 takes a few milliseconds on all but
+# the last two (about 0.25 s and 0.05 s).
 ADVERSARIAL = [
     ("C(C(F)(F)F)(C(F)(F)F)(C(F)(F)F)C(F)(F)F",
-     "C(C(F)(F)F)(C(F)(F)F)(C(F)(F)F)C(F)(F)F", 1.0),
+     "C(F)(F)(F)C(C(F)(F)F)(C(F)(F)F)C(F)(F)F", 0.1),
     ("CC(C)(C)c1cc(cc(c1)C(C)(C)C)C(C)(C)C",
-     "CC(C)(C)c1cc(C(C)(C)C)cc(C(C)(C)C)c1", 0.3),
+     "CC(C)(C)c1cc(C(C)(C)C)cc(C(C)(C)C)c1", 0.1),
     ("c1(C(C)(C)C)cc(C(C)(C)C)cc(C(C)(C)C)c1",
-     "CC(C)(C)c1cc(C(C)(C)C)cc(C(C)(C)C)c1", 0.3),
+     "CC(C)(C)c1cc(C(C)(C)C)cc(C(C)(C)C)c1", 0.1),
     ("CC(C)CCCC(C)C1CCC2C1(CCC3C2CC=C4C3(CCC(C4)O)C)C",
-     "C12=CCC3C(C1(C)CCC(O)C2)CCC4(C)C3CCC4C(C)CCCC(C)C", 0.5),
+     "CC12CCC(O)CC1=CCC3C2CCC4(C)C3CCC4C(C)CCCC(C)C", 0.1),
     ("C1=CC2=CC=C3C=CC4=CC=C5C=CC6=CC=C1C7=C2C3=C4C5=C67",
-     "C12=C3C4=C5C6=C1C7=CC=C2C=CC3=CC=C4C=CC5=CC=C6C=C7", 5.0),
+     "C=1C=C7C=CC5=CC=C4C=CC3=CC=C2C=CC1C6=C2C3=C4C5=C67", 0.1),
+    ("S(C1CC1)(C1CC1)(C1CC1)(C1CC1)(C1CC1)C1CC1",
+     "C1CC1S(C2CC2)(C3CC3)(C4CC4)(C5CC5)C6CC6", 0.1),
+    ("c1" + "c" * 2001 + "1", "c1" + "c" * 2001 + "1", 1.0),
+    ("C" * 1200, "C" * 1200, 1.0),
 ]
+ADVERSARIAL_IDS = ["tetrakis-cf3", "tri-tert-butylbenzene",
+                   "tri-tert-butylbenzene-reordered", "cholesterol",
+                   "kekule-coronene", "hexacyclopropyl-sulfur", "ring-2002",
+                   "chain-1200"]
 
 
-# Emissions per input, recorded before hanging groups were labelled by
-# refinement rank. A count that moves means the pruning changed.
+@pytest.mark.parametrize("smiles,canon,seconds", ADVERSARIAL,
+                         ids=ADVERSARIAL_IDS)
+def test_adversarial_canonical_golden_and_time(smiles, canon, seconds):
+    m = parse_smiles(smiles)
+    rng = random.Random(smiles)
+    for x in [m] + [_shuffled(m, rng) for _ in range(4)]:
+        started = time.perf_counter()
+        got = canonical_smiles(x)
+        elapsed = time.perf_counter() - started
+        assert got == canon
+        assert elapsed < seconds, f"took {elapsed:.3f}s"
+
+
+# Leaves (emissions) per input in the atom order written here. A count that
+# moves means the refinement or the pruning changed.
 EMISSIONS = {
-    "CC(C)(C)C(C)(C)C": 4,
-    "OC(C(F)(F)F)(C(F)(F)F)C(F)(F)F": 4,
-    "C(C1CC1)(C1CC1)(C1CC1)C1CC1": 1536,
-    "CC(C)(C1CC1)C1CC1": 40,
-    "C12C3C4C1C5C2C3C45": 1344,
-    "C(C(F)(F)F)(C(F)(F)F)(C(F)(F)F)C(F)(F)F": 5,
-    "CC(C)(C)c1cc(cc(c1)C(C)(C)C)C(C)(C)C": 12,
-    "c1(C(C)(C)C)cc(C(C)(C)C)cc(C(C)(C)C)c1": 12,
-    "CC(C)CCCC(C)C1CCC2C1(CCC3C2CC=C4C3(CCC(C4)O)C)C": 1169,
-    "C1=CC2=CC=C3C=CC4=CC=C5C=CC6=CC=C1C7=C2C3=C4C5=C67": 22488,
+    "CC(C)(C)C(C)(C)C": 6,
+    "OC(C(F)(F)F)(C(F)(F)F)C(F)(F)F": 9,
+    "C(C1CC1)(C1CC1)(C1CC1)C1CC1": 7,
+    "CC(C)(C1CC1)C1CC1": 5,
+    "C12C3C4C1C5C2C3C45": 4,
+    "C1C2CC3CC1CC(C2)C3": 4,
+    "C(C(F)(F)F)(C(F)(F)F)(C(F)(F)F)C(F)(F)F": 12,
+    "CC(C)(C)c1cc(cc(c1)C(C)(C)C)C(C)(C)C": 9,
+    "c1(C(C)(C)C)cc(C(C)(C)C)cc(C(C)(C)C)c1": 9,
+    "CC(C)CCCC(C)C1CCC2C1(CCC3C2CC=C4C3(CCC(C4)O)C)C": 2,
+    "C1=CC2=CC=C3C=CC4=CC=C5C=CC6=CC=C1C7=C2C3=C4C5=C67": 3,
+    "S(C1CC1)(C1CC1)(C1CC1)(C1CC1)(C1CC1)C1CC1": 10,
+    "c1" + "c" * 2001 + "1": 3,
+    "C" * 1200: 2,
 }
+# Corpus molecules whose refined ranks are not total, so a search runs.
+SEARCHED = 42
 
 
 def test_emission_counts_are_pinned(monkeypatch):
     from chemlinker.molstring import write
 
     assert set(EMISSIONS) == set(SYMMETRIC_INPUTS) | {a[0] for a in ADVERSARIAL}
-    calls = []
-    emit = write._emit
+    calls = {"emit": 0, "search": 0}
+    emit, search = write._emit, write._search
 
-    def counting(*args):
-        calls.append(None)
+    def counting_emit(*args):
+        calls["emit"] += 1
         return emit(*args)
 
-    monkeypatch.setattr(write, "_emit", counting)
+    def counting_search(*args):
+        calls["search"] += 1
+        return search(*args)
+
+    monkeypatch.setattr(write, "_emit", counting_emit)
+    monkeypatch.setattr(write, "_search", counting_search)
     counts = {}
     for smiles in EMISSIONS:
-        calls.clear()
+        calls["emit"] = 0
         canonical_smiles(parse_smiles(smiles))
-        counts[smiles] = len(calls)
+        counts[smiles] = calls["emit"]
     assert counts == EMISSIONS
-
-
-@pytest.mark.parametrize("smiles,canon,seconds", ADVERSARIAL,
-                         ids=["tetrakis-cf3", "tri-tert-butylbenzene",
-                              "tri-tert-butylbenzene-reordered",
-                              "cholesterol", "kekule-coronene"])
-def test_adversarial_canonical_golden_and_time(smiles, canon, seconds):
-    m = parse_smiles(smiles)
-    started = time.perf_counter()
-    got = canonical_smiles(m)
-    elapsed = time.perf_counter() - started
-    assert got == canon
-    assert elapsed < seconds, f"took {elapsed:.2f}s"
+    # Where refinement leaves the ranks total, no search runs and each
+    # fragment takes exactly one emission.
+    searched = 0
+    for smiles in CORPUS:
+        m = parse_smiles(smiles)
+        calls.update(emit=0, search=0)
+        canonical_smiles(m)
+        if calls["search"]:
+            searched += 1
+        else:
+            assert calls["emit"] == len(m.fragments()), smiles
+    assert searched == SEARCHED

@@ -3,7 +3,9 @@
 The corpus digest and the edge-case rows were recorded before the graph
 facts (bond index, components, ring bonds, smallest rings, hydrogen rule)
 moved onto Molecule; they pin canonical SMILES, SELFIES round trips and all
-three fingerprint schemes byte for byte.
+three fingerprint schemes byte for byte. The canonical columns, and so the
+digest, were re-recorded for canonical form v2; the SELFIES and fingerprint
+columns did not move.
 """
 
 import hashlib
@@ -24,7 +26,7 @@ from chemlinker.molstring.model import default_hydrogens
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS = (FIXTURES / "corpus_500.smi").read_text().split()
 CORPUS_DIGEST = (
-    "3ceb8c0e30bd5400599833512f7d232abffd08e8c5b7d9a9dd5b5ace94a8aeac")
+    "b12ceccf9528719153463e3e27bb781e7db5598a90f7a40b13d5540291e8f676")
 
 
 def _row(smiles: str) -> list[str]:
@@ -43,23 +45,23 @@ def test_corpus_golden_digest():
 # (input, canonical, SELFIES, canonical of the decode, first 16 hex digits of
 # the SHA-256 of the tab-joined circular, path and key fingerprint hexes)
 EDGE_CASES = [
-    ("C1CCC2(CC1)CCCC2", "C12(CCCC1)CCCCC2",
+    ("C1CCC2(CC1)CCCC2", "C1CCCC12CCCCC2",
      "[C][C][C][C][Branch1][Branch1][C][C][Ring1][=Branch1][C][C][C][C]"
      "[Ring1][#Branch1]",
-     "C12(CCCC1)CCCCC2", "49900be6449db3a0"),
-    ("c1ccc2cccc2cc1", "c12cccc1ccccc2",
+     "C1CCCC12CCCCC2", "49900be6449db3a0"),
+    ("c1ccc2cccc2cc1", "c1ccccc2cccc12",
      "[C][=C][C][=C][C][=C][C][=C][Ring1][Branch1][C][=C][Ring1][#Branch2]",
-     "c12cccc1ccccc2", "6fb5143d2eaee8ac"),
-    ("c1ccc2c(c1)CCC2", "C1CCc2c1cccc2",
+     "c1ccccc2cccc12", "6fb5143d2eaee8ac"),
+    ("c1ccc2c(c1)CCC2", "c1cccc2CCCc12",
      "[C][=C][C][=C][C][Branch1][Ring2][=C][Ring1][=Branch1][C][C][C]"
      "[Ring1][=Branch1]",
-     "C1CCc2c1cccc2", "bc3ec522ce91a423"),
-    ("C1CC2CCC1CC2", "C12CCC(CC1)CC2",
+     "c1cccc2CCCc12", "bc3ec522ce91a423"),
+    ("C1CC2CCC1CC2", "C1CC2CCC1CC2",
      "[C][C][C][C][C][C][Ring1][=Branch1][C][C][Ring1][=Branch1]",
-     "C12CCC(CC1)CC2", "ac2782381976f9ef"),
-    ("C1=CC=C2C=CC=CC2=C1", "C12=CC=CC=C1C=CC=C2",
+     "C1CC2CCC1CC2", "ac2782381976f9ef"),
+    ("C1=CC=C2C=CC=CC2=C1", "c1cccc2ccccc12",
      "[C][=C][C][=C][C][=C][C][=C][C][Ring1][=Branch1][=C][Ring1][#Branch2]",
-     "c12ccccc1cccc2", "8984cbbedffed102"),
+     "c1cccc2ccccc12", "8984cbbedffed102"),
     ("O=C1C=CC(=O)C=C1", "C1=CC(=O)C=CC1=O",
      "[O][=C][C][=C][C][Branch1][C][=O][C][=C][Ring1][#Branch1]",
      "C1=CC(=O)C=CC1=O", "74c5861006c2c016"),

@@ -26,6 +26,12 @@ def test_identity_pairs_score_perfectly():
     assert report.maccs_fts == report.rdk_fts == report.morgan_fts == 1.0
 
 
+def test_kekule_and_aromatic_spellings_score_alike():
+    report = evaluate_pairs([("C1=CC=CC=C1", "c1ccccc1")])
+    assert report.exact == 1.0
+    assert report.maccs_fts == report.rdk_fts == report.morgan_fts == 1.0
+
+
 def test_single_invalid_pair():
     report = evaluate_pairs([("C(", "CCO")])
     assert report.validity == 0.0

@@ -154,9 +154,12 @@ def test_canonical_equivalent_writings():
 
 
 def test_canonical_idempotence_on_corpus():
+    # The corpus is written in canonical form v1; each string's v2 form is
+    # its own canonical form and is reached from any writing of it.
     for s in CORPUS[:100]:
-        assert canonical_smiles(s) == s
-        assert canonical_smiles(write_smiles(parse_smiles(s))) == s
+        canon = canonical_smiles(s)
+        assert canonical_smiles(canon) == canon
+        assert canonical_smiles(write_smiles(parse_smiles(s))) == canon
 
 
 def test_permutation_invariance():
@@ -359,4 +362,4 @@ def test_random_relabeling_preserves_canonical_string(idx, rng):
     m = parse_smiles(CORPUS[idx])
     perm = list(range(len(m.atoms)))
     rng.shuffle(perm)
-    assert canonical_smiles(m.renumbered(perm)) == CORPUS[idx]
+    assert canonical_smiles(m.renumbered(perm)) == canonical_smiles(m)
