@@ -12,11 +12,11 @@ and aromatic spellings share a string, one fragment at a time:
    and rings refine in linear time. An atom's rank is its cell's start.
 2. Search. While a cell holds several atoms, individualization-refinement
    (McKay & Piperno 2014) gives each in turn a cell of its own ahead of the
-   rest and refines again, depth first, down to leaves with total ranks.
-   The smallest leaf string wins. Two leaves with one string map atom to
-   atom by position, an automorphism (stereo included), which merges the
-   candidates of every node on the path it fixes into orbits; a candidate
-   in the orbit of an explored one is skipped.
+   rest and refines again, depth first, down to leaves with total ranks;
+   the smallest leaf string wins. Two leaves with one string map atom to
+   atom by position, an automorphism (stereo included) that merges the
+   candidates of each node on the path it fixes into orbits, and only one
+   candidate per orbit is explored.
 3. Emit. Start at the lowest-ranked atom; lighter branches first (branch
    weight: atoms beyond the bond), ties by rank; ring closures by rank.
    Where refinement alone makes the ranks total, this is the only emission.
@@ -43,8 +43,7 @@ from chemlinker.molstring.model import (
 _BOND_TOKEN = {SINGLE: "", DOUBLE: "=", TRIPLE: "#", AROMATIC: ""}
 _ORDER_SUM = {SINGLE: 2, DOUBLE: 4, TRIPLE: 6, AROMATIC: 3}
 # Splitter counts weigh a neighbour by its bond order.
-_ORDER_WEIGHT = {SINGLE: 1, DOUBLE: 1 << 12, TRIPLE: 1 << 24,
-                 AROMATIC: 1 << 36}
+_ORDER_WEIGHT = {SINGLE: 1, DOUBLE: 1 << 12, TRIPLE: 1 << 24, AROMATIC: 1 << 36}
 
 
 def write_smiles(m: Molecule, canonical: bool = False) -> str:
@@ -92,13 +91,18 @@ def _canonical_fragment(m: Molecule, frag: list[int]) -> str:
            for i in frag}
     _refine(part, adj, starts)
     tokens, rows = _tables(m, frag, _branch_weights(m, frag))
+    # Terminal twins: non-chiral atoms of one token on one non-chiral parent
+    # by one bond token (stereo marks included). Swapping two is a known
+    # automorphism.
+    twin = {i: (r[1], tokens[i], r[3]) for i in frag for r in rows[i][:1]
+            if len(rows[i]) == 1 and tokens[i] and tokens[r[1]]}
 
     def emit(part) -> tuple[str, list[int]]:
         return _emit(m, tokens, rows, part[0][0], part[2])
 
     if _target(part) is None:
         return emit(part)[0]
-    return _search(part, adj, emit)
+    return _search(part, adj, emit, twin)
 
 
 def _target(part) -> int | None:
@@ -139,8 +143,7 @@ def _refine(part, adj, queue: list[int]) -> None:
             xs, e = touched[s], end[s]
             if len(xs) == e - s and len({counts[x] for x in xs}) == 1:
                 continue
-            # Touched atoms move to the tail, by count; the untouched
-            # (count 0) keep the cell's start.
+            # Touched atoms move to the tail by count; untouched ones keep s.
             xs.sort(key=counts.__getitem__)
             tail = e - len(xs)
             parts = [s] if tail > s else []
@@ -159,11 +162,13 @@ def _refine(part, adj, queue: list[int]) -> None:
             pending.update(new)
 
 
-def _search(root, adj, emit) -> str:
-    """Smallest leaf string below `root`, pruned by automorphisms found."""
+def _search(root, adj, emit, twin) -> str:
+    """Smallest leaf string below `root`, pruned by twins and automorphisms."""
     def node(part, path):   # partition, path, candidates, explored, orbits
         t = _target(part)
-        return part, path, part[0][t:part[3][t]], [], {}
+        cands, first = part[0][t:part[3][t]], {}
+        return part, path, cands, [], {c: first.setdefault(twin[c], c)
+                                       for c in cands if c in twin}
 
     best = None     # (string, atoms in emission order, path)
     stack = [node(root, [])]
@@ -189,9 +194,7 @@ def _search(root, adj, emit) -> str:
                          len(leaf))
             for n in stack[:fixed + 1]:
                 for x in n[2]:
-                    a, b = _find(n[4], x), _find(n[4], gamma[x])
-                    if a != b:
-                        n[4][a] = b
+                    n[4][_find(n[4], x)] = _find(n[4], gamma[x])
             # Where the paths part, gamma maps the explored branch onto
             # this one, so nothing below this one can write another string.
             split = next(n for n, a in enumerate(leaf) if best[2][n] != a)
@@ -221,8 +224,7 @@ def _branch_weights(m: Molecule, frag: list[int]) -> dict[tuple[int, int], int]:
     n = len(frag)
     weights: dict[tuple[int, int], int] = {}
     for i in frag:
-        d = disc[i]
-        children = kids[i]
+        d, children = disc[i], kids[i]
         upper = n - 1 - sum(size[c] for c in children if low[c] >= d)
         for k, bond in m.incident(i):
             j = bond.other(i)
@@ -232,8 +234,7 @@ def _branch_weights(m: Molecule, frag: list[int]) -> dict[tuple[int, int], int]:
                 continue
             side = j
             if tree_bond[j] != k:
-                # A descendant closing a ring: the child subtree holding it
-                # (children are in discovery order).
+                # A descendant closing a ring: the child subtree holding it.
                 side = [c for c in children if disc[c] <= disc[j]][-1]
             weights[i, j] = size[side] if low[side] >= d else upper
     return weights
@@ -250,9 +251,8 @@ def _bond_token(m: Molecule, bond, from_atom: int) -> str:
 
 
 def _tables(m: Molecule, frag: list[int], weights):
-    """Atom tokens (None for a chiral atom, whose mark depends on the
-    emitted neighbour order) and per-atom rows (bond index, neighbour,
-    token i->j, token j->i, branch weight or 0) of one fragment."""
+    """Atom tokens (None if chiral: the mark follows the emitted order) and
+    rows (bond, neighbour j, token i->j, token j->i, branch weight or 0)."""
     tokens, rows = {}, {}
     for i in frag:
         tokens[i] = None if m.atoms[i].chirality else _atom_token(m, i, [])

@@ -58,6 +58,8 @@ STEREO_INPUTS = [
     # in a stereo bond inside, or in the stereo bond to their parent.
     "CC(C)(C[C@H](F)O)CC(F)O", "OC(C/C=C\\C)(C/C=C\\C)C/C=C/C",
     "C(\\F)(/F)=C/C",
+    # Terminal twins but for a stereo mark on one bond to their parent.
+    "C/C(C)=C/F", "CC(/C)=C(/F)C(C)/C=C/F",
 ]
 MULTI_FRAGMENT_INPUTS = [
     "[NH4+].[Cl-]", "CC.O", "c1ccccc1.C(F)(F)F", "[Na+].[O-]C(=O)CC(C)(C)C",
@@ -350,8 +352,9 @@ def test_random_selfies_decodes_match_reference():
     _assert_same_classes(mols, labels)
 
 
-def _unpruned_search(root, adj, emit):
-    """The smallest string over every leaf of the search tree."""
+def _unpruned_search(root, adj, emit, twin):
+    """The smallest string over every leaf of the search tree, twins
+    included."""
     from chemlinker.molstring import write
 
     best, stack = None, [root]
@@ -380,9 +383,9 @@ def test_pruning_keeps_the_smallest_leaf(monkeypatch):
 # --- adversarial inputs: pinned strings and time bounds ----------------------
 
 # (input, canonical string, seconds allowed for each of five atom orders).
-# v1 took 11 s, 0.6 s, 0.6 s, 0.9 s, 8 s, 14.7 s, 34.8 s and 3.8 s on these
-# inputs (2-core x86-64 container); v2 takes a few milliseconds on all but
-# the last two (about 0.25 s and 0.05 s).
+# v1 took 11 s, 0.6 s, 0.6 s, 0.9 s, 8 s, 14.7 s, 34.8 s, 3.8 s and 1.9 s
+# on these inputs (2-core x86-64 container); v2 takes a few milliseconds
+# on the first six and about 0.25 s, 0.05 s and 0.16 s on the last three.
 ADVERSARIAL = [
     ("C(C(F)(F)F)(C(F)(F)F)(C(F)(F)F)C(F)(F)F",
      "C(F)(F)(F)C(C(F)(F)F)(C(F)(F)F)C(F)(F)F", 0.1),
@@ -398,11 +401,14 @@ ADVERSARIAL = [
      "C1CC1S(C2CC2)(C3CC3)(C4CC4)(C5CC5)C6CC6", 0.1),
     ("c1" + "c" * 2001 + "1", "c1" + "c" * 2001 + "1", 1.0),
     ("C" * 1200, "C" * 1200, 1.0),
+    # 300 independent pairs of twin methyls: one search path, not 300^2/2
+    # nodes (9.5 s before twins were merged ahead of the search).
+    ("C" + "C(C)(C)" * 300 + "C", "C" + "C(C)(C)" * 300 + "C", 1.0),
 ]
 ADVERSARIAL_IDS = ["tetrakis-cf3", "tri-tert-butylbenzene",
                    "tri-tert-butylbenzene-reordered", "cholesterol",
                    "kekule-coronene", "hexacyclopropyl-sulfur", "ring-2002",
-                   "chain-1200"]
+                   "chain-1200", "gem-dimethyl-300"]
 
 
 @pytest.mark.parametrize("smiles,canon,seconds", ADVERSARIAL,
@@ -421,20 +427,21 @@ def test_adversarial_canonical_golden_and_time(smiles, canon, seconds):
 # Leaves (emissions) per input in the atom order written here. A count that
 # moves means the refinement or the pruning changed.
 EMISSIONS = {
-    "CC(C)(C)C(C)(C)C": 6,
-    "OC(C(F)(F)F)(C(F)(F)F)C(F)(F)F": 9,
+    "CC(C)(C)C(C)(C)C": 2,
+    "OC(C(F)(F)F)(C(F)(F)F)C(F)(F)F": 3,
     "C(C1CC1)(C1CC1)(C1CC1)C1CC1": 7,
-    "CC(C)(C1CC1)C1CC1": 5,
+    "CC(C)(C1CC1)C1CC1": 4,
     "C12C3C4C1C5C2C3C45": 4,
     "C1C2CC3CC1CC(C2)C3": 4,
-    "C(C(F)(F)F)(C(F)(F)F)(C(F)(F)F)C(F)(F)F": 12,
-    "CC(C)(C)c1cc(cc(c1)C(C)(C)C)C(C)(C)C": 9,
-    "c1(C(C)(C)C)cc(C(C)(C)C)cc(C(C)(C)C)c1": 9,
-    "CC(C)CCCC(C)C1CCC2C1(CCC3C2CC=C4C3(CCC(C4)O)C)C": 2,
+    "C(C(F)(F)F)(C(F)(F)F)(C(F)(F)F)C(F)(F)F": 4,
+    "CC(C)(C)c1cc(cc(c1)C(C)(C)C)C(C)(C)C": 3,
+    "c1(C(C)(C)C)cc(C(C)(C)C)cc(C(C)(C)C)c1": 3,
+    "CC(C)CCCC(C)C1CCC2C1(CCC3C2CC=C4C3(CCC(C4)O)C)C": 1,
     "C1=CC2=CC=C3C=CC4=CC=C5C=CC6=CC=C1C7=C2C3=C4C5=C67": 3,
     "S(C1CC1)(C1CC1)(C1CC1)(C1CC1)(C1CC1)C1CC1": 10,
     "c1" + "c" * 2001 + "1": 3,
     "C" * 1200: 2,
+    "C" + "C(C)(C)" * 300 + "C": 2,
 }
 # Corpus molecules whose refined ranks are not total, so a search runs.
 SEARCHED = 42
