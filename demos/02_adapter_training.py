@@ -6,7 +6,7 @@ drop in held-out teacher-forced loss when the model is allowed to read the
 text, compared against (a) the same model with an all-pad prompt and
 (b) the untrained adapter.
 
-Run with: python3 demos/02_adapter_training.py   (about 7 s on CPU)
+Run with: python3 demos/02_adapter_training.py   (about 3 s on a 2-vCPU x86-64 host)
 """
 
 from pathlib import Path

@@ -4,7 +4,11 @@ A Tensor wraps an ndarray and records its parents plus a backward closure on
 a global tape implied by the graph structure. `backward()` runs a reverse
 topological sweep accumulating gradients into `.grad` of the tensors that
 require them; matmul and multiply skip the gradient of an operand that does
-not. Only the operations needed by the adapter stack are provided.
+not. A tensor made by an operation drops its gradient once it has passed it
+on to its parents, so after the sweep only leaves hold `.grad`, and a graph
+never holds the gradients of all its tensors at once. No gradient array is
+written in place, so a tensor keeps the array its child passed on without a
+copy. Only the operations needed by the adapter stack are provided.
 
 `layer_norm`, `tanh` and `softmax` take Tensors or plain arrays and return
 the kind they are given, with the same arithmetic, so a model written with
@@ -51,12 +55,14 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            if node.parents:
+                node.grad = None   # passed on; only leaves keep a gradient
 
     def _accum(self, grad) -> None:
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.array(grad, dtype=self.data.dtype, copy=True)
+            self.grad = np.asarray(grad, dtype=self.data.dtype)
         else:
             self.grad = self.grad + grad
 
@@ -114,17 +120,15 @@ class Tensor:
         out._backward = backward
         return out
 
-    def transpose(self, *axes):
-        axes = axes or tuple(reversed(range(self.data.ndim)))
-        out = Tensor(self.data.transpose(axes), (self,))
-        inverse = tuple(np.argsort(axes))
+    def swapaxes(self, a: int, b: int):
+        out = Tensor(self.data.swapaxes(a, b), (self,))
 
         def backward(g):
-            self._accum(g.transpose(inverse))
+            self._accum(g.swapaxes(a, b))
         out._backward = backward
         return out
 
-    def reshape(self, *shape):
+    def reshape(self, shape: tuple):
         out = Tensor(self.data.reshape(shape), (self,))
 
         def backward(g):
@@ -171,15 +175,19 @@ class Tensor:
         out._backward = backward
         return out
 
-    def softmax(self, axis=-1):
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
+    def softmax(self, scale, mask=None):
+        """Softmax over the last axis of `self * scale + mask`."""
+        x = self.data * scale
+        if mask is not None:
+            x = x + mask
+        shifted = x - x.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
-        y = e / e.sum(axis=axis, keepdims=True)
+        y = e / e.sum(axis=-1, keepdims=True)
         out = Tensor(y, (self,))
 
         def backward(g):
-            dot = (g * y).sum(axis=axis, keepdims=True)
-            self._accum(y * (g - dot))
+            dot = (g * y).sum(axis=-1, keepdims=True)
+            self._accum(y * (g - dot) * scale)
         out._backward = backward
         return out
 
@@ -224,11 +232,16 @@ def tanh(x):
     return x.tanh() if isinstance(x, Tensor) else np.tanh(x)
 
 
-def softmax(x, axis=-1):
+def softmax(x, scale, mask=None):
+    """Softmax over the last axis of `x * scale + mask`, in one operation, so
+    a tape keeps only its output."""
     if isinstance(x, Tensor):
-        return x.softmax(axis)
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+        return x.softmax(scale, mask)
+    x = x * scale
+    if mask is not None:
+        x = x + mask
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _rsqrt(x):

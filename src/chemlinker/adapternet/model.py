@@ -13,6 +13,8 @@ frozen by construction; only the projection and the adapter train.
 One model definition serves training and sampling: each forward function
 takes the Tensors of `as_tensors` when a gradient is needed, or the plain
 arrays of `params.tensors` for the frozen parts, and returns the same kind.
+The adapter functions take any leading batch axes: training runs them once
+on a padded batch (`padded_logits`), sampling on one sequence's states.
 """
 
 from __future__ import annotations
@@ -128,29 +130,31 @@ def init_model(cfg: TrainConfig) -> ModelParams:
 # --- forward pass ----------------------------------------------------------------
 
 
-def as_tensors(params: ModelParams, grad: bool = False) -> dict:
-    """Wrap every tensor; with `grad`, the non-frozen ones record gradients."""
+def as_tensors(params: ModelParams, grad: bool = False,
+               prefixes: tuple | None = None) -> dict:
+    """Wrap every tensor, or those whose names start with one of `prefixes`;
+    with `grad`, the non-frozen ones record gradients."""
     return {n: Tensor(v, requires_grad=grad and n not in params.frozen)
-            for n, v in params.tensors.items()}
+            for n, v in params.tensors.items()
+            if prefixes is None or n.startswith(prefixes)}
 
 
 def _heads_split(x, heads: int):
-    n, d = x.shape
-    return x.reshape(n, heads, d // heads).transpose(1, 0, 2)
+    """(..., n, d) -> (..., heads, n, d // heads)."""
+    return x.reshape(x.shape[:-1] + (heads, -1)).swapaxes(-3, -2)
 
 
 def _heads_join(x):
-    h, n, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(n, h * dh)
+    """(..., heads, n, d_head) -> (..., n, heads * d_head)."""
+    return x.swapaxes(-3, -2).reshape(x.shape[:-3] + (x.shape[-2], -1))
 
 
 def _attention(q, k, v, wo, mask=None):
     """Multi-head attention of per-head queries over per-head keys and
-    values, each (heads, length, d_head); returns (output, weights (h,n,m))."""
-    scores = q @ k.transpose(0, 2, 1) * (1.0 / math.sqrt(q.shape[-1]))
-    if mask is not None:
-        scores = scores + mask
-    weights = softmax(scores, axis=-1)
+    values, each (..., heads, length, d_head); returns (output, weights
+    (..., heads, n, m)). `mask` is added to the scores."""
+    weights = softmax(q @ k.swapaxes(-2, -1), 1.0 / math.sqrt(q.shape[-1]),
+                      mask)
     return _heads_join(weights @ v) @ wo, weights
 
 
@@ -171,9 +175,11 @@ def _block(x, t: dict, prefix: str, heads: int, mask=None, cache=None):
     return x + ffn @ t[f"{prefix}.ffn.w2"] + t[f"{prefix}.ffn.b2"]
 
 
+_MASKED = -1e30  # a masked score underflows to weight 0 in float32 and float64
+
+
 def _causal_mask(n: int) -> np.ndarray:
-    """Masked scores underflow to weight 0 in float32 and float64 alike."""
-    return np.triu(np.full((n, n), -1e30, dtype=np.float32), k=1)
+    return np.triu(np.full((n, n), _MASKED, dtype=np.float32), k=1)
 
 
 def _check_ids(ids, vocab: int, limit: int, what: str) -> np.ndarray:
@@ -211,11 +217,11 @@ def text_keys_values(t: dict, heads: int, T):
                  for w in ("wk", "wv"))
 
 
-def _cross_attend(t: dict, heads: int, S, keys, values):
+def _cross_attend(t: dict, heads: int, S, keys, values, mask=None):
     """Molecule states S query the text keys and values; returns (updated S,
-    attention weights)."""
+    attention weights). `mask` is an additive mask on the text keys."""
     q = _heads_split(S @ t["adapter.attn.wq"], heads)
-    out, weights = _attention(q, keys, values, t["adapter.attn.wo"])
+    out, weights = _attention(q, keys, values, t["adapter.attn.wo"], mask)
     return S + out, weights
 
 
@@ -245,11 +251,31 @@ def adapter_ffn(S, t: dict):
     return S + h @ t["adapter.ffn.w2"] + t["adapter.ffn.b2"]
 
 
-def adapter_logits(t: dict, heads: int, S, keys, values):
+def adapter_logits(t: dict, heads: int, S, keys, values, mask=None):
     """Cross-attention, adapter FFN and head on the decoder states S and the
-    text keys and values: returns (len(S), mol_vocab) logits."""
-    S, _ = _cross_attend(t, heads, S, keys, values)
+    text keys and values: returns (..., len(S), mol_vocab) logits. `mask`
+    is an additive mask on the text keys."""
+    S, _ = _cross_attend(t, heads, S, keys, values, mask)
     return adapter_ffn(S, t) @ t["head.w"] + t["head.b"]
+
+
+def padded_logits(t: dict, heads: int, states) -> Tensor:
+    """Adapter logits of a batch in one graph. `states` holds each example's
+    frozen (text states, molecule states) arrays. They are padded with zeros
+    to the batch's longest, and padded text keys are masked out, so row i of
+    example b is that example's own logits row i; rows past an example's
+    molecule are padding. Returns (batch, longest molecule, mol_vocab)."""
+    text_len = max(len(T) for T, _ in states)
+    mol_len = max(len(S) for _, S in states)
+    T0, S0 = states[0]
+    T = np.zeros((len(states), text_len, T0.shape[1]), T0.dtype)
+    S = np.zeros((len(states), mol_len, S0.shape[1]), S0.dtype)
+    mask = np.zeros((len(states), 1, 1, text_len), T0.dtype)
+    for b, (Tb, Sb) in enumerate(states):
+        T[b, :len(Tb)], S[b, :len(Sb)] = Tb, Sb
+        mask[b, ..., len(Tb):] = _MASKED
+    keys, values = text_keys_values(t, heads, Tensor(T))
+    return adapter_logits(t, heads, Tensor(S), keys, values, mask)
 
 
 def forward_logits(params: ModelParams, text_ids, mol_ids,

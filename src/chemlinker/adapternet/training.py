@@ -6,29 +6,39 @@ states once per run, on its first visit and on plain arrays, so the tape
 holds only the adapter, the head and the loss. The states take at most
 (max_text_len * d_text + max_mol_len * d_mol) * 4 bytes per distinct example
 visited (36 KB at the defaults).
+
+Each step is one graph over the whole batch: the cached states are padded
+to the batch's longest text and molecule, padded text keys are masked out
+of the attention, and padded molecule rows weigh 0 in the loss
+(`padded_logits`). `batch_loss` computes the states afresh and takes the
+same padded loss.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from chemlinker.errors import EmptyDataset, LengthMismatch, UnsupportedFeature
+from chemlinker.errors import (
+    EmptyDataset,
+    LengthMismatch,
+    UnsupportedFeature,
+    VocabError,
+)
 from chemlinker.adapternet.autograd import Tensor
 from chemlinker.adapternet.model import (
     ModelParams,
-    adapter_logits,
     as_tensors,
     decode_mol_states,
     decoder_only_logits,
     encode_text,
-    forward_logits,
-    text_keys_values,
+    padded_logits,
 )
 from chemlinker.rng import SplitMix64
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.98
 ADAM_EPS = 1e-9
+ADAPTER_READS = ("proj.", "adapter.", "head.")   # what an adapter step reads
 
 
 def noam_lr(step: int, warmup: int, d_model: int) -> float:
@@ -45,18 +55,48 @@ def teacher_forced_loss(logits, targets, pad_id: int | None = None):
     """
     as_tensor = isinstance(logits, Tensor)
     logit_t = logits if as_tensor else Tensor(np.asarray(logits))
-    targets = np.asarray(list(targets), dtype=np.int64)
+    targets = list(targets)
     n, vocab = logit_t.shape
     if len(targets) != n:
         raise LengthMismatch(
             f"{len(targets)} targets for {n} logit rows")
-    keep = np.ones(n, dtype=bool) if pad_id is None else targets != pad_id
-    if not keep.any():
-        raise LengthMismatch("all target positions are padding")
-    onehot = np.zeros((n, vocab))
-    onehot[np.arange(n)[keep], targets[keep]] = 1.0 / keep.sum()
-    loss = (logit_t.log_softmax(axis=-1) * Tensor(onehot)).sum() * -1.0
+    loss = _weighted_nll(logit_t, _target_weights([targets], n, vocab,
+                                                  pad_id)[0])
     return loss if as_tensor else float(loss.data)
+
+
+def _target_weights(target_lists, length: int, vocab: int,
+                    pad_id: int | None) -> np.ndarray:
+    """(len(target_lists), length, vocab) one-hot weights: 1 / (n * B) on
+    each of an example's n non-pad targets, for B examples, so the weighted
+    negative log-likelihood is the mean over the batch of each example's
+    mean. Rows past an example's targets weigh 0."""
+    weights = np.zeros((len(target_lists), length, vocab))
+    for b, targets in enumerate(target_lists):
+        targets = np.asarray(targets, dtype=np.int64)
+        keep = np.flatnonzero(targets != pad_id) if pad_id is not None \
+            else np.arange(len(targets))
+        if not keep.size:
+            raise LengthMismatch("all target positions are padding")
+        if targets.min() < 0 or targets.max() >= vocab:
+            raise VocabError(f"target id outside vocabulary of {vocab}")
+        weights[b, keep, targets[keep]] = 1.0 / (keep.size
+                                                 * len(target_lists))
+    return weights
+
+
+def _weighted_nll(logits, weights: np.ndarray) -> Tensor:
+    return (logits.log_softmax(axis=-1) * Tensor(weights)).sum() * -1.0
+
+
+def _padded_loss(t: dict, heads: int, states, mol_batch) -> Tensor:
+    """Mean per-example teacher-forced loss of a batch in one graph, from
+    each example's frozen states (see `padded_logits`); the targets are
+    mol_ids[1:]."""
+    logits = padded_logits(t, heads, states)
+    _, length, vocab = logits.shape
+    return _weighted_nll(logits, _target_weights(
+        [mol_ids[1:] for mol_ids in mol_batch], length, vocab, pad_id=0))
 
 
 def _mean_loss(logits_and_ids) -> Tensor:
@@ -69,30 +109,50 @@ def _mean_loss(logits_and_ids) -> Tensor:
     return total * (1.0 / len(logits_and_ids))
 
 
+def _require_frozen_stack(params: ModelParams) -> None:
+    """The adapter loss runs on frozen states, which carry no gradient."""
+    thawed = sorted(n for n in params.trainable_names()
+                    if n.startswith(("text.", "mol.")))
+    if thawed:
+        raise UnsupportedFeature(
+            "adapter training needs a frozen encoder and decoder; "
+            f"trainable: {', '.join(thawed)}")
+
+
 def batch_loss(params: ModelParams, batch, tensors=None) -> Tensor:
     """Mean per-pair teacher-forced loss over (text_ids, mol_ids) pairs.
 
     mol_ids must include BOS...EOS; inputs are mol_ids[:-1], targets
-    mol_ids[1:].
+    mol_ids[1:]. The encoder and decoder must be frozen.
     """
-    t = tensors if tensors is not None else as_tensors(params, grad=True)
-    return _mean_loss([
-        (forward_logits(params, text_ids, mol_ids[:-1], tensors=t), mol_ids)
-        for text_ids, mol_ids in batch])
+    batch = list(batch)
+    if not batch:
+        raise EmptyDataset("batch is empty")
+    _require_frozen_stack(params)
+    t = tensors if tensors is not None else as_tensors(
+        params, grad=True, prefixes=ADAPTER_READS)
+    frozen, cfg = params.tensors, params.config
+    states = [(encode_text(frozen, cfg, text_ids),
+               decode_mol_states(frozen, cfg, mol_ids[:-1]))
+              for text_ids, mol_ids in batch]
+    return _padded_loss(t, cfg.heads, states, [m for _, m in batch])
 
 
-def _adam(params: ModelParams, cfg, batches, loss_of) -> list:
+def _adam(params: ModelParams, cfg, batches, loss_of, reads: tuple) -> list:
     """Adam under the Noam schedule, one step per batch; only non-frozen
-    tensors are updated. `loss_of(tensors, batch)` builds the step's loss.
-    Returns the loss of each step."""
+    tensors are updated. `loss_of(tensors, batch)` builds the step's loss
+    from the tensors whose names start with one of `reads`. Returns the loss
+    of each step."""
     moments = {n: (np.zeros_like(params.tensors[n]),
                    np.zeros_like(params.tensors[n]))
-               for n in params.trainable_names()}
+               for n in params.trainable_names() if n.startswith(reads)}
     history = []
     for step, batch in enumerate(batches, start=1):
-        tensors = as_tensors(params, grad=True)
+        tensors = as_tensors(params, grad=True, prefixes=reads)
         loss = loss_of(tensors, batch)
         loss.backward()
+        history.append(float(loss.data))
+        del loss   # frees the step's graph before the next step builds one
         lr = noam_lr(step, cfg.warmup_steps, cfg.d_mol)
         for name, (m, v) in moments.items():
             grad = tensors[name].grad
@@ -104,7 +164,6 @@ def _adam(params: ModelParams, cfg, batches, loss_of) -> list:
             v_hat = v / (1 - ADAM_BETA2 ** step)
             params.tensors[name] -= (
                 lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(np.float32)
-        history.append(float(loss.data))
     return history
 
 
@@ -121,28 +180,21 @@ def train_adapter(params: ModelParams, dataset, cfg=None):
     dataset = list(dataset)
     if not dataset:
         raise EmptyDataset("training set is empty")
-    thawed = sorted(n for n in params.trainable_names()
-                    if n.startswith(("text.", "mol.")))
-    if thawed:
-        raise UnsupportedFeature(
-            "adapter training needs a frozen encoder and decoder; "
-            f"trainable: {', '.join(thawed)}")
+    _require_frozen_stack(params)
     frozen, model_cfg = params.tensors, params.config
-    heads = model_cfg.heads
-    states: dict[int, tuple[Tensor, Tensor]] = {}
+    states: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def example_logits(t, i):
+    def example_states(i):
         if i not in states:
             text_ids, mol_ids = dataset[i]
-            states[i] = (
-                Tensor(encode_text(frozen, model_cfg, text_ids)),
-                Tensor(decode_mol_states(frozen, model_cfg, mol_ids[:-1])))
-        T, S = states[i]
-        return adapter_logits(t, heads, S, *text_keys_values(t, heads, T))
+            states[i] = (encode_text(frozen, model_cfg, text_ids),
+                         decode_mol_states(frozen, model_cfg, mol_ids[:-1]))
+        return states[i]
 
     def loss_of(t, batch):
-        return _mean_loss([(example_logits(t, i), dataset[i][1])
-                           for i in batch])
+        return _padded_loss(t, model_cfg.heads,
+                            [example_states(i) for i in batch],
+                            [dataset[i][1] for i in batch])
 
     def batches():
         rng = SplitMix64(cfg.seed)
@@ -153,7 +205,7 @@ def train_adapter(params: ModelParams, dataset, cfg=None):
             yield order[:cfg.batch_size]
             order = order[cfg.batch_size:]
 
-    return params, _adam(params, cfg, batches(), loss_of)
+    return params, _adam(params, cfg, batches(), loss_of, ADAPTER_READS)
 
 
 def pretrain_decoder(params: ModelParams, mol_sequences, steps: int,
@@ -181,7 +233,8 @@ def pretrain_decoder(params: ModelParams, mol_sequences, steps: int,
     params.frozen -= to_unfreeze
     try:
         return _adam(params, cfg, batches(), lambda t, batch: _mean_loss([
-            (decoder_only_logits(params, ids[:-1], t), ids) for ids in batch]))
+            (decoder_only_logits(params, ids[:-1], t), ids) for ids in batch]),
+            ("mol.", "head."))
     finally:
         params.frozen |= to_unfreeze
 

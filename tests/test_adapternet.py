@@ -280,6 +280,28 @@ def test_frozen_tensors_receive_no_gradient():
     assert tensors["proj.w_t"].grad is not None
 
 
+def test_only_leaves_keep_gradients():
+    """A tensor made by an operation drops its gradient once it has passed
+    it on, so the graph never holds every gradient at once."""
+    params = init_model(toy_config())
+    tensors = as_tensors(params, grad=True)
+    loss = batch_loss(params, toy_batch(), tensors=tensors)
+    loss.backward()
+    made, stack, seen = 0, [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node.parents:
+            made += 1
+            assert node.grad is None
+        stack.extend(node.parents)
+    assert made > 10
+    for name in params.trainable_names():
+        assert tensors[name].grad.shape == params.tensors[name].shape
+
+
 # --- training ---------------------------------------------------------------------
 
 

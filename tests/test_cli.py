@@ -187,7 +187,7 @@ def test_train_then_generate(capsys, tiny_checkpoint):
     blob = ckpt.read_bytes()
     (header_len,) = struct.unpack("<Q", blob[5:13])
     assert hashlib.sha256(blob[13 + header_len:]).hexdigest() == (
-        "f38443c9785cf36b85c32c7c03c80cb9a6b766bd6c958aaa43e370b9f6db9aed")
+        "87b8d47a2f5ffec1e1dfb91e0b8534f7164af8b88e666d0e209587066873b8eb")
 
     code, out, err = run(capsys, "generate", "--ckpt", str(ckpt),
                          "--text", "molecule written as C C O",

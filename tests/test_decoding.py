@@ -1,6 +1,7 @@
 """Golden samples from fixed checkpoints, and the cached decoding step checked
 against the full forward pass."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -226,3 +227,23 @@ def test_sampling_builds_no_tensors(checkpoints, monkeypatch):
         sampler.generate_one(prompt, cfg, rng, MOL_VOCAB)
     assert rng.draws > 4
     assert not built
+
+
+def test_step_logits_pinned():
+    """The cached step's logits, bit for bit, on a checkpoint no training
+    step made: init weights with a nonzero adapter output path."""
+    cfg = TrainConfig(text_vocab=len(TEXT_VOCAB), mol_vocab=len(MOL_VOCAB),
+                      seed=9)
+    params = init_model(cfg)
+    rng = np.random.default_rng(4)
+    for name in ("adapter.attn.wo", "adapter.ffn.w2"):
+        params.tensors[name] = rng.normal(
+            scale=0.1, size=params.tensors[name].shape).astype(np.float32)
+    prompt = prepare_prompt(params, _text_ids("acetic acid a carboxylic acid"))
+    digest = hashlib.sha256(prompt.text_keys.tobytes()
+                            + prompt.text_values.tobytes())
+    cache = DecodeCache(prompt)
+    for token in [MOL_VOCAB.bos] + MOL_VOCAB.encode(list("CC(=O)Oc1ccccc1")):
+        digest.update(cache.step(token).tobytes())
+    assert digest.hexdigest() == (
+        "4d68f1d07dabf38a8d900863c1c105084704041f72e27c69cda2c754c4dfe490")

@@ -1,9 +1,9 @@
-"""Training goldens and the frozen-state cache of `train_adapter`.
+"""Training goldens, the frozen-state cache of `train_adapter`, and the
+padded batch loss checked against a per-example oracle.
 
-The digests were recorded before `train_adapter` cached each example's
-frozen text-encoder and decoder states; they pin every tensor and the loss
-history bit for bit, so caching (and pruning the tape to what needs a
-gradient) must run the same numpy operations on the same inputs.
+The digests pin every tensor and the loss history bit for bit; they were
+recorded when each step became one padded graph over the batch (0.3.0), so
+a refactor must run the same numpy operations on the same inputs.
 """
 
 import hashlib
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from chemlinker.adapternet import (
+    Tensor,
     TrainConfig,
     init_model,
     model,
@@ -22,7 +23,14 @@ from chemlinker.adapternet import (
     training,
     word_vocab,
 )
-from chemlinker.errors import ChemlinkerError, UnsupportedFeature
+from chemlinker.errors import (
+    ChemlinkerError,
+    EmptyDataset,
+    LengthMismatch,
+    UnsupportedFeature,
+    VocabError,
+)
+from chemlinker.rng import SplitMix64
 
 CORPUS = (Path(__file__).parent / "fixtures" / "corpus_500.smi"
           ).read_text().split()[:40]
@@ -56,14 +64,14 @@ def _digest(params, history) -> str:
 # (seed, steps, batch) -> digest; batch 64 exceeds the 40 pairs.
 GOLDEN = {
     (5, 30, 16):
-        "6fd9449b403b27d7c7d7718bf66f0f5e83a310fe85a4c07e97f9a37c5543d443",
+        "996008e200fc6cefc2ef546e19ba180a5b597c0fddf4dd772ed640d23a8c75b8",
     (7, 12, 3):
-        "84b4cc58d7d793ca70be03ecc47a05b346297f7892cb0c36d3e95285e7de1202",
+        "b1522e0f3c308cec70efd6d4f7c0302d2b97ab9a228c6b1a2ac0c83f6aa7676a",
     (11, 20, 64):
-        "500112dfb69139b34bee21da77d61cbcb17e24a922d3e03b18c6e63b295fc4d8",
+        "d34f36b0c8120f5831119c09abd052a530249b26f6cb4347a88536a6219d6d87",
 }
 PRETRAINED_GOLDEN = (
-    "fa401fc4e2be78584357332f70c3aa15581839f31f50019421b2090345be4672")
+    "b6d69f86ab7a9900323d2889819b9bb27bc6e7fcd9993aaf4a8bdc4bae8ba56f")
 
 
 @pytest.mark.parametrize("seed,steps,batch", sorted(GOLDEN))
@@ -113,3 +121,182 @@ def test_thawed_encoder_or_decoder_rejected(name):
         train_adapter(params, pairs)
     assert issubclass(UnsupportedFeature, ChemlinkerError)
     assert np.array_equal(params.tensors[name], before)
+
+
+# --- the padded batch loss against the per-example oracle --------------------
+
+
+def _reference_batch_loss(params, batch, tensors):
+    """The per-example loss: one `forward_logits` graph per pair, each
+    pair's mean token loss, then the mean over the batch."""
+    total = None
+    for text_ids, mol_ids in batch:
+        logits = model.forward_logits(params, text_ids, mol_ids[:-1],
+                                      tensors=tensors)
+        loss = training.teacher_forced_loss(logits, mol_ids[1:], pad_id=0)
+        total = loss if total is None else total + loss
+    return total * (1.0 / len(batch))
+
+
+def _active_params(cfg, dtype):
+    """Init weights with the zero-initialized output paths made nonzero, so
+    every trainable tensor gets a gradient."""
+    params = init_model(cfg)
+    rng = np.random.default_rng(8)
+    for name in ("adapter.attn.wo", "adapter.ffn.w2"):
+        params.tensors[name] = rng.normal(
+            scale=0.1, size=params.tensors[name].shape)
+    for name in params.tensors:
+        params.tensors[name] = params.tensors[name].astype(dtype)
+    return params
+
+
+def _loss_and_grads(loss_fn, params, batch):
+    tensors = model.as_tensors(params, grad=True)
+    loss = loss_fn(params, batch, tensors)
+    loss.backward()
+    return float(loss.data), {n: tensors[n].grad
+                              for n in params.trainable_names()}
+
+
+def _first_batch(seed, batch):
+    pairs = _pairs()[0]
+    return [pairs[i] for i in
+            SplitMix64(seed).sample_indices(len(pairs), len(pairs))[:batch]]
+
+
+def _ragged_batch():
+    """Texts and molecules of four different lengths each, long texts
+    paired with short molecules."""
+    pairs = sorted(_pairs()[0], key=lambda p: len(p[1]))
+    picks = [pairs[0], pairs[13], pairs[26], pairs[39]]
+    assert len({len(p[1]) for p in picks}) == 4
+    return [(text, mol) for (text, _), (_, mol)
+            in zip(picks, reversed(picks))]
+
+
+# Batch 64 over the 40 pairs gives one whole permutation, with no repeats;
+# "repeated" repeats examples.
+ORACLE_BATCHES = {
+    **{f"first-{seed}-{steps}-{batch}":
+       (lambda seed=seed, batch=batch: _first_batch(seed, batch))
+       for seed, steps, batch in sorted(GOLDEN)},
+    "repeated": lambda: [_pairs()[0][i] for i in (3, 17, 3, 8, 17, 3)],
+    "ragged": _ragged_batch,
+}
+
+
+@pytest.mark.parametrize("dtype,loss_tol,grad_tol",
+                         [(np.float32, 1e-6, 1e-5), (np.float64, 1e-12, 1e-12)],
+                         ids=["float32", "float64"])
+@pytest.mark.parametrize("which", sorted(ORACLE_BATCHES))
+def test_batch_loss_matches_per_example_oracle(which, dtype, loss_tol,
+                                               grad_tol):
+    batch = ORACLE_BATCHES[which]()
+    params = _active_params(_config(5, 1, len(batch)), dtype)
+    want_loss, want = _loss_and_grads(_reference_batch_loss, params, batch)
+    got_loss, got = _loss_and_grads(training.batch_loss, params, batch)
+    assert abs(got_loss - want_loss) <= loss_tol
+    for name, grad in want.items():
+        assert got[name].dtype == dtype, name
+        scale = np.abs(grad).max()
+        assert scale > 0, name
+        assert np.abs(got[name] - grad).max() <= grad_tol * scale, name
+
+
+# --- errors at the boundary ----------------------------------------------------
+
+BAD_PAIRS = {
+    "bos-only-molecule": (lambda text, mol, cfg: (text, mol[:1]),
+                          VocabError),
+    "all-pad-target": (lambda text, mol, cfg: (text, [mol[0], 0, 0]),
+                       LengthMismatch),
+    "text-id-outside-vocab": (
+        lambda text, mol, cfg: (text[:-1] + [cfg.text_vocab], mol),
+        VocabError),
+    "text-too-long": (
+        lambda text, mol, cfg: ([text[0]] * (cfg.max_text_len + 1), mol),
+        VocabError),
+}
+
+
+@pytest.mark.parametrize("entry", ["train_adapter", "batch_loss"])
+@pytest.mark.parametrize("case", sorted(BAD_PAIRS))
+def test_bad_pair_raises_the_same_error(case, entry):
+    make, error = BAD_PAIRS[case]
+    pairs = _pairs()[0][:4]
+    cfg = _config(3, 1, 4)
+    pairs[2] = make(*pairs[2], cfg)
+    params = init_model(cfg)
+    with pytest.raises(ChemlinkerError) as caught:
+        if entry == "train_adapter":
+            train_adapter(params, pairs)
+        else:
+            training.batch_loss(params, pairs)
+    assert type(caught.value) is error
+
+
+def test_padded_rows_match_lone_logits():
+    """An example's rows of the padded batch are its own 2-D logits,
+    whatever the other examples are: longer or shorter text and molecule."""
+    params = _active_params(_config(5, 1, 4), np.float32)
+    cfg, frozen = params.config, params.tensors
+    t = model.as_tensors(params)
+    pairs = sorted(_pairs()[0], key=lambda p: len(p[1]))
+    states = [(model.encode_text(frozen, cfg, text),
+               model.decode_mol_states(frozen, cfg, mol[:-1]))
+              for text, mol in pairs]
+    for e in (0, 20, 39):
+        T, S = states[e]
+        lone = model.adapter_logits(
+            t, cfg.heads, Tensor(S),
+            *model.text_keys_values(t, cfg.heads, Tensor(T))).data
+        for others in ([], [39], [0, 5], [10, 30, 39]):
+            batch = [states[i] for i in others]
+            batch.insert(len(others) // 2, states[e])
+            padded = model.padded_logits(t, cfg.heads, batch).data
+            rows = padded[len(others) // 2, :len(S)]
+            assert np.abs(rows - lone).max() <= 1e-6, (e, others)
+
+
+def test_grad_check_on_ragged_batch():
+    """float64 gradients through the 4-D head transposes and the masked
+    softmax, with every adapter path active."""
+    params = _active_params(_config(5, 1, 4), np.float32)
+    assert training.grad_check(params, _ragged_batch(), n_coords=40) < 1e-4
+
+
+def test_tensors_per_step(monkeypatch):
+    """One graph per step: the Tensors a step builds do not grow with the
+    batch (627 per step when each example had its own graph)."""
+    built = [0]
+    init = Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    params = init_model(_config(3, 3, 16))
+    monkeypatch.setattr(Tensor, "__init__", counting)
+    _, history = train_adapter(params, _pairs()[0])
+    assert len(history) == 3
+    assert built[0] < 100 * 3, built[0] / 3
+
+
+def test_batch_loss_rejects_what_it_cannot_score():
+    """A last molecule id outside the vocabulary (an IndexError, or a silent
+    wrap when negative, in 0.2.0), an empty batch, and a thawed encoder,
+    whose gradient the frozen states would not carry."""
+    pairs = _pairs()[0][:2]
+    params = init_model(_config(3, 1, 2))
+    for last in (params.config.mol_vocab, -1):
+        bad = [pairs[0], (pairs[1][0], pairs[1][1][:-1] + [last])]
+        with pytest.raises(VocabError):
+            training.batch_loss(params, bad)
+        with pytest.raises(VocabError):
+            train_adapter(params, bad)
+    with pytest.raises(EmptyDataset):
+        training.batch_loss(params, [])
+    params.frozen.discard("text.embed")
+    with pytest.raises(UnsupportedFeature, match="text.embed"):
+        training.batch_loss(params, pairs)
