@@ -14,7 +14,8 @@ One model definition serves training and sampling: each forward function
 takes the Tensors of `as_tensors` when a gradient is needed, or the plain
 arrays of `params.tensors` for the frozen parts, and returns the same kind.
 The adapter functions take any leading batch axes: training runs them once
-on a padded batch (`padded_logits`), sampling on one sequence's states.
+on a padded batch (`padded_logits`), sampling on one row per decoding slot
+(`DecodeCache`).
 """
 
 from __future__ import annotations
@@ -159,16 +160,20 @@ def _attention(q, k, v, wo, mask=None):
 
 
 def _block(x, t: dict, prefix: str, heads: int, mask=None, cache=None):
-    """Pre-layer-norm transformer block. `cache` is (keys, values, position)
-    of one decoder layer for a one-row array `x`: the block stores the row's
-    key and value at `position` and attends over the cached rows up to it."""
+    """Pre-layer-norm transformer block. `cache` is (keys, values, positions)
+    of one decoder layer for `x` of one row per slot, (slots, 1, d): the
+    block stores each slot's key and value at that slot's position in the
+    (slots, heads, length, d_head) buffers and attends over the buffers,
+    whose keys past each slot's position `mask` removes."""
     h = layer_norm(x, t[f"{prefix}.ln1.g"], t[f"{prefix}.ln1.b"])
     q, k, v = (_heads_split(h @ t[f"{prefix}.attn.{w}"], heads)
                for w in ("wq", "wk", "wv"))
     if cache is not None:
-        keys, values, n = cache
-        keys[:, n:n + 1], values[:, n:n + 1] = k, v
-        k, v = keys[:, :n + 1], values[:, :n + 1]
+        keys, values, positions = cache
+        slots = np.arange(len(positions))
+        keys[slots, :, positions] = k[:, :, 0]
+        values[slots, :, positions] = v[:, :, 0]
+        k, v = keys, values
     x = x + _attention(q, k, v, t[f"{prefix}.attn.wo"], mask)[0]
     h = layer_norm(x, t[f"{prefix}.ln2.g"], t[f"{prefix}.ln2.b"])
     ffn = tanh(h @ t[f"{prefix}.ffn.w1"] + t[f"{prefix}.ffn.b1"])
@@ -309,35 +314,48 @@ def prepare_prompt(params: ModelParams, text_ids) -> Prompt:
 
 
 class DecodeCache:
-    """Per-layer key/value buffers of the frozen decoder for one sampled
-    sequence; `step` feeds one token and returns the next-token logits."""
+    """Per-layer key/value buffers of the frozen decoder for `slots`
+    sequences sampled side by side, each at its own position; `step` feeds
+    one token per slot and returns each slot's next-token logits."""
 
-    def __init__(self, prompt: Prompt):
+    def __init__(self, prompt: Prompt, slots: int):
         cfg = prompt.params.config
         self.prompt = prompt
-        self.keys = np.zeros((cfg.layers, cfg.heads, cfg.max_mol_len,
+        self.keys = np.zeros((cfg.layers, slots, cfg.heads, cfg.max_mol_len,
                               cfg.d_mol // cfg.heads), prompt.text_keys.dtype)
         self.values = np.zeros_like(self.keys)
-        self.length = 0
+        self.positions = np.zeros(slots, dtype=np.int64)
 
-    def step(self, token: int) -> np.ndarray:
-        """Logits after `token`; they match the last row of `forward_logits`
-        on the same prefix to within float32 rounding."""
+    def restart(self, slot: int) -> None:
+        """Start a new sequence in `slot`, at position 0."""
+        self.positions[slot] = 0
+
+    def step(self, tokens) -> np.ndarray:
+        """(slots, mol_vocab) logits after one token per slot. A slot's row
+        matches the last row of `forward_logits` on that slot's prefix to
+        within float32 rounding, whatever its neighbours hold."""
         prompt = self.prompt
         cfg, t = prompt.params.config, prompt.params.tensors
-        n = self.length
-        if not 0 <= token < cfg.mol_vocab:
+        tokens = np.asarray(tokens, dtype=np.int64)
+        n = self.positions
+        if tokens.shape != n.shape:
+            raise ShapeError(f"need one token for each of {len(n)} slots")
+        if tokens.min() < 0 or tokens.max() >= cfg.mol_vocab:
             raise VocabError(
                 f"molecule token id outside vocabulary of {cfg.mol_vocab}")
-        if n >= cfg.max_mol_len:
+        length = int(n.max()) + 1
+        if length > cfg.max_mol_len:
             raise VocabError("molecule sequence longer than positional table")
-        x = t["mol.embed"][token:token + 1] + t["mol.pos"][n:n + 1]
+        x = (t["mol.embed"][tokens] + t["mol.pos"][n])[:, None]
+        mask = np.where(np.arange(length) > n[:, None], _MASKED,
+                        0).astype(x.dtype)[:, None, None]
         for i in range(cfg.layers):
-            x = _block(x, t, f"mol.{i}", cfg.heads,
-                       cache=(self.keys[i], self.values[i], n))
-        self.length = n + 1
+            x = _block(x, t, f"mol.{i}", cfg.heads, mask,
+                       cache=(self.keys[i, ..., :length, :],
+                              self.values[i, ..., :length, :], n))
+        self.positions = n + 1
         return adapter_logits(t, cfg.heads, x, prompt.text_keys,
-                              prompt.text_values)[0]
+                              prompt.text_values)[:, 0]
 
 
 def decoder_only_logits(params: ModelParams, mol_ids,

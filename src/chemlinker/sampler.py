@@ -1,6 +1,14 @@
 """Seeded autoregressive sampling, temperature escalation, and the four-way
 candidate filter with exact accounting.
 
+Sampling is continuously batched: SLOTS candidates share each decoder step,
+and a slot whose candidate ends (EOS or max_len) takes the next candidate
+at once. Each candidate draws from its own SplitMix64 stream, one uniform
+per token, so its string does not depend on its slot or its neighbours.
+Finished candidates are filtered and counted in candidate order, exactly as
+a one-at-a-time run over the same streams would count them, and sampling
+stops as soon as the target is reached.
+
 Filter taxonomy (applied in this order, one outcome per candidate):
 Invalid (in-alphabet but unparseable, or no atoms, as in "."),
 NaturalLanguage (characters outside the molecular alphabet), Salts
@@ -19,8 +27,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from chemlinker.errors import DecodeFailure, ParseError, TargetUnreached
-from chemlinker.adapternet.model import DecodeCache, Prompt, prepare_prompt
+from chemlinker.errors import (
+    DecodeFailure,
+    ParseError,
+    TargetUnreached,
+    VocabError,
+)
+from chemlinker.adapternet.model import (
+    _MASKED,
+    DecodeCache,
+    Prompt,
+    prepare_prompt,
+)
 from chemlinker.adapternet.vocab import SMILES_CHARS, smiles_char_vocab
 from chemlinker.molstring import canonical_smiles, decode_selfies, parse_smiles
 from chemlinker.rng import SplitMix64
@@ -29,6 +47,7 @@ _ALPHABET = frozenset(SMILES_CHARS)
 _ALL_BRACKETS = re.compile(r"(\[[^\[\]]*\])+$")
 ESCALATION_STEP = 0.5
 MAX_TEMPERATURE = 4.5
+SLOTS = 16  # candidates that share each decoder step
 
 
 class FilterOutcome(enum.Enum):
@@ -63,6 +82,8 @@ class GenerationConfig:
                 f"need 0 < base_temperature <= {MAX_TEMPERATURE}")
         if self.per_temperature_cap < 1:
             raise ValueError("per_temperature_cap must be >= 1")
+        if self.max_len < 1:
+            raise ValueError("max_len must be >= 1")
 
 
 @dataclass
@@ -106,32 +127,74 @@ class GenerationStats:
         })
 
 
-def sample_token(logits, temperature: float, rng: SplitMix64) -> int:
-    """Inverse-CDF multinomial draw; consumes exactly one uniform."""
+def sample_tokens(logits, temperature: float, streams) -> np.ndarray:
+    """Inverse-CDF multinomial draw of one token per row of the (rows,
+    vocab) `logits`; row i consumes exactly one uniform of `streams[i]`."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     scaled = np.asarray(logits, dtype=np.float64) / temperature
-    scaled -= scaled.max()
+    scaled -= scaled.max(axis=1, keepdims=True)
     probs = np.exp(scaled)
-    probs /= probs.sum()
-    cum = np.cumsum(probs)
-    return min(int(np.searchsorted(cum, rng.uniform(), side="right")),
-               len(probs) - 1)
+    probs /= probs.sum(axis=1, keepdims=True)
+    cum = np.cumsum(probs, axis=1)
+    draws = np.array([rng.uniform() for rng in streams])
+    # The count of cumulative sums <= u is searchsorted(side="right").
+    return np.minimum((cum <= draws[:, None]).sum(axis=1),
+                      probs.shape[1] - 1)
 
 
-def generate_one(prompt: Prompt, cfg: GenerationConfig, rng: SplitMix64,
-                 vocab, temperature: float | None = None) -> str:
-    """Sample one string: BOS start, stop at EOS or max_len tokens."""
-    temperature = cfg.base_temperature if temperature is None else temperature
-    cache = DecodeCache(prompt)
-    token = vocab.bos
-    out = []
-    for _ in range(cfg.max_len):
-        token = sample_token(cache.step(token), temperature, rng)
-        if token == vocab.eos:
-            break
-        out.append(vocab.tokens[token])
-    return "".join(out)
+def sample_candidates(prompt: Prompt, vocab, temperature: float,
+                      max_len: int, streams):
+    """Yield one string per stream of `streams`, in stream order.
+
+    Each string starts at BOS and stops at EOS or after max_len tokens; its
+    k-th token consumes the k-th uniform of its own stream, and `<pad>` and
+    `<bos>` are never drawn. SLOTS candidates share each decoder step, and a
+    finished candidate's slot takes the next stream at once. A string
+    depends only on its stream, not on its slot or its neighbours. Nothing
+    is drawn while the caller holds a yielded string, so a caller that stops
+    iterating stops the draws.
+    """
+    slots = SLOTS
+    cache = DecodeCache(prompt, slots)
+    queue = enumerate(streams)
+    live: dict = {}    # slot -> (candidate index, stream, drawn token ids)
+    done: dict = {}    # candidate index -> string, until its turn
+    tokens = np.full(slots, vocab.bos)
+    turn = 0
+
+    def start(slot):
+        candidate = next(queue, None)
+        if candidate is not None:
+            cache.restart(slot)
+            tokens[slot] = vocab.bos
+            live[slot] = (*candidate, [])
+
+    for slot in range(slots):
+        start(slot)
+    while live:
+        for slot in range(slots):
+            if slot not in live:    # idle once the streams run out
+                cache.restart(slot)
+        logits = cache.step(tokens)
+        rows = list(live)
+        logits = logits[rows]
+        logits[:, (vocab.pad, vocab.bos)] = _MASKED
+        drawn_now = sample_tokens(logits, temperature,
+                                  [live[slot][1] for slot in rows])
+        for slot, token in zip(rows, drawn_now.tolist()):
+            index, _, drawn = live[slot]
+            tokens[slot] = token
+            if token != vocab.eos:
+                drawn.append(token)
+                if len(drawn) < max_len:
+                    continue
+            done[index] = "".join(vocab.tokens[t] for t in drawn)
+            del live[slot]
+            start(slot)
+        while turn in done:
+            yield done.pop(turn)
+            turn += 1
 
 
 def classify_filter(candidate: str) -> FilterOutcome:
@@ -185,17 +248,28 @@ def generate_unique_set(params, text_ids, cfg: GenerationConfig, vocab=None,
 
     Returns (list of canonical SMILES in discovery order, GenerationStats).
     Raises TargetUnreached (with partial molecules and stats attached) when
-    the schedule is exhausted. `vocab` defaults to `smiles_char_vocab()`.
-    `generate_fn(temperature, rng) -> str` overrides the model-based
-    sampler (used for replay and testing).
+    the schedule is exhausted. Candidate j at temperature index b draws from
+    its own stream, `SplitMix64` seeded with the j-th `next_u64()` of
+    `SplitMix64(base_seed + b)`, and candidates are counted in that order.
+    `vocab` defaults to `smiles_char_vocab()`. `generate_fn(temperature,
+    rng) -> str` overrides the model-based sampler (used for replay and
+    testing); it is called once per candidate with the candidate's stream.
     """
     if generate_fn is None:
+        if cfg.max_len > params.config.max_mol_len:
+            raise VocabError(
+                f"max_len {cfg.max_len} exceeds the checkpoint's positional "
+                f"table of {params.config.max_mol_len}")
         prompt = prepare_prompt(params, text_ids)
         if vocab is None:
             vocab = smiles_char_vocab()
 
-        def generate_fn(temperature, rng):
-            return generate_one(prompt, cfg, rng, vocab, temperature)
+        def candidates(temperature, streams):
+            return sample_candidates(prompt, vocab, temperature, cfg.max_len,
+                                     streams)
+    else:
+        def candidates(temperature, streams):
+            return (generate_fn(temperature, rng) for rng in streams)
     stats = GenerationStats()
     seen: set[str] = set()
     passed: list[str] = []
@@ -203,10 +277,11 @@ def generate_unique_set(params, text_ids, cfg: GenerationConfig, vocab=None,
     temps = escalation_schedule(cfg)
     visited: list[float] = []
     for batch_index, temperature in enumerate(temps):
-        rng = SplitMix64(cfg.base_seed + batch_index)
+        seeds = SplitMix64(cfg.base_seed + batch_index)
+        streams = (SplitMix64(seeds.next_u64())
+                   for _ in range(cfg.per_temperature_cap))
         visited.append(temperature)
-        for _ in range(cfg.per_temperature_cap):
-            candidate = generate_fn(temperature, rng)
+        for candidate in candidates(temperature, streams):
             if candidate not in memo:
                 # A passing bracket-token string may parse only as SELFIES.
                 outcome, mol = _classify(candidate)

@@ -194,8 +194,7 @@ def test_train_then_generate(capsys, tiny_checkpoint):
                          "--n", "2", "--seed", "7")
     assert code == 0
     molecules = out.strip().splitlines()
-    # Canonical form v2 writes the sampled "IN" as "NI" (element first).
-    assert molecules == ["B=N", "NI"]
+    assert molecules == ["OP", "NF"]
     stats = json.loads(err.strip().splitlines()[-1])
     assert stats["success"] == 2
 
@@ -222,7 +221,7 @@ def test_long_description_trains_and_generates(capsys, tmp_path,
     code, out, err = run(capsys, "generate", "--ckpt", str(ckpt),
                          "--text", words, "--n", "1")
     assert code == 0, err
-    assert out.split() == ["CS"]
+    assert out.split() == ["C(F)P"]
 
 
 def test_unreadable_checkpoint_exits_1(capsys, tmp_path, tiny_checkpoint):

@@ -1,6 +1,7 @@
-"""Golden samples from fixed checkpoints, and the cached decoding step checked
-against the full forward pass."""
+"""Golden samples from fixed checkpoints, the batched decoding cache checked
+against the full forward pass, and the sampler's use of its streams."""
 
+import gc
 import hashlib
 import json
 
@@ -22,7 +23,7 @@ from chemlinker.adapternet import (
     train_adapter,
     word_vocab,
 )
-from chemlinker.errors import TargetUnreached, VocabError
+from chemlinker.errors import ShapeError, TargetUnreached, VocabError
 from chemlinker.rng import SplitMix64
 from chemlinker.sampler import GenerationConfig, generate_unique_set
 
@@ -72,52 +73,54 @@ def checkpoints(tmp_path_factory):
 
 
 # (checkpoint, prompt, GenerationConfig fields, molecules, stats JSON,
-# whether TargetUnreached is raised), recorded before generation used the
-# decoding cache. A run that exhausts the schedule is pinned by the
-# molecules and stats that TargetUnreached carries.
+# whether TargetUnreached is raised), recorded when candidates began to
+# share decoder steps, each drawing from its own stream (0.4.0). A run that
+# exhausts the schedule is pinned by the molecules and stats that
+# TargetUnreached carries.
 GOLDEN = [
     # target reached at the base temperature
     ("smiles", "ethanol a small alcohol",
      dict(target_unique=3, base_seed=0, per_temperature_cap=8),
-     ['CCCO', 'CCO', 'CCN'],
-     '{"sample": 4, "duplicate": 1, "unique": 3, '
+     ['CCCO', 'CCS', 'CCN'],
+     '{"sample": 3, "duplicate": 0, "unique": 3, '
      '"invalid": 0, "nl": 0, "salts": 0, "se": 0, '
      '"success": 3, "success_rate": 1.0}',
      False),
     # target reached after escalating to the fifth temperature
     ("smiles", "pyridine an aromatic amine",
-     dict(target_unique=6, base_seed=6, per_temperature_cap=6),
-     ['CCCO', 'CCN', 'CCO', 'CCS', 'CCCS', 'CC(=O)CCO'],
-     '{"sample": 30, "duplicate": 19, "unique": 11, '
-     '"invalid": 5, "nl": 0, "salts": 0, "se": 0, '
-     '"success": 6, "success_rate": 0.5454545454545454}',
+     dict(target_unique=6, base_seed=6, per_temperature_cap=8),
+     ['CCS', 'CCO', 'CCCO', 'CCN', 'CCCS', 'CC(=O)O'],
+     '{"sample": 39, "duplicate": 26, "unique": 13, '
+     '"invalid": 7, "nl": 0, "salts": 0, "se": 0, '
+     '"success": 6, "success_rate": 0.46153846153846156}',
      False),
     # schedule exhausted: TargetUnreached with partial molecules
     ("smiles", "acetic acid a carboxylic acid",
      dict(target_unique=10, base_seed=21, per_temperature_cap=3),
-     ['CCO', 'CCS', 'CCCS', 'CCCO', 'CCN'],
-     '{"sample": 24, "duplicate": 8, "unique": 16, '
-     '"invalid": 10, "nl": 1, "salts": 0, "se": 0, '
-     '"success": 5, "success_rate": 0.3125}',
+     ['CCCO', 'CCO', 'CCS', 'CCN', 'CC(=O)CO'],
+     '{"sample": 24, "duplicate": 17, "unique": 7, '
+     '"invalid": 2, "nl": 0, "salts": 0, "se": 0, '
+     '"success": 5, "success_rate": 0.7142857142857143}',
      True),
     # a single temperature, the highest
     ("smiles", "propanol an alcohol",
      dict(target_unique=3, base_seed=4, base_temperature=4.5,
           per_temperature_cap=10),
-     ['CCS', 'CCN', 'CCCS'],
-     '{"sample": 13, "duplicate": 2, "unique": 11, '
-     '"invalid": 6, "nl": 2, "salts": 0, "se": 0, '
-     '"success": 3, "success_rate": 0.2727272727272727}',
+     ['CCS', 'CCN', 'CCCCCCO'],
+     '{"sample": 4, "duplicate": 1, "unique": 3, '
+     '"invalid": 0, "nl": 0, "salts": 0, "se": 0, '
+     '"success": 3, "success_rate": 1.0}',
      False),
     # long samples up to max_len from an untrained decoder
     ("noise", "ethanol a small alcohol",
      dict(target_unique=1, base_seed=2, per_temperature_cap=4),
      [],
      '{"sample": 32, "duplicate": 0, "unique": 32, '
-     '"invalid": 8, "nl": 24, "salts": 0, "se": 0, '
+     '"invalid": 32, "nl": 0, "salts": 0, "se": 0, '
      '"success": 0, "success_rate": 0.0}',
      True),
 ]
+GOLDEN_IDS = ["base-temperature", "escalated", "unreached", "hottest", "long"]
 
 
 def _run(params, prompt, fields):
@@ -131,8 +134,7 @@ def _run(params, prompt, fields):
 
 
 @pytest.mark.parametrize(
-    "name,prompt,fields,molecules,stats,unreached", GOLDEN,
-    ids=["base-temperature", "escalated", "unreached", "hottest", "long"])
+    "name,prompt,fields,molecules,stats,unreached", GOLDEN, ids=GOLDEN_IDS)
 def test_golden_samples(checkpoints, name, prompt, fields, molecules, stats,
                         unreached):
     assert _run(checkpoints[name], prompt, fields) == (molecules, stats,
@@ -147,67 +149,215 @@ def test_golden_set_covers_escalation_and_unreached():
     assert any(unreached for *_, unreached in GOLDEN)
 
 
-# --- the cached decoding step -----------------------------------------------------
+@pytest.mark.parametrize("slots", [1, sampler.SLOTS])
+def test_slot_count_changes_no_sample(checkpoints, monkeypatch, slots):
+    """One slot is the one-at-a-time run over the same streams: every golden
+    row gives the same molecules, stats and outcome at either slot count."""
+    monkeypatch.setattr(sampler, "SLOTS", slots)
+    for name, prompt, fields, *pinned in GOLDEN:
+        assert _run(checkpoints[name], prompt, fields) == tuple(pinned)
+
+
+def test_max_len_beyond_positional_table(checkpoints, monkeypatch):
+    """A max_len the positional table cannot hold fails before any draw;
+    the longest it can hold samples to the end of the table."""
+    params = checkpoints["noise"]
+    limit = params.config.max_mol_len
+    made = []
+
+    class Recording(SplitMix64):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(sampler, "SplitMix64", Recording)
+    text = _text_ids("ethanol a small alcohol")
+    with pytest.raises(VocabError):
+        generate_unique_set(params, text, GenerationConfig(
+            target_unique=1, max_len=limit + 1), vocab=MOL_VOCAB)
+    assert not made
+    with pytest.raises(TargetUnreached) as exc_info:
+        generate_unique_set(params, text, GenerationConfig(
+            target_unique=100, max_len=limit, per_temperature_cap=2),
+            vocab=MOL_VOCAB)
+    assert exc_info.value.stats.sample == 16
+
+
+# --- the batched decoding cache ---------------------------------------------------
+
+
+def _run_slots(prompt, plans):
+    """Step a cache of len(plans) slots. Slot s runs the (name, ids)
+    sequences of plans[s] back to back, restarting between them, and is
+    idle, restarted at every step, once they are done. Returns {(name, n):
+    [logits after the first n ids, once per run of that prefix]}."""
+    cache = DecodeCache(prompt, len(plans))
+    queues = [list(plan) for plan in plans]
+    running = [None] * len(plans)       # (name, ids, tokens fed so far)
+    out: dict = {}
+    while True:
+        tokens = []
+        for slot, queue in enumerate(queues):
+            if running[slot] is None or running[slot][2] == len(
+                    running[slot][1]):
+                running[slot] = (*queue.pop(0), 0) if queue else None
+                cache.restart(slot)
+            tokens.append(running[slot][1][running[slot][2]]
+                          if running[slot] else MOL_VOCAB.bos)
+        if not any(running):
+            return out
+        logits = cache.step(tokens)
+        for slot, current in enumerate(running):
+            if current is not None:
+                name, ids, n = current
+                out.setdefault((name, n + 1), []).append(logits[slot])
+                running[slot] = (name, ids, n + 1)
 
 
 @pytest.mark.parametrize("name", ["smiles", "noise"])
 def test_step_matches_forward_logits(checkpoints, name):
-    """At every prefix length the cached step gives the last row of the full
-    forward pass, to within 1e-5 of the logits' scale (1e-5 absolute where
-    they are of order one). Bit equality cannot hold: a one-row matmul
-    rounds differently from the same row of a full one."""
+    """Slots at different positions, one restarted mid-run: at every prefix
+    length each slot's logits are the last row of the full forward pass, to
+    within 1e-5 of the logits' scale (1e-5 absolute where they are of order
+    one), and the same sequence next to other neighbours gives them to
+    within 1e-6 of it. Bit equality with the forward pass cannot hold: a
+    one-row matmul rounds differently from the same row of a full one."""
     params = checkpoints[name]
     text = _text_ids("acetic acid a carboxylic acid")
     limit = params.config.max_mol_len
-    drawn = np.random.default_rng(0).integers(3, len(MOL_VOCAB), limit - 1)
-    ids = [MOL_VOCAB.bos] + [int(i) for i in drawn]
-    cache = DecodeCache(prepare_prompt(params, text))
-    for n in range(1, limit + 1):
-        got = cache.step(ids[n - 1])
-        want = forward_logits(params, text, ids[:n]).data[-1]
+    drawn = np.random.default_rng(0).integers(3, len(MOL_VOCAB),
+                                              (4, limit - 1))
+    seqs = {key: [MOL_VOCAB.bos] + [int(i) for i in row]
+            for key, row in zip("ABCD", drawn)}
+    A, B, C, D = (seqs[key] for key in "ABCD")
+    prompt = prepare_prompt(params, text)
+    mixed = _run_slots(prompt, [[("A", A)],
+                                [("B", B[:30]), ("C", C[:50])],
+                                [("C", C[:15]), ("D", D[:65])]])
+    apart = _run_slots(prompt, [[("D", D[:65])], [("C", C[:50])],
+                                [("A", A)], [("B", B[:30])]])
+    assert mixed.keys() == apart.keys()
+    assert ("A", limit) in mixed
+    for (key, n), rows in mixed.items():
+        want = forward_logits(params, text, seqs[key][:n]).data[-1]
         scale = max(1.0, float(np.abs(want).max()))
-        assert np.abs(got - want).max() <= 1e-5 * scale, n
+        for got in rows + apart[key, n]:
+            assert np.abs(got - want).max() <= 1e-5 * scale, (key, n)
+        for got in rows:
+            assert np.abs(got - apart[key, n][0]).max() <= 1e-6 * scale
+
+    cache = DecodeCache(prompt, 2)
     with pytest.raises(VocabError):
-        cache.step(ids[0])
+        cache.step([MOL_VOCAB.bos, len(MOL_VOCAB)])
+    with pytest.raises(ShapeError):
+        cache.step([MOL_VOCAB.bos])
+    for token in A:
+        cache.step([token, token])
     with pytest.raises(VocabError):
-        forward_logits(params, text, ids + ids[:1])
+        cache.step([MOL_VOCAB.bos, MOL_VOCAB.bos])
+    cache.restart(0)
     with pytest.raises(VocabError):
-        DecodeCache(cache.prompt).step(len(MOL_VOCAB))
+        cache.step([MOL_VOCAB.bos, MOL_VOCAB.bos])
+    with pytest.raises(VocabError):
+        forward_logits(params, text, A + A[:1])
 
 
-class _CountingRng(SplitMix64):
-    draws = 0
+def test_one_uniform_per_sampled_token(checkpoints):
+    """Each counted candidate drew one uniform per token, EOS and a final
+    token at max_len included, and its string is those tokens. No candidate
+    at or past the cap starts. Once the last counted candidate is done, the
+    only draws are the rest of that decoder step's, by uncounted candidates,
+    and none follows the return."""
+    # The schedule runs out with 3 candidates per temperature, fewer than
+    # the slots, and some samples end at max_len.
+    started, endings, after = _check_draws(checkpoints["noise"], dict(
+        target_unique=1, base_seed=2, max_len=12, per_temperature_cap=3))
+    assert started == [(b, j) for b in range(8) for j in range(3)]
+    assert endings == {True, False}
+    assert not after
+    # The target is reached while other candidates are still running.
+    *_, after = _check_draws(checkpoints["smiles"], dict(
+        target_unique=6, base_seed=6, per_temperature_cap=40))
+    assert after
 
-    def uniform(self):
-        self.draws += 1
-        return super().uniform()
 
+def _check_draws(params, fields):
+    """Run generate_unique_set with recording streams and check the draws
+    of the counted candidates. Returns the (temperature index, candidate
+    index) of each started candidate, whether counted candidates ended at
+    EOS, and the draws made after the last counted one was done."""
+    cfg = GenerationConfig(**fields)
+    made, log = [], []
+    tokens_of: dict = {}
+    strings = []
 
-def test_one_uniform_per_sampled_token(checkpoints, monkeypatch):
-    """EOS and a final token at max_len each cost one uniform."""
-    sampled = []
+    class Counting(SplitMix64):
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.seed, self.draws = seed, 0
+            made.append(self)
 
-    def recording(logits, temperature, rng):
-        sampled.append(real(logits, temperature, rng))
-        return sampled[-1]
+        def uniform(self):
+            self.draws += 1
+            log.append(self)
+            return super().uniform()
 
-    real = sampler.sample_token
-    monkeypatch.setattr(sampler, "sample_token", recording)
-    prompt = prepare_prompt(checkpoints["noise"],
-                            _text_ids("ethanol a small alcohol"))
-    cfg = GenerationConfig(target_unique=1, max_len=12)
+    def recording_draw(logits, temperature, streams):
+        drawn = real_draw(logits, temperature, streams)
+        for rng, token in zip(streams, drawn.tolist()):
+            tokens_of.setdefault(rng, []).append(token)
+        return drawn
+
+    def recording_candidates(*args):
+        for text in real_candidates(*args):
+            strings.append(text)
+            yield text
+
+    real_draw, real_candidates = sampler.sample_tokens, \
+        sampler.sample_candidates
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampler, "SplitMix64", Counting)
+        patch.setattr(sampler, "sample_tokens", recording_draw)
+        patch.setattr(sampler, "sample_candidates", recording_candidates)
+        try:
+            _, stats = generate_unique_set(
+                params, _text_ids("ethanol a small alcohol"), cfg,
+                vocab=MOL_VOCAB)
+        except TargetUnreached as err:
+            stats = err.stats
+    returned_at = len(log)
+    gc.collect()
+    assert len(log) == returned_at
+
+    # Which candidate each stream is: the j-th output of the b-th seeder.
+    seeders = {cfg.base_seed + b
+               for b in range(len(sampler.escalation_schedule(cfg)))}
+    index_of = {}
+    for seed in seeders:
+        seeds = SplitMix64(seed)
+        for j in range(cfg.per_temperature_cap):
+            index_of[seeds.next_u64()] = (seed - cfg.base_seed, j)
+    assert all(rng.seed in index_of or rng.seed in seeders for rng in made)
+    streams = {index_of[rng.seed]: rng for rng in made
+               if rng.seed in index_of}
+    counted = [streams[b, j] for b, j in sorted(streams)
+               if b * cfg.per_temperature_cap + j < stats.sample]
+    assert len(counted) == stats.sample == len(strings)
     endings = set()
-    for seed in range(12):
-        sampled.clear()
-        rng = _CountingRng(seed)
-        text = sampler.generate_one(prompt, cfg, rng, MOL_VOCAB)
-        assert rng.draws == len(sampled)
-        ended_at_eos = sampled[-1] == MOL_VOCAB.eos
-        assert ended_at_eos or len(sampled) == cfg.max_len
-        body = sampled[:-1] if ended_at_eos else sampled
+    for rng, text in zip(counted, strings):
+        drawn = tokens_of[rng]
+        assert rng.draws == len(drawn)
+        ended_at_eos = drawn[-1] == MOL_VOCAB.eos
+        assert ended_at_eos or len(drawn) == cfg.max_len
+        body = drawn[:-1] if ended_at_eos else drawn
+        assert MOL_VOCAB.eos not in body
         assert text == "".join(MOL_VOCAB.tokens[t] for t in body)
         endings.add(ended_at_eos)
-    assert endings == {True, False}
+    last = max(i for i, rng in enumerate(log) if rng in set(counted))
+    after = log[last + 1:]
+    assert len(after) == len(set(after)) < sampler.SLOTS
+    assert not set(after) & set(counted)
+    return sorted(streams), endings, after
 
 
 def test_sampling_builds_no_tensors(checkpoints, monkeypatch):
@@ -221,17 +371,17 @@ def test_sampling_builds_no_tensors(checkpoints, monkeypatch):
     monkeypatch.setattr(Tensor, "__init__", counting)
     prompt = prepare_prompt(checkpoints["noise"],
                             _text_ids("ethanol a small alcohol"))
-    cfg = GenerationConfig(target_unique=1)
-    rng = _CountingRng(3)
-    for _ in range(4):
-        sampler.generate_one(prompt, cfg, rng, MOL_VOCAB)
-    assert rng.draws > 4
+    streams = [SplitMix64(seed) for seed in range(20)]
+    samples = list(sampler.sample_candidates(prompt, MOL_VOCAB, 1.0, 78,
+                                             streams))
+    assert len(samples) == 20
+    assert sum(map(len, samples)) > 20
     assert not built
 
 
 def test_step_logits_pinned():
-    """The cached step's logits, bit for bit, on a checkpoint no training
-    step made: init weights with a nonzero adapter output path."""
+    """The one-slot cached step's logits, bit for bit, on a checkpoint no
+    training step made: init weights with a nonzero adapter output path."""
     cfg = TrainConfig(text_vocab=len(TEXT_VOCAB), mol_vocab=len(MOL_VOCAB),
                       seed=9)
     params = init_model(cfg)
@@ -242,8 +392,8 @@ def test_step_logits_pinned():
     prompt = prepare_prompt(params, _text_ids("acetic acid a carboxylic acid"))
     digest = hashlib.sha256(prompt.text_keys.tobytes()
                             + prompt.text_values.tobytes())
-    cache = DecodeCache(prompt)
+    cache = DecodeCache(prompt, 1)
     for token in [MOL_VOCAB.bos] + MOL_VOCAB.encode(list("CC(=O)Oc1ccccc1")):
-        digest.update(cache.step(token).tobytes())
+        digest.update(cache.step([token])[0].tobytes())
     assert digest.hexdigest() == (
         "4d68f1d07dabf38a8d900863c1c105084704041f72e27c69cda2c754c4dfe490")

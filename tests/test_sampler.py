@@ -21,56 +21,57 @@ from chemlinker.sampler import (
     GenerationStats,
     classify_filter,
     escalation_schedule,
-    generate_one,
     generate_unique_set,
     load_event_log,
     replay_stats,
-    sample_token,
+    sample_candidates,
+    sample_tokens,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-# --- sample_token ---------------------------------------------------------------
+# --- sample_tokens --------------------------------------------------------------
 
 
 def test_degenerate_distribution():
-    logits = np.full(16, -1e30)
-    logits[0] = 10.0
+    logits = np.full((50, 16), -1e30)
+    logits[:, 0] = 10.0
     rng = SplitMix64(0)
-    assert all(sample_token(logits, 1.0, rng) == 0 for _ in range(50))
+    assert not sample_tokens(logits, 1.0, [rng] * 50).any()
 
 
 def test_logit_shift_invariance():
-    logits = np.array([0.5, 1.5, -1.0, 2.0])
-    a = [sample_token(logits, 1.0, SplitMix64(s)) for s in range(200)]
-    b = [sample_token(logits + 7.25, 1.0, SplitMix64(s)) for s in range(200)]
-    assert a == b
+    logits = np.tile([0.5, 1.5, -1.0, 2.0], (200, 1))
+    a = sample_tokens(logits, 1.0, [SplitMix64(s) for s in range(200)])
+    b = sample_tokens(logits + 7.25, 1.0,
+                      [SplitMix64(s) for s in range(200)])
+    assert a.tolist() == b.tolist()
 
 
 def test_sampling_deterministic_per_seed():
+    """A row's token depends only on its row and its stream."""
     logits = np.linspace(-1, 1, 24)
-    seq1 = [sample_token(logits, 1.3, SplitMix64(42)) for _ in range(20)]
-    rng = SplitMix64(42)
-    seq2 = [sample_token(logits, 1.3, rng) for _ in range(0)]  # fresh stream
-    rng = SplitMix64(42)
-    seq2 = [sample_token(logits, 1.3, rng) for _ in range(20)]
-    assert len(set(seq1)) == 1          # independent fresh seeds, first draw
-    assert seq2[0] == seq1[0]
+    rows = np.stack([logits, logits[::-1], logits])
+    first = sample_tokens(rows, 1.3, [SplitMix64(42), SplitMix64(5),
+                                      SplitMix64(42)]).tolist()
+    assert first[0] == first[2]
+    assert sample_tokens(rows[1:2], 1.3, [SplitMix64(5)]).tolist() \
+        == first[1:2]
 
 
 def test_one_uniform_per_token():
-    logits = np.zeros(8)
+    logits = np.zeros((10, 8))
     rng_a, rng_b = SplitMix64(7), SplitMix64(7)
+    sample_tokens(logits, 1.0, [rng_a] * 10)
     for _ in range(10):
-        sample_token(logits, 1.0, rng_a)
         rng_b.uniform()
     assert rng_a.state == rng_b.state
 
 
 def _sample_token_loop(logits, temperature, rng):
-    """The inverse-CDF draw as a running sum: the reference for the
-    vectorised one."""
+    """The inverse-CDF draw of one row as a running sum: the reference for
+    the vectorised one."""
     scaled = np.asarray(logits, dtype=np.float64) / temperature
     scaled -= scaled.max()
     probs = np.exp(scaled)
@@ -85,21 +86,25 @@ def _sample_token_loop(logits, temperature, rng):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.floats(-50, 50), min_size=1, max_size=48),
+@given(st.integers(1, 48).flatmap(lambda width: st.lists(
+           st.lists(st.floats(-50, 50), min_size=width, max_size=width),
+           min_size=1, max_size=5)),
        st.floats(0.05, 5.0), st.integers(0, 2**64 - 1))
-def test_sample_token_matches_loop(logits, temperature, seed):
-    rng_a, rng_b = SplitMix64(seed), SplitMix64(seed)
-    assert (sample_token(np.array(logits), temperature, rng_a)
-            == _sample_token_loop(np.array(logits), temperature, rng_b))
-    assert rng_a.state == rng_b.state
+def test_sample_token_matches_loop(rows, temperature, seed):
+    streams = [SplitMix64(seed + i) for i in range(len(rows))]
+    oracle = [SplitMix64(seed + i) for i in range(len(rows))]
+    got = sample_tokens(np.array(rows), temperature, streams).tolist()
+    assert got == [_sample_token_loop(np.array(row), temperature, rng)
+                   for row, rng in zip(rows, oracle)]
+    assert [rng.state for rng in streams] == [rng.state for rng in oracle]
 
 
 def test_temperature_must_be_positive():
     with pytest.raises(ValueError):
-        sample_token(np.zeros(4), 0.0, SplitMix64(0))
+        sample_tokens(np.zeros((1, 4)), 0.0, [SplitMix64(0)])
 
 
-# --- generate_one ------------------------------------------------------------------
+# --- sample_candidates -------------------------------------------------------------
 
 
 def _model_and_vocab():
@@ -108,14 +113,42 @@ def _model_and_vocab():
     return init_model(cfg), vocab
 
 
-def test_generate_one_bounded_and_deterministic():
+def test_sample_candidates_bounded_and_deterministic():
+    """The strings come in stream order, and each is the one its stream
+    draws alone in the decoder."""
     params, vocab = _model_and_vocab()
-    gcfg = GenerationConfig(target_unique=1, max_len=12)
     prompt = prepare_prompt(params, [1, 4, 2])
-    a = generate_one(prompt, gcfg, SplitMix64(3), vocab)
-    b = generate_one(prompt, gcfg, SplitMix64(3), vocab)
-    assert a == b
-    assert len(a) <= 12
+
+    def sample(seeds):
+        return list(sample_candidates(prompt, vocab, 1.0, 12,
+                                      (SplitMix64(s) for s in seeds)))
+
+    a = sample(range(40))
+    assert a == sample(range(40))
+    assert a == [sample([s])[0] for s in range(40)]
+    assert all(len(text) <= 12 for text in a)
+
+
+def test_special_tokens_never_drawn_but_eos_is():
+    """`<pad>` and `<bos>` are masked out of every draw, however likely the
+    model makes them; `<eos>` is not."""
+    params, vocab = _model_and_vocab()
+    bias = params.tensors["head.b"]
+    bias[[vocab.pad, vocab.bos]] = 50.0
+    prompt = prepare_prompt(params, [1, 4, 2])
+    texts = list(sample_candidates(prompt, vocab, 1.0, 12,
+                                   (SplitMix64(s) for s in range(20))))
+    assert texts and not any("<" in text for text in texts)
+    bias[vocab.eos] = 60.0
+    prompt = prepare_prompt(params, [1, 4, 2])
+    assert list(sample_candidates(prompt, vocab, 1.0, 12,
+                                  (SplitMix64(s) for s in range(20)))) \
+        == [""] * 20
+
+
+def test_max_len_must_be_positive():
+    with pytest.raises(ValueError):
+        GenerationConfig(target_unique=1, max_len=0)
 
 
 def test_generate_unique_set_defaults_to_smiles_vocab():
