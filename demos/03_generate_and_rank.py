@@ -7,7 +7,7 @@ The survivors are then scored against a reference by fingerprint Tanimoto
 similarity and combined across two mock scoring programs by exponential
 consensus ranking.
 
-Run with: python3 demos/03_generate_and_rank.py   (about 2 s on a 2-vCPU host)
+Run with: python3 demos/03_generate_and_rank.py   (1.5-2 s on a 2-vCPU host)
 """
 
 from chemlinker.adapternet import TrainConfig, init_model, smiles_char_vocab

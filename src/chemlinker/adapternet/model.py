@@ -15,7 +15,7 @@ takes the Tensors of `as_tensors` when a gradient is needed, or the plain
 arrays of `params.tensors` for the frozen parts, and returns the same kind.
 The adapter functions take any leading batch axes: training runs them once
 on a padded batch (`padded_logits`), sampling on one row per decoding slot
-(`DecodeCache`).
+of a (slots, d) array (`DecodeCache`), one GEMM per weight.
 """
 
 from __future__ import annotations
@@ -150,34 +150,47 @@ def _heads_join(x):
     return x.swapaxes(-3, -2).reshape(x.shape[:-3] + (x.shape[-2], -1))
 
 
-def _attention(q, k, v, wo, mask=None):
+def _attention(q, k, v, wo, mask=None, rows=None):
     """Multi-head attention of per-head queries over per-head keys and
     values, each (..., heads, length, d_head); returns (output, weights
-    (..., heads, n, m)). `mask` is added to the scores."""
+    (..., heads, n, m)). `mask` is added to the scores. A decoding step
+    joins the heads into `rows`, (slots, d), so `wo` is one GEMM."""
     weights = softmax(q @ k.swapaxes(-2, -1), 1.0 / math.sqrt(q.shape[-1]),
                       mask)
-    return _heads_join(weights @ v) @ wo, weights
+    out = weights @ v
+    out = _heads_join(out) if rows is None else out.reshape(rows)
+    return out @ wo, weights
 
 
-def _block(x, t: dict, prefix: str, heads: int, mask=None, cache=None):
-    """Pre-layer-norm transformer block. `cache` is (keys, values, positions)
-    of one decoder layer for `x` of one row per slot, (slots, 1, d): the
-    block stores each slot's key and value at that slot's position in the
-    (slots, heads, length, d_head) buffers and attends over the buffers,
-    whose keys past each slot's position `mask` removes."""
-    h = layer_norm(x, t[f"{prefix}.ln1.g"], t[f"{prefix}.ln1.b"])
-    q, k, v = (_heads_split(h @ t[f"{prefix}.attn.{w}"], heads)
-               for w in ("wq", "wk", "wv"))
-    if cache is not None:
-        keys, values, positions = cache
-        slots = np.arange(len(positions))
-        keys[slots, :, positions] = k[:, :, 0]
-        values[slots, :, positions] = v[:, :, 0]
+def _layer(t: dict, prefix: str) -> dict:
+    """The weights of block `prefix`, by their names after `prefix.`."""
+    start = prefix + "."
+    return {n[len(start):]: v for n, v in t.items() if n.startswith(start)}
+
+
+def _block(x, w: dict, heads: int, mask=None, cache=None):
+    """Pre-layer-norm transformer block with the weights `w` (`_layer`).
+    `cache` is (keys, values, positions, slot indices) of one decoder layer
+    for x of one row per slot, (slots, d), so each dense weight is one GEMM
+    over the slots: the block stores each slot's key and value at that
+    slot's position in the (slots, heads, length, d_head) buffers, and each
+    slot's query, (slots, heads, 1, d_head), attends over its own buffer,
+    whose keys past the slot's position `mask` removes."""
+    h = layer_norm(x, w["ln1.g"], w["ln1.b"])
+    q, k, v = h @ w["attn.wq"], h @ w["attn.wk"], h @ w["attn.wv"]
+    rows = None if cache is None else x.shape
+    if cache is None:
+        q, k, v = (_heads_split(a, heads) for a in (q, k, v))
+    else:
+        keys, values, positions, slots = cache
+        q = q.reshape(len(x), heads, 1, -1)
+        keys[slots, :, positions] = k.reshape(len(x), heads, -1)
+        values[slots, :, positions] = v.reshape(len(x), heads, -1)
         k, v = keys, values
-    x = x + _attention(q, k, v, t[f"{prefix}.attn.wo"], mask)[0]
-    h = layer_norm(x, t[f"{prefix}.ln2.g"], t[f"{prefix}.ln2.b"])
-    ffn = tanh(h @ t[f"{prefix}.ffn.w1"] + t[f"{prefix}.ffn.b1"])
-    return x + ffn @ t[f"{prefix}.ffn.w2"] + t[f"{prefix}.ffn.b2"]
+    x = x + _attention(q, k, v, w["attn.wo"], mask, rows)[0]
+    h = layer_norm(x, w["ln2.g"], w["ln2.b"])
+    ffn = tanh(h @ w["ffn.w1"] + w["ffn.b1"])
+    return x + ffn @ w["ffn.w2"] + w["ffn.b2"]
 
 
 _MASKED = -1e30  # a masked score underflows to weight 0 in float32 and float64
@@ -202,7 +215,7 @@ def encode_text(t: dict, cfg: TrainConfig, text_ids):
     ids = _check_ids(text_ids, cfg.text_vocab, cfg.max_text_len, "text")
     x = t["text.embed"][ids] + t["text.pos"][np.arange(len(ids))]
     for i in range(cfg.layers):
-        x = _block(x, t, f"text.{i}", cfg.heads)
+        x = _block(x, _layer(t, f"text.{i}"), cfg.heads)
     return x
 
 
@@ -211,7 +224,7 @@ def decode_mol_states(t: dict, cfg: TrainConfig, mol_ids):
     x = t["mol.embed"][ids] + t["mol.pos"][np.arange(len(ids))]
     mask = _causal_mask(len(ids))
     for i in range(cfg.layers):
-        x = _block(x, t, f"mol.{i}", cfg.heads, mask)
+        x = _block(x, _layer(t, f"mol.{i}"), cfg.heads, mask)
     return x
 
 
@@ -316,7 +329,8 @@ def prepare_prompt(params: ModelParams, text_ids) -> Prompt:
 class DecodeCache:
     """Per-layer key/value buffers of the frozen decoder for `slots`
     sequences sampled side by side, each at its own position; `step` feeds
-    one token per slot and returns each slot's next-token logits."""
+    one token per slot, as one row of a (slots, d) array, and returns each
+    slot's next-token logits."""
 
     def __init__(self, prompt: Prompt, slots: int):
         cfg = prompt.params.config
@@ -325,6 +339,10 @@ class DecodeCache:
                               cfg.d_mol // cfg.heads), prompt.text_keys.dtype)
         self.values = np.zeros_like(self.keys)
         self.positions = np.zeros(slots, dtype=np.int64)
+        self._slots = np.arange(slots)
+        self._layers = [_layer(prompt.params.tensors, f"mol.{i}")
+                        for i in range(cfg.layers)]
+        self._mask = _causal_mask(cfg.max_mol_len).astype(self.keys.dtype)
 
     def restart(self, slot: int) -> None:
         """Start a new sequence in `slot`, at position 0."""
@@ -333,7 +351,8 @@ class DecodeCache:
     def step(self, tokens) -> np.ndarray:
         """(slots, mol_vocab) logits after one token per slot. A slot's row
         matches the last row of `forward_logits` on that slot's prefix to
-        within float32 rounding, whatever its neighbours hold."""
+        within float32 rounding, whatever its neighbours hold; a GEMM over
+        several slots rounds unlike one slot's one-row products."""
         prompt = self.prompt
         cfg, t = prompt.params.config, prompt.params.tensors
         tokens = np.asarray(tokens, dtype=np.int64)
@@ -346,16 +365,15 @@ class DecodeCache:
         length = int(n.max()) + 1
         if length > cfg.max_mol_len:
             raise VocabError("molecule sequence longer than positional table")
-        x = (t["mol.embed"][tokens] + t["mol.pos"][n])[:, None]
-        mask = np.where(np.arange(length) > n[:, None], _MASKED,
-                        0).astype(x.dtype)[:, None, None]
-        for i in range(cfg.layers):
-            x = _block(x, t, f"mol.{i}", cfg.heads, mask,
-                       cache=(self.keys[i, ..., :length, :],
-                              self.values[i, ..., :length, :], n))
+        x = t["mol.embed"][tokens] + t["mol.pos"][n]
+        mask = self._mask[n, :length][:, None, None]
+        for i, w in enumerate(self._layers):
+            cache = (self.keys[i, ..., :length, :],
+                     self.values[i, ..., :length, :], n, self._slots)
+            x = _block(x, w, cfg.heads, mask, cache)
         self.positions = n + 1
         return adapter_logits(t, cfg.heads, x, prompt.text_keys,
-                              prompt.text_values)[:, 0]
+                              prompt.text_values)
 
 
 def decoder_only_logits(params: ModelParams, mol_ids,

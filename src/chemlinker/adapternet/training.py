@@ -177,6 +177,9 @@ def train_adapter(params: ModelParams, dataset, cfg=None):
     so a trainable `text.*` or `mol.*` tensor raises UnsupportedFeature.
     """
     cfg = cfg or params.config
+    for name in ("max_steps", "batch_size"):
+        if getattr(cfg, name) < 1:
+            raise ValueError(f"{name} must be >= 1, not {getattr(cfg, name)}")
     dataset = list(dataset)
     if not dataset:
         raise EmptyDataset("training set is empty")

@@ -79,8 +79,8 @@ def ecr_scores(table: ScoreTable, sigma: float | None = None) -> dict:
         raise EmptyTable("score table has no scores")
     if sigma is None:
         sigma = max(1.0, 0.05 * len(molecules))
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be finite and positive, not {sigma}")
     totals = {m: 0.0 for m in molecules}
     for program in table.programs:
         ranks = _program_ranks(table, program, molecules)

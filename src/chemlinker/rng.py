@@ -34,6 +34,8 @@ class SplitMix64:
 
     def sample_indices(self, n: int, k: int) -> list[int]:
         """k distinct indices from range(n), by partial Fisher-Yates."""
+        if not 0 <= k <= n:
+            raise ValueError(f"cannot draw {k} distinct indices from {n}")
         pool = list(range(n))
         for i in range(k):
             j = i + int(self.uniform() * (n - i))

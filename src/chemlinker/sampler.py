@@ -77,6 +77,9 @@ class GenerationConfig:
     per_temperature_cap: int = 1000
 
     def __post_init__(self):
+        if self.target_unique < 1:
+            raise ValueError(
+                f"target_unique must be >= 1, not {self.target_unique}")
         if not 0 < self.base_temperature <= MAX_TEMPERATURE:
             raise ValueError(
                 f"need 0 < base_temperature <= {MAX_TEMPERATURE}")
@@ -132,9 +135,9 @@ def sample_tokens(logits, temperature: float, streams) -> np.ndarray:
     vocab) `logits`; row i consumes exactly one uniform of `streams[i]`."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    scaled = np.asarray(logits, dtype=np.float64) / temperature
+    scaled = np.divide(logits, temperature, dtype=np.float64)
     scaled -= scaled.max(axis=1, keepdims=True)
-    probs = np.exp(scaled)
+    probs = np.exp(scaled, out=scaled)
     probs /= probs.sum(axis=1, keepdims=True)
     cum = np.cumsum(probs, axis=1)
     draws = np.array([rng.uniform() for rng in streams])
@@ -173,9 +176,10 @@ def sample_candidates(prompt: Prompt, vocab, temperature: float,
     for slot in range(slots):
         start(slot)
     while live:
-        for slot in range(slots):
-            if slot not in live:    # idle once the streams run out
-                cache.restart(slot)
+        if len(live) < slots:       # idle slots once the streams run out
+            for slot in range(slots):
+                if slot not in live:
+                    cache.restart(slot)
         logits = cache.step(tokens)
         rows = list(live)
         logits = logits[rows]

@@ -157,6 +157,17 @@ def test_dataset_sample_too_large_exits_1(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("sample", ["-1", "-20"])
+def test_dataset_negative_sample_exits_1(capsys, tmp_path, sample):
+    out_tsv = tmp_path / "out.tsv"
+    code, _, err = run(capsys, "dataset",
+                       "--input", str(FIXTURES / "pubchem_20.tsv"),
+                       "--output", str(out_tsv), "--sample", sample)
+    assert code == 1
+    assert f"error: cannot draw {sample} distinct indices" in err
+    assert not out_tsv.exists()
+
+
 # --- train / generate -------------------------------------------------------------
 
 
@@ -204,6 +215,36 @@ def test_train_then_generate(capsys, tiny_checkpoint):
                         "--n", "2", "--seed", "7")
     assert code == 0
     assert out2 == out
+
+
+@pytest.mark.parametrize("flag,value,named", [
+    ("--steps", "0", "max_steps must be >= 1, not 0"),
+    ("--steps", "-3", "max_steps must be >= 1, not -3"),
+    ("--batch-size", "0", "batch_size must be >= 1, not 0")])
+def test_train_without_steps_or_batch_exits_1(capsys, tmp_path,
+                                              tiny_checkpoint, flag, value,
+                                              named):
+    data, _ = tiny_checkpoint
+    ckpt = tmp_path / "model.ckpt"
+    code, _, err = run(capsys, "train", "--data", str(data),
+                       "--out", str(ckpt), flag, value)
+    assert code == 1
+    assert err.strip() == f"error: {named}"
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_generate_nonpositive_n_exits_1(capsys, tmp_path, tiny_checkpoint, n):
+    data, _ = tiny_checkpoint
+    ckpt = tmp_path / "model.ckpt"
+    code, _, _ = run(capsys, "train", "--data", str(data),
+                     "--out", str(ckpt), "--steps", "1")
+    assert code == 0
+    code, out, err = run(capsys, "generate", "--ckpt", str(ckpt),
+                         "--text", "molecule written as C C O", "--n", n)
+    assert code == 1
+    assert out == ""
+    assert err.strip() == f"error: target_unique must be >= 1, not {n}"
 
 
 def test_long_description_trains_and_generates(capsys, tmp_path,
@@ -308,6 +349,21 @@ def test_consensus_nan_score_exits_1(capsys, tmp_path):
                        str(tmp_path / "o.csv"))
     assert code == 1
     assert "NaN" in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-inf", "0"])
+def test_consensus_nonfinite_or_nonpositive_sigma_exits_1(capsys, tmp_path,
+                                                          sigma):
+    scores = tmp_path / "s.csv"
+    dirs = tmp_path / "d.json"
+    scores.write_text("molecule_id,program,score\nA,p1,-9.0\nB,p1,-8.0\n")
+    dirs.write_text('{"p1": "lower"}')
+    code, _, err = run(capsys, "consensus", "--scores", str(scores),
+                       "--dirs", str(dirs), f"--sigma={sigma}", "--out",
+                       str(tmp_path / "o.csv"))
+    assert code == 1
+    assert "error: sigma must be finite and positive" in err
     assert not (tmp_path / "o.csv").exists()
 
 

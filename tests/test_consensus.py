@@ -179,8 +179,9 @@ def test_scores_nonnegative_and_default_sigma():
 def test_empty_table_and_bad_sigma():
     with pytest.raises(EmptyTable):
         ecr_scores(ScoreTable(directions={"p": LOWER_IS_BETTER}))
-    with pytest.raises(ValueError):
-        ecr_scores(_hand_example(), sigma=0.0)
+    for sigma in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            ecr_scores(_hand_example(), sigma=sigma)
 
 
 def test_undeclared_program_rejected():

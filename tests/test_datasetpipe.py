@@ -19,6 +19,7 @@ from chemlinker.datasetpipe import (
     write_split,
 )
 from chemlinker.molstring import canonical_smiles
+from chemlinker.rng import SplitMix64
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PUBCHEM = FIXTURES / "pubchem_20.tsv"
@@ -207,6 +208,21 @@ def test_sample_subset_full_is_identity():
 def test_sample_subset_too_large():
     with pytest.raises(SampleTooLarge):
         sample_subset([DatasetRecord("1", "CC", "d")], 2, seed=0)
+
+
+def test_sample_indices_range_checked_and_draws_pinned():
+    """k outside [0, n] raises; inside it the draws are the ones training
+    and pretraining batches were pinned with."""
+    for n, k in ((10, -1), (10, 11), (0, 1), (3, -3)):
+        with pytest.raises(ValueError, match=f"{k} distinct indices from {n}"):
+            SplitMix64(3).sample_indices(n, k)
+    assert SplitMix64(3).sample_indices(10, 4) == [1, 7, 6, 3]
+    assert SplitMix64(3).sample_indices(10, 10) == [1, 7, 6, 3, 5, 8, 2, 9,
+                                                     4, 0]
+    assert SplitMix64(3).sample_indices(10, 0) == []
+    assert SplitMix64(3).sample_indices(0, 0) == []
+    with pytest.raises(ValueError):
+        sample_subset([DatasetRecord("1", "CC", "d")], -1, seed=0)
 
 
 @given(st.integers(0, 2**32), st.integers(0, 10))

@@ -262,6 +262,36 @@ def test_step_matches_forward_logits(checkpoints, name):
         forward_logits(params, text, A + A[:1])
 
 
+@pytest.mark.parametrize("slot", [0, 6, sampler.SLOTS - 1])
+def test_step_rows_exact_whatever_the_slot(checkpoints, slot):
+    """At sampler.SLOTS slots a sequence's step rows are the same bytes in
+    any slot and next to any neighbours, busy, idle or restarted at other
+    positions. The step attends over the keys up to the furthest slot's
+    position, and summing over more masked keys can move the last bit, so
+    here no neighbour runs ahead of the sequence, as when all slots start
+    together."""
+    params = checkpoints["noise"]
+    limit = params.config.max_mol_len
+    prompt = prepare_prompt(params, _text_ids("propanol an alcohol"))
+    drawn = np.random.default_rng(1).integers(3, len(MOL_VOCAB),
+                                              (2 * sampler.SLOTS, limit - 1))
+    seqs = [[MOL_VOCAB.bos] + [int(i) for i in row] for row in drawn]
+    target = seqs[0]
+    alone = [[] for _ in range(sampler.SLOTS)]
+    alone[0] = [("T", target)]
+    want = _run_slots(prompt, alone)
+    # Each busy neighbour restarts after 3 + s tokens with another sequence.
+    plans = [[("N", seqs[s + 1][:3 + s]), ("M", seqs[-1 - s])]
+             for s in range(sampler.SLOTS)]
+    plans[slot] = [("T", target)]
+    for s in range(1, sampler.SLOTS, 5):
+        if s != slot:
+            plans[s] = []           # idle, restarted at every step
+    got = _run_slots(prompt, plans)
+    for n in range(1, len(target) + 1):
+        assert got["T", n][0].tobytes() == want["T", n][0].tobytes(), n
+
+
 def test_one_uniform_per_sampled_token(checkpoints):
     """Each counted candidate drew one uniform per token, EOS and a final
     token at max_len included, and its string is those tokens. No candidate

@@ -151,6 +151,15 @@ def test_max_len_must_be_positive():
         GenerationConfig(target_unique=1, max_len=0)
 
 
+@pytest.mark.parametrize("target", [0, -1])
+def test_target_unique_must_be_positive(target):
+    """Rejected in the config, before generate_fn could draw anything."""
+    with pytest.raises(ValueError, match=f"target_unique must be >= 1, not "
+                                         f"{target}"):
+        generate_unique_set(None, None, GenerationConfig(target_unique=target),
+                            generate_fn=lambda t, r: "CCO")
+
+
 def test_generate_unique_set_defaults_to_smiles_vocab():
     params, vocab = _model_and_vocab()
     gcfg = GenerationConfig(target_unique=2, max_len=12,

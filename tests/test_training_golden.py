@@ -111,6 +111,16 @@ def test_frozen_states_computed_once_per_example(monkeypatch):
     assert calls == {"encode_text": 6, "decode_mol_states": 6}
 
 
+@pytest.mark.parametrize("steps,batch,named", [
+    (0, 4, "max_steps must be >= 1, not 0"),
+    (-2, 4, "max_steps must be >= 1, not -2"),
+    (3, 0, "batch_size must be >= 1, not 0")])
+def test_train_adapter_rejects_no_steps_or_empty_batches(steps, batch, named):
+    cfg = _config(3, steps, batch)
+    with pytest.raises(ValueError, match=named):
+        train_adapter(init_model(cfg), _pairs()[0][:4])
+
+
 @pytest.mark.parametrize("name", ["mol.0.ffn.w1", "text.embed"])
 def test_thawed_encoder_or_decoder_rejected(name):
     pairs = _pairs()[0][:4]
