@@ -9,7 +9,6 @@ from chemlinker.adapternet.model import (
     TrainConfig,
     adapter_attend,
     adapter_ffn,
-    decoder_only_logits,
     forward_logits,
     init_model,
     prepare_prompt,
@@ -32,7 +31,7 @@ __all__ = [
     "Tensor", "layer_norm",
     "ModelParams", "TrainConfig", "init_model",
     "adapter_attend", "adapter_ffn",
-    "forward_logits", "decoder_only_logits",
+    "forward_logits",
     "Prompt", "prepare_prompt", "DecodeCache",
     "teacher_forced_loss", "batch_loss", "noam_lr",
     "train_adapter", "pretrain_decoder", "grad_check",

@@ -13,9 +13,9 @@ frozen by construction; only the projection and the adapter train.
 One model definition serves training and sampling: each forward function
 takes the Tensors of `as_tensors` when a gradient is needed, or the plain
 arrays of `params.tensors` for the frozen parts, and returns the same kind.
-The adapter functions take any leading batch axes: training runs them once
-on a padded batch (`padded_logits`), sampling on one row per decoding slot
-of a (slots, d) array (`DecodeCache`), one GEMM per weight.
+The adapter and decoder functions take any leading batch axes: training
+runs them once on a padded batch (`padded_logits`, `decode_ids`), sampling
+on a (slots, d) array of one row per slot (`DecodeCache`), one GEMM per weight.
 """
 
 from __future__ import annotations
@@ -221,8 +221,15 @@ def encode_text(t: dict, cfg: TrainConfig, text_ids):
 
 def decode_mol_states(t: dict, cfg: TrainConfig, mol_ids):
     ids = _check_ids(mol_ids, cfg.mol_vocab, cfg.max_mol_len, "molecule")
-    x = t["mol.embed"][ids] + t["mol.pos"][np.arange(len(ids))]
-    mask = _causal_mask(len(ids))
+    return decode_ids(t, cfg, ids)
+
+
+def decode_ids(t: dict, cfg: TrainConfig, ids: np.ndarray):
+    """Decoder states (..., n, d_mol) of checked (..., n) ids; by the causal
+    mask, a row right-padded in a batch gets the states of its ids alone."""
+    n = ids.shape[-1]
+    x = t["mol.embed"][ids] + t["mol.pos"][np.arange(n)]
+    mask = _causal_mask(n)
     for i in range(cfg.layers):
         x = _block(x, _layer(t, f"mol.{i}"), cfg.heads, mask)
     return x
@@ -374,13 +381,4 @@ class DecodeCache:
         self.positions = n + 1
         return adapter_logits(t, cfg.heads, x, prompt.text_keys,
                               prompt.text_values)
-
-
-def decoder_only_logits(params: ModelParams, mol_ids,
-                        tensors: dict | None = None) -> Tensor:
-    """Unconditional decoder + head, used for decoder pretraining."""
-    cfg = params.config
-    t = tensors if tensors is not None else as_tensors(params)
-    S = decode_mol_states(t, cfg, mol_ids)
-    return S @ t["head.w"] + t["head.b"]
 

@@ -11,7 +11,9 @@ Each step is one graph over the whole batch: the cached states are padded
 to the batch's longest text and molecule, padded text keys are masked out
 of the attention, and padded molecule rows weigh 0 in the loss
 (`padded_logits`). `batch_loss` computes the states afresh and takes the
-same padded loss.
+same padded loss, and so does `pretrain_decoder`, on one decoder pass over
+its batch. Both trainers draw batches from `_batches` and check every
+example before the first step, so a bad example moves no weight.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ from chemlinker.errors import (
 from chemlinker.adapternet.autograd import Tensor
 from chemlinker.adapternet.model import (
     ModelParams,
+    _check_ids,
     as_tensors,
+    decode_ids,
     decode_mol_states,
-    decoder_only_logits,
     encode_text,
     padded_logits,
 )
@@ -89,24 +92,41 @@ def _weighted_nll(logits, weights: np.ndarray) -> Tensor:
     return (logits.log_softmax(axis=-1) * Tensor(weights)).sum() * -1.0
 
 
-def _padded_loss(t: dict, heads: int, states, mol_batch) -> Tensor:
-    """Mean per-example teacher-forced loss of a batch in one graph, from
-    each example's frozen states (see `padded_logits`); the targets are
-    mol_ids[1:]."""
-    logits = padded_logits(t, heads, states)
+def _padded_loss(logits, mol_batch) -> Tensor:
+    """Mean per-example teacher-forced loss of a batch from its (batch,
+    length, mol_vocab) logits of mol_ids[:-1], right-padded; the targets
+    are mol_ids[1:], and padded rows weigh 0."""
     _, length, vocab = logits.shape
     return _weighted_nll(logits, _target_weights(
         [mol_ids[1:] for mol_ids in mol_batch], length, vocab, pad_id=0))
 
 
-def _mean_loss(logits_and_ids) -> Tensor:
-    """Mean teacher-forced loss over (logits, mol_ids) pairs, where the
-    logits were computed from mol_ids[:-1] and the targets are mol_ids[1:]."""
-    total = None
-    for logits, mol_ids in logits_and_ids:
-        loss = teacher_forced_loss(logits, mol_ids[1:], pad_id=0)
-        total = loss if total is None else total + loss
-    return total * (1.0 / len(logits_and_ids))
+def _check_molecule(cfg, mol_ids) -> None:
+    """Raise what a step would on the molecule: its inputs mol_ids[:-1] and
+    its targets mol_ids[1:]."""
+    _check_ids(mol_ids[:-1], cfg.mol_vocab, cfg.max_mol_len, "molecule")
+    _target_weights([mol_ids[1:]], len(mol_ids) - 1, cfg.mol_vocab, pad_id=0)
+
+
+def _batches(n: int, steps: int, batch_size: int, seed: int):
+    """Checks the counts; then yields `steps` batches lazily, each the next
+    batch_size indices (at most n) of a walk over seeded permutations."""
+    for name, value in (("max_steps", steps), ("batch_size", batch_size)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, not {value}")
+    if not n:
+        raise EmptyDataset("training set is empty")
+
+    def walk():
+        rng = SplitMix64(seed)
+        order: list[int] = []
+        for _ in range(steps):
+            if len(order) < batch_size:
+                order += rng.sample_indices(n, n)
+            yield order[:batch_size]
+            order = order[batch_size:]
+
+    return walk()
 
 
 def _require_frozen_stack(params: ModelParams) -> None:
@@ -135,7 +155,8 @@ def batch_loss(params: ModelParams, batch, tensors=None) -> Tensor:
     states = [(encode_text(frozen, cfg, text_ids),
                decode_mol_states(frozen, cfg, mol_ids[:-1]))
               for text_ids, mol_ids in batch]
-    return _padded_loss(t, cfg.heads, states, [m for _, m in batch])
+    return _padded_loss(padded_logits(t, cfg.heads, states),
+                        [m for _, m in batch])
 
 
 def _adam(params: ModelParams, cfg, batches, loss_of, reads: tuple) -> list:
@@ -177,14 +198,14 @@ def train_adapter(params: ModelParams, dataset, cfg=None):
     so a trainable `text.*` or `mol.*` tensor raises UnsupportedFeature.
     """
     cfg = cfg or params.config
-    for name in ("max_steps", "batch_size"):
-        if getattr(cfg, name) < 1:
-            raise ValueError(f"{name} must be >= 1, not {getattr(cfg, name)}")
     dataset = list(dataset)
-    if not dataset:
-        raise EmptyDataset("training set is empty")
+    batches = _batches(len(dataset), cfg.max_steps, cfg.batch_size, cfg.seed)
     _require_frozen_stack(params)
     frozen, model_cfg = params.tensors, params.config
+    for text_ids, mol_ids in dataset:
+        _check_ids(text_ids, model_cfg.text_vocab, model_cfg.max_text_len,
+                   "text")
+        _check_molecule(model_cfg, mol_ids)
     states: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def example_states(i):
@@ -195,25 +216,27 @@ def train_adapter(params: ModelParams, dataset, cfg=None):
         return states[i]
 
     def loss_of(t, batch):
-        return _padded_loss(t, model_cfg.heads,
-                            [example_states(i) for i in batch],
+        states = [example_states(i) for i in batch]
+        return _padded_loss(padded_logits(t, model_cfg.heads, states),
                             [dataset[i][1] for i in batch])
 
-    def batches():
-        rng = SplitMix64(cfg.seed)
-        order: list[int] = []
-        for _ in range(cfg.max_steps):
-            if len(order) < cfg.batch_size:
-                order += rng.sample_indices(len(dataset), len(dataset))
-            yield order[:cfg.batch_size]
-            order = order[cfg.batch_size:]
+    return params, _adam(params, cfg, batches, loss_of, ADAPTER_READS)
 
-    return params, _adam(params, cfg, batches(), loss_of, ADAPTER_READS)
+
+def _decoder_loss(t: dict, cfg, mol_batch) -> Tensor:
+    """Mean per-molecule next-token loss of the decoder and head, one pass
+    over the batch's mol_ids[:-1] right-padded with <pad> (id 0)."""
+    ids = np.zeros((len(mol_batch), max(map(len, mol_batch)) - 1), np.int64)
+    for b, mol_ids in enumerate(mol_batch):
+        ids[b, :len(mol_ids) - 1] = mol_ids[:-1]
+    return _padded_loss(decode_ids(t, cfg, ids) @ t["head.w"] + t["head.b"],
+                        mol_batch)
 
 
 def pretrain_decoder(params: ModelParams, mol_sequences, steps: int,
                      seed: int = 0) -> list:
-    """Unconditional next-token pretraining of the decoder + head.
+    """Unconditional next-token pretraining of the decoder + head, on `steps`
+    batches drawn as `train_adapter` draws them, seeded with `seed`.
 
     Temporarily unfreezes mol.* and head.* tensors; they are re-frozen on
     return, also when a step raises, which is the regime the adapter is
@@ -221,23 +244,15 @@ def pretrain_decoder(params: ModelParams, mol_sequences, steps: int,
     """
     cfg = params.config
     sequences = list(mol_sequences)
-    if not sequences:
-        raise EmptyDataset("pretraining set is empty")
-
-    def batches():
-        rng = SplitMix64(seed)
-        for _ in range(steps):
-            picks = rng.sample_indices(len(sequences),
-                                       min(cfg.batch_size, len(sequences)))
-            yield [sequences[i] for i in picks]
-
+    batches = _batches(len(sequences), steps, cfg.batch_size, seed)
+    for mol_ids in sequences:
+        _check_molecule(cfg, mol_ids)
     to_unfreeze = {n for n in params.frozen
                    if n.startswith(("mol.", "head."))}
     params.frozen -= to_unfreeze
     try:
-        return _adam(params, cfg, batches(), lambda t, batch: _mean_loss([
-            (decoder_only_logits(params, ids[:-1], t), ids) for ids in batch]),
-            ("mol.", "head."))
+        return _adam(params, cfg, batches, lambda t, batch: _decoder_loss(
+            t, cfg, [sequences[i] for i in batch]), ("mol.", "head."))
     finally:
         params.frozen |= to_unfreeze
 

@@ -197,14 +197,22 @@ def _load_text_vocab(ckpt_path):
     if not vocab_path.exists():
         raise VocabError(f"text vocabulary {vocab_path} not found")
     with open(vocab_path, encoding="utf-8") as fh:
-        tokens = json.load(fh)["text_tokens"]
-    return Vocab([t for t in tokens if not t.startswith("<")],
-                 with_unk="<unk>" in tokens)
+        saved = json.load(fh)
+    tokens = saved.get("text_tokens") if isinstance(saved, dict) else None
+    if isinstance(tokens, list) and all(isinstance(t, str) for t in tokens):
+        vocab = Vocab(tokens, with_unk="<unk>" in tokens)
+        if vocab.tokens == tokens:
+            return vocab
+    raise VocabError(f"text vocabulary {vocab_path} is not one that train "
+                     "writes")
 
 
 def _cmd_generate(args, started):
     params = load_checkpoint(args.ckpt)
     tvocab = _load_text_vocab(args.ckpt)
+    if len(tvocab) != params.config.text_vocab:
+        raise VocabError(f"text vocabulary of {len(tvocab)} tokens for a "
+                         f"checkpoint of {params.config.text_vocab}")
     mvocab = smiles_char_vocab()
     text_ids = _text_ids(tvocab, args.text, params.config.max_text_len)
     cfg = GenerationConfig(target_unique=args.n, base_seed=args.seed,

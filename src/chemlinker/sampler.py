@@ -4,10 +4,13 @@ candidate filter with exact accounting.
 Sampling is continuously batched: SLOTS candidates share each decoder step,
 and a slot whose candidate ends (EOS or max_len) takes the next candidate
 at once. Each candidate draws from its own SplitMix64 stream, one uniform
-per token, so its string does not depend on its slot or its neighbours.
-Finished candidates are filtered and counted in candidate order, exactly as
-a one-at-a-time run over the same streams would count them, and sampling
-stops as soon as the target is reached.
+per token, so its string does not depend on its slot or on its neighbours'
+tokens. Their positions can still move the last bit of its logits, since a
+step attends over the keys up to the furthest slot's position, and so turn
+a draw that lies within rounding of a token boundary. Finished candidates
+are filtered and counted in candidate order, exactly as a one-at-a-time run
+over the same streams would count them, and sampling stops as soon as the
+target is reached.
 
 Filter taxonomy (applied in this order, one outcome per candidate):
 Invalid (in-alphabet but unparseable, or no atoms, as in "."),
@@ -154,9 +157,10 @@ def sample_candidates(prompt: Prompt, vocab, temperature: float,
     k-th token consumes the k-th uniform of its own stream, and `<pad>` and
     `<bos>` are never drawn. SLOTS candidates share each decoder step, and a
     finished candidate's slot takes the next stream at once. A string
-    depends only on its stream, not on its slot or its neighbours. Nothing
-    is drawn while the caller holds a yielded string, so a caller that stops
-    iterating stops the draws.
+    depends on its stream, not on its slot or its neighbours' tokens; the
+    neighbours' positions can move the last bit of its logits (see the
+    module docstring). Nothing is drawn while the caller holds a yielded
+    string, so a caller that stops iterating stops the draws.
     """
     slots = SLOTS
     cache = DecodeCache(prompt, slots)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import chemlinker
+from chemlinker import cli
 from chemlinker.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -300,6 +301,61 @@ def test_generate_without_text_vocabulary_exits_1(capsys, tmp_path,
     assert code == 1
     assert out == ""
     assert "model.ckpt.vocab.json" in err
+
+
+TAGGED = "molecule <b> bold alcohol"
+
+
+@pytest.fixture(scope="module")
+def tagged_checkpoint(tmp_path_factory, tiny_checkpoint):
+    """A checkpoint trained on descriptions that include the word <b>."""
+    tmp_path = tmp_path_factory.mktemp("tagged")
+    data = tmp_path / "tagged.tsv"
+    data.write_text(tiny_checkpoint[0].read_text() + f"99\tCCO\t{TAGGED}\n")
+    ckpt = tmp_path / "tagged.ckpt"
+    assert main(["train", "--data", str(data), "--out", str(ckpt),
+                 "--steps", "1"]) == 0
+    return data, ckpt
+
+
+def test_reloaded_text_vocabulary_gives_the_training_ids(tagged_checkpoint):
+    """A description word that starts with "<" keeps its place, so every
+    later word keeps its id (the reloaded ids fell by one in 0.5.0)."""
+    data, ckpt = tagged_checkpoint
+    dataset, tvocab, _ = cli._load_training_pairs(data, 64)
+    reloaded = cli._load_text_vocab(ckpt)
+    assert "<b>" in reloaded.tokens
+    assert reloaded.tokens == tvocab.tokens
+    assert cli._text_ids(reloaded, TAGGED, 64) == dataset[-1][0]
+
+
+@pytest.mark.parametrize("sidecar", ["other-run", "reordered", "no-list"])
+def test_mismatched_text_vocabulary_exits_1(capsys, tmp_path,
+                                            tiny_checkpoint,
+                                            tagged_checkpoint, sidecar):
+    """A sidecar from another run, or one whose tokens a vocabulary cannot
+    hold in their saved order, would shift the text ids; one without a
+    token list holds none."""
+    data, _ = tiny_checkpoint
+    ckpt = tmp_path / "model.ckpt"
+    code, _, _ = run(capsys, "train", "--data", str(data),
+                     "--out", str(ckpt), "--steps", "1")
+    assert code == 0
+    vocab_path = Path(str(ckpt) + ".vocab.json")
+    if sidecar == "other-run":
+        other = Path(str(tagged_checkpoint[1]) + ".vocab.json")
+        vocab_path.write_text(other.read_text())
+    elif sidecar == "reordered":
+        tokens = json.loads(vocab_path.read_text())["text_tokens"]
+        tokens[0], tokens[1] = tokens[1], tokens[0]
+        vocab_path.write_text(json.dumps({"text_tokens": tokens}))
+    else:
+        vocab_path.write_text(json.dumps({"tokens": []}))
+    code, out, err = run(capsys, "generate", "--ckpt", str(ckpt),
+                         "--text", "molecule written as C C O")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "text vocabulary" in err
 
 
 # --- consensus --------------------------------------------------------------------

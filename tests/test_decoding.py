@@ -73,41 +73,50 @@ def checkpoints(tmp_path_factory):
 
 
 # (checkpoint, prompt, GenerationConfig fields, molecules, stats JSON,
-# whether TargetUnreached is raised), recorded when candidates began to
-# share decoder steps, each drawing from its own stream (0.4.0). A run that
-# exhausts the schedule is pinned by the molecules and stats that
-# TargetUnreached carries.
+# whether TargetUnreached is raised), recorded when decoder pretraining
+# began to run one padded pass per step (0.6.0); the "long" row dates from
+# 0.4.0, when candidates began to share decoder steps, each drawing from its
+# own stream. A run that exhausts the schedule is pinned by the molecules
+# and stats that TargetUnreached carries.
 GOLDEN = [
     # target reached at the base temperature
     ("smiles", "ethanol a small alcohol",
      dict(target_unique=3, base_seed=0, per_temperature_cap=8),
-     ['CCCO', 'CCS', 'CCN'],
-     '{"sample": 3, "duplicate": 0, "unique": 3, '
+     ['CCO', 'CCS', 'CCN'],
+     '{"sample": 6, "duplicate": 3, "unique": 3, '
      '"invalid": 0, "nl": 0, "salts": 0, "se": 0, '
      '"success": 3, "success_rate": 1.0}',
      False),
-    # target reached after escalating to the fifth temperature
+    # escalated through all eight temperatures without reaching the target
     ("smiles", "pyridine an aromatic amine",
      dict(target_unique=6, base_seed=6, per_temperature_cap=8),
-     ['CCS', 'CCO', 'CCCO', 'CCN', 'CCCS', 'CC(=O)O'],
-     '{"sample": 39, "duplicate": 26, "unique": 13, '
-     '"invalid": 7, "nl": 0, "salts": 0, "se": 0, '
-     '"success": 6, "success_rate": 0.46153846153846156}',
+     ['CCS', 'CCO', 'CCN'],
+     '{"sample": 64, "duplicate": 59, "unique": 5, '
+     '"invalid": 2, "nl": 0, "salts": 0, "se": 0, '
+     '"success": 3, "success_rate": 0.6}',
+     True),
+    # target reached after escalating to the fifth temperature
+    ("smiles", "pyridine an aromatic amine",
+     dict(target_unique=4, base_seed=2, per_temperature_cap=8),
+     ['CCS', 'CCN', 'CCO', 'CCCS'],
+     '{"sample": 37, "duplicate": 32, "unique": 5, '
+     '"invalid": 1, "nl": 0, "salts": 0, "se": 0, '
+     '"success": 4, "success_rate": 0.8}',
      False),
     # schedule exhausted: TargetUnreached with partial molecules
     ("smiles", "acetic acid a carboxylic acid",
      dict(target_unique=10, base_seed=21, per_temperature_cap=3),
-     ['CCCO', 'CCO', 'CCS', 'CCN', 'CC(=O)CO'],
-     '{"sample": 24, "duplicate": 17, "unique": 7, '
+     ['CCCO', 'CCO', 'CCN', 'CCS'],
+     '{"sample": 24, "duplicate": 18, "unique": 6, '
      '"invalid": 2, "nl": 0, "salts": 0, "se": 0, '
-     '"success": 5, "success_rate": 0.7142857142857143}',
+     '"success": 4, "success_rate": 0.6666666666666666}',
      True),
     # a single temperature, the highest
     ("smiles", "propanol an alcohol",
      dict(target_unique=3, base_seed=4, base_temperature=4.5,
           per_temperature_cap=10),
-     ['CCS', 'CCN', 'CCCCCCO'],
-     '{"sample": 4, "duplicate": 1, "unique": 3, '
+     ['CCS', 'CCN', 'CCCO'],
+     '{"sample": 5, "duplicate": 2, "unique": 3, '
      '"invalid": 0, "nl": 0, "salts": 0, "se": 0, '
      '"success": 3, "success_rate": 1.0}',
      False),
@@ -120,7 +129,8 @@ GOLDEN = [
      '"success": 0, "success_rate": 0.0}',
      True),
 ]
-GOLDEN_IDS = ["base-temperature", "escalated", "unreached", "hottest", "long"]
+GOLDEN_IDS = ["base-temperature", "escalated", "escalated-reached",
+              "unreached", "hottest", "long"]
 
 
 def _run(params, prompt, fields):
@@ -142,11 +152,16 @@ def test_golden_samples(checkpoints, name, prompt, fields, molecules, stats,
 
 
 def test_golden_set_covers_escalation_and_unreached():
-    escalated = [not unreached and json.loads(stats)["sample"]
-                 > fields["per_temperature_cap"]
-                 for _, _, fields, _, stats, unreached in GOLDEN]
-    assert any(escalated)
-    assert any(unreached for *_, unreached in GOLDEN)
+    """Each smiles row shows the case its comment names: (escalated past
+    the base temperature, TargetUnreached raised)."""
+    shown = {row_id: (json.loads(stats)["sample"]
+                      > fields["per_temperature_cap"], unreached)
+             for row_id, (_, _, fields, _, stats, unreached)
+             in zip(GOLDEN_IDS, GOLDEN)}
+    assert shown["base-temperature"] == (False, False)
+    assert shown["escalated"] == (True, True)
+    assert shown["escalated-reached"] == (True, False)
+    assert shown["unreached"][1]
 
 
 @pytest.mark.parametrize("slots", [1, sampler.SLOTS])

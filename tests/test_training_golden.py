@@ -1,5 +1,6 @@
 """Training goldens, the frozen-state cache of `train_adapter`, and the
-padded batch loss checked against a per-example oracle.
+padded batch losses of adapter training and decoder pretraining checked
+against per-example oracles.
 
 The digests pin every tensor and the loss history bit for bit; they were
 recorded when each step became one padded graph over the batch (0.3.0), so
@@ -70,8 +71,9 @@ GOLDEN = {
     (11, 20, 64):
         "d34f36b0c8120f5831119c09abd052a530249b26f6cb4347a88536a6219d6d87",
 }
+# Recorded when pretraining began to run one padded pass per step (0.6.0).
 PRETRAINED_GOLDEN = (
-    "b6d69f86ab7a9900323d2889819b9bb27bc6e7fcd9993aaf4a8bdc4bae8ba56f")
+    "d6f8d7b7dfdb9fa57da05f2d1ed5e7a2741cdfb06c54a18af4b7734d4684f7bc")
 
 
 @pytest.mark.parametrize("seed,steps,batch", sorted(GOLDEN))
@@ -116,9 +118,33 @@ def test_frozen_states_computed_once_per_example(monkeypatch):
     (-2, 4, "max_steps must be >= 1, not -2"),
     (3, 0, "batch_size must be >= 1, not 0")])
 def test_train_adapter_rejects_no_steps_or_empty_batches(steps, batch, named):
+    """Pretraining shares the batcher and its checks; its `steps` plays the
+    part of max_steps."""
     cfg = _config(3, steps, batch)
     with pytest.raises(ValueError, match=named):
         train_adapter(init_model(cfg), _pairs()[0][:4])
+    with pytest.raises(ValueError, match=named):
+        pretrain_decoder(init_model(cfg), [m for _, m in _pairs()[0][:4]],
+                         steps=steps)
+
+
+@pytest.mark.parametrize("trainer", ["train_adapter", "pretrain_decoder"])
+def test_bad_example_drawn_late_moves_no_tensor(trainer):
+    """Both trainers check every example before the first step: a molecule
+    too long for the positional table, first drawn after step 1, raises
+    with every tensor as it was."""
+    pairs = _pairs()[0][:20]
+    mol = pairs[0][1]
+    pairs.append((pairs[0][0], mol[:1] + [mol[1]] * 81 + mol[-1:]))
+    params = init_model(_config(2, 30, 4))
+    assert len(pairs) - 1 not in next(training._batches(len(pairs), 30, 4, 2))
+    before = {n: v.tobytes() for n, v in params.tensors.items()}
+    with pytest.raises(VocabError, match="longer than positional table"):
+        if trainer == "train_adapter":
+            train_adapter(params, pairs)
+        else:
+            pretrain_decoder(params, [m for _, m in pairs], steps=30, seed=2)
+    assert {n: v.tobytes() for n, v in params.tensors.items()} == before
 
 
 @pytest.mark.parametrize("name", ["mol.0.ffn.w1", "text.embed"])
@@ -214,6 +240,46 @@ def test_batch_loss_matches_per_example_oracle(which, dtype, loss_tol,
         assert np.abs(got[name] - grad).max() <= grad_tol * scale, name
 
 
+# --- padded pretraining against the per-sequence oracle ----------------------
+
+
+def _reference_decoder_loss(params, sequences, tensors):
+    """The per-sequence loss: each sequence's decoder states @ head, its
+    mean token loss, then the mean over the batch."""
+    total = None
+    for mol_ids in sequences:
+        S = model.decode_mol_states(tensors, params.config, mol_ids[:-1])
+        logits = S @ tensors["head.w"] + tensors["head.b"]
+        loss = training.teacher_forced_loss(logits, mol_ids[1:], pad_id=0)
+        total = loss if total is None else total + loss
+    return total * (1.0 / len(sequences))
+
+
+@pytest.mark.parametrize("dtype,loss_tol,grad_tol",
+                         [(np.float32, 1e-6, 1e-5), (np.float64, 1e-12, 1e-12)],
+                         ids=["float32", "float64"])
+def test_decoder_loss_matches_per_sequence_oracle(dtype, loss_tol, grad_tol):
+    """Five molecules of five lengths, the longest in the middle, so most
+    rows of the padded decoder pass hold <pad> after their molecule."""
+    mols = sorted((m for _, m in _pairs()[0]), key=len)
+    batch = [mols[i] for i in (0, 30, 39, 10, 20)]
+    assert len(set(map(len, batch))) == 5
+    params = _active_params(_config(5, 1, len(batch)), dtype)
+    params.frozen = {n for n in params.frozen
+                     if not n.startswith(("mol.", "head."))}
+    want_loss, want = _loss_and_grads(_reference_decoder_loss, params, batch)
+    got_loss, got = _loss_and_grads(
+        lambda p, b, t: training._decoder_loss(t, p.config, b), params, batch)
+    assert abs(got_loss - want_loss) <= loss_tol
+    for name, grad in want.items():
+        if not name.startswith(("mol.", "head.")):
+            continue
+        assert got[name].dtype == dtype, name
+        scale = np.abs(grad).max()
+        assert scale > 0, name
+        assert np.abs(got[name] - grad).max() <= grad_tol * scale, name
+
+
 # --- errors at the boundary ----------------------------------------------------
 
 BAD_PAIRS = {
@@ -276,9 +342,8 @@ def test_grad_check_on_ragged_batch():
     assert training.grad_check(params, _ragged_batch(), n_coords=40) < 1e-4
 
 
-def test_tensors_per_step(monkeypatch):
-    """One graph per step: the Tensors a step builds do not grow with the
-    batch (627 per step when each example had its own graph)."""
+def _tensors_per_step(monkeypatch, train, steps):
+    """Tensors built per step by `train()`, which returns its loss history."""
     built = [0]
     init = Tensor.__init__
 
@@ -286,11 +351,28 @@ def test_tensors_per_step(monkeypatch):
         built[0] += 1
         init(self, *args, **kwargs)
 
-    params = init_model(_config(3, 3, 16))
     monkeypatch.setattr(Tensor, "__init__", counting)
-    _, history = train_adapter(params, _pairs()[0])
-    assert len(history) == 3
-    assert built[0] < 100 * 3, built[0] / 3
+    assert len(train()) == steps
+    return built[0] / steps
+
+
+def test_tensors_per_step(monkeypatch):
+    """One graph per step: the Tensors a step builds do not grow with the
+    batch (627 per step when each example had its own graph)."""
+    params = init_model(_config(3, 3, 16))
+    per_step = _tensors_per_step(
+        monkeypatch, lambda: train_adapter(params, _pairs()[0])[1], 3)
+    assert per_step < 100, per_step
+
+
+def test_tensors_per_pretraining_step(monkeypatch):
+    """One padded decoder pass per step (1,853 Tensors per step at batch 16
+    when each sequence had its own graph)."""
+    params = init_model(_config(3, 3, 16))
+    mols = [m for _, m in _pairs()[0]]
+    per_step = _tensors_per_step(
+        monkeypatch, lambda: pretrain_decoder(params, mols, steps=3), 3)
+    assert per_step < 200, per_step
 
 
 def test_batch_loss_rejects_what_it_cannot_score():
