@@ -1,26 +1,34 @@
 """Checkpoint file format.
 
-Layout: 5-byte magic ``CLMK1``, 8-byte little-endian header length, UTF-8
+Layout: 5-byte magic ``CLMK2``, 8-byte little-endian header length, UTF-8
 JSON header, then the concatenated little-endian float32 tensor payload.
-The header records tensor names, shapes, byte offsets, frozen flags, and an
-echo of the training configuration.
+The header records tensor names, shapes, byte offsets, frozen flags, an
+echo of the training configuration, and the token lists of the text and
+molecule vocabularies (``text_tokens``, ``mol_tokens``), so a checkpoint is
+the one file sampling needs.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 
 import numpy as np
 
-from chemlinker.adapternet.model import ModelParams, TrainConfig
+from chemlinker.adapternet.model import ModelParams, TrainConfig, param_layout
+from chemlinker.adapternet.vocab import UNK, Vocab
 
-MAGIC = b"CLMK1"
-_RETIRED_SWITCHES = ("finetune_text", "train_head", "unscaled_attention")
+MAGIC = b"CLMK2"
 
 
-def save_checkpoint(params: ModelParams, path) -> None:
+def save_checkpoint(params: ModelParams, path, text_vocab: Vocab,
+                    mol_vocab: Vocab) -> None:
+    """Write `params` with the vocabularies whose ids it was trained on;
+    raises ValueError for vocabularies `load_checkpoint` would reject."""
+    _vocab_from(text_vocab.tokens, params.config.text_vocab, "text")
+    _vocab_from(mol_vocab.tokens, params.config.mol_vocab, "molecule")
     offset = 0
     entries = []
     blobs = []
@@ -39,6 +47,8 @@ def save_checkpoint(params: ModelParams, path) -> None:
         "dtype": "f4",
         "tensors": entries,
         "config": dataclasses.asdict(params.config),
+        "text_tokens": text_vocab.tokens,
+        "mol_tokens": mol_vocab.tokens,
     }).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -52,6 +62,9 @@ def load_checkpoint(path) -> ModelParams:
     """Read a checkpoint; raises ValueError for any file it cannot read."""
     with open(path, "rb") as fh:
         blob = fh.read()
+    if blob[:5] == b"CLMK1":
+        raise ValueError("checkpoint format CLMK1 keeps no vocabularies; "
+                         "retrain it with this version")
     if blob[:5] != MAGIC:
         raise ValueError(f"not a checkpoint file (magic {blob[:5]!r})")
     if len(blob) < 13:
@@ -69,20 +82,31 @@ def load_checkpoint(path) -> ModelParams:
 def _params_from(header: dict, payload) -> ModelParams:
     if header.get("dtype") != "f4":
         raise ValueError("unsupported tensor dtype")
-    tensors = {}
-    frozen = set()
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        array = np.frombuffer(
-            payload, dtype="<f4", count=count, offset=entry["offset"])
-        tensors[entry["name"]] = array.reshape(shape).copy()
-        if entry["frozen"]:
-            frozen.add(entry["name"])
-    config = dict(header["config"])
-    # Older checkpoints echo three switches that could only be False.
-    for key in _RETIRED_SWITCHES:
-        if config.pop(key, False) is not False:
-            raise ValueError(f"checkpoint trained with {key}, "
-                             "which is no longer supported")
-    return ModelParams(tensors, frozen, TrainConfig(**config))
+    config = TrainConfig(**header["config"])
+    text_vocab = _vocab_from(header["text_tokens"], config.text_vocab, "text")
+    mol_vocab = _vocab_from(header["mol_tokens"], config.mol_vocab, "molecule")
+    layout = sorted((name, list(shape))
+                    for name, (shape, _) in param_layout(config).items())
+    if any(d < 0 for _, shape in layout for d in shape):
+        raise ValueError("checkpoint config has a negative dimension")
+    entries = header["tensors"]
+    if [(e["name"], e["shape"]) for e in entries] != layout:
+        raise ValueError("checkpoint tensors differ from the layout of its "
+                         "config")
+    tensors = {name: np.frombuffer(payload, dtype="<f4",
+                                   count=math.prod(shape),
+                                   offset=e["offset"]).reshape(shape).copy()
+               for e, (name, shape) in zip(entries, layout)}
+    frozen = {e["name"] for e in entries if e["frozen"]}
+    return ModelParams(tensors, frozen, config, text_vocab, mol_vocab)
+
+
+def _vocab_from(tokens, size: int, kind: str) -> Vocab:
+    """The vocabulary that saved `tokens`, rebuilt id for id."""
+    if (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)
+            and len(set(tokens)) == len(tokens)):
+        vocab = Vocab(tokens, with_unk=UNK in tokens)
+        if vocab.tokens == tokens and len(vocab) == size:
+            return vocab
+    raise ValueError(f"checkpoint {kind} vocabulary is not the list of "
+                     f"{size} tokens that train saves")

@@ -47,12 +47,16 @@ class TrainConfig:
 
 
 class ModelParams:
-    """Named float32 tensors with per-tensor frozen flags."""
+    """Named float32 tensors with per-tensor frozen flags; a loaded
+    checkpoint also carries the text and molecule vocabularies of its run."""
 
-    def __init__(self, tensors: dict, frozen: set, config: TrainConfig):
+    def __init__(self, tensors: dict, frozen: set, config: TrainConfig,
+                 text_vocab=None, mol_vocab=None):
         self.tensors = tensors
         self.frozen = frozen
         self.config = config
+        self.text_vocab = text_vocab
+        self.mol_vocab = mol_vocab
 
     def trainable_names(self) -> list:
         return [n for n in self.tensors if n not in self.frozen]
@@ -63,12 +67,55 @@ class ModelParams:
 
     def clone(self) -> "ModelParams":
         return ModelParams({n: t.copy() for n, t in self.tensors.items()},
-                           set(self.frozen), replace(self.config))
+                           set(self.frozen), replace(self.config),
+                           self.text_vocab, self.mol_vocab)
+
+
+def param_layout(cfg: TrainConfig) -> dict:
+    """Each tensor's name -> (shape, fill), in `init_model`'s drawing order.
+    The fill is "uniform" (scaled by the first dimension), 0.0 or 1.0;
+    adapter output paths (W_O, the adapter FFN's second layer) start at 0."""
+    layout: dict[str, tuple] = {}
+
+    def block(prefix: str, d: int):
+        f = d * cfg.ffn_mult
+        for w in ("wq", "wk", "wv", "wo"):
+            layout[f"{prefix}.attn.{w}"] = ((d, d), "uniform")
+        layout[f"{prefix}.ln1.g"] = ((d,), 1.0)
+        layout[f"{prefix}.ln1.b"] = ((d,), 0.0)
+        layout[f"{prefix}.ffn.w1"] = ((d, f), "uniform")
+        layout[f"{prefix}.ffn.b1"] = ((f,), 0.0)
+        layout[f"{prefix}.ffn.w2"] = ((f, d), "uniform")
+        layout[f"{prefix}.ffn.b2"] = ((d,), 0.0)
+        layout[f"{prefix}.ln2.g"] = ((d,), 1.0)
+        layout[f"{prefix}.ln2.b"] = ((d,), 0.0)
+
+    layout["text.embed"] = ((cfg.text_vocab, cfg.d_text), "uniform")
+    layout["text.pos"] = ((cfg.max_text_len, cfg.d_text), "uniform")
+    for i in range(cfg.layers):
+        block(f"text.{i}", cfg.d_text)
+    layout["mol.embed"] = ((cfg.mol_vocab, cfg.d_mol), "uniform")
+    layout["mol.pos"] = ((cfg.max_mol_len, cfg.d_mol), "uniform")
+    for i in range(cfg.layers):
+        block(f"mol.{i}", cfg.d_mol)
+
+    layout["proj.w_t"] = ((cfg.d_text, cfg.d_mol), "uniform")
+    for w in ("wq", "wk", "wv"):
+        layout[f"adapter.attn.{w}"] = ((cfg.d_mol, cfg.d_mol), "uniform")
+    layout["adapter.attn.wo"] = ((cfg.d_mol, cfg.d_mol), 0.0)
+    f = cfg.d_mol * cfg.ffn_mult
+    layout["adapter.ffn.w1"] = ((cfg.d_mol, f), "uniform")
+    layout["adapter.ffn.b1"] = ((f,), 0.0)
+    layout["adapter.ffn.w2"] = ((f, cfg.d_mol), 0.0)
+    layout["adapter.ffn.b2"] = ((cfg.d_mol,), 0.0)
+
+    layout["head.w"] = ((cfg.d_mol, cfg.mol_vocab), "uniform")
+    layout["head.b"] = ((cfg.mol_vocab,), 0.0)
+    return layout
 
 
 def init_model(cfg: TrainConfig) -> ModelParams:
-    """Deterministic scaled-uniform initialization; adapter output paths
-    (W_O and the adapter FFN's second layer) start at zero."""
+    """Deterministic scaled-uniform initialization of `param_layout(cfg)`."""
     if cfg.d_mol % cfg.heads or cfg.d_text % cfg.heads:
         raise ShapeError("heads must divide d_text and d_mol")
     if cfg.warmup_steps < 1:
@@ -76,54 +123,13 @@ def init_model(cfg: TrainConfig) -> ModelParams:
     if cfg.layers < 1 or cfg.text_vocab < 4 or cfg.mol_vocab < 4:
         raise ShapeError("need >= 1 layer and vocabularies incl. specials")
     rng = np.random.default_rng(cfg.seed)
-
-    def uniform(*shape):
-        bound = 1.0 / math.sqrt(shape[0])
-        return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-    def zeros(*shape):
-        return np.zeros(shape, dtype=np.float32)
-
-    def ones(*shape):
-        return np.ones(shape, dtype=np.float32)
-
     t: dict[str, np.ndarray] = {}
-
-    def block(prefix: str, d: int):
-        f = d * cfg.ffn_mult
-        for w in ("wq", "wk", "wv", "wo"):
-            t[f"{prefix}.attn.{w}"] = uniform(d, d)
-        t[f"{prefix}.ln1.g"] = ones(d)
-        t[f"{prefix}.ln1.b"] = zeros(d)
-        t[f"{prefix}.ffn.w1"] = uniform(d, f)
-        t[f"{prefix}.ffn.b1"] = zeros(f)
-        t[f"{prefix}.ffn.w2"] = uniform(f, d)
-        t[f"{prefix}.ffn.b2"] = zeros(d)
-        t[f"{prefix}.ln2.g"] = ones(d)
-        t[f"{prefix}.ln2.b"] = zeros(d)
-
-    t["text.embed"] = uniform(cfg.text_vocab, cfg.d_text)
-    t["text.pos"] = uniform(cfg.max_text_len, cfg.d_text)
-    for i in range(cfg.layers):
-        block(f"text.{i}", cfg.d_text)
-    t["mol.embed"] = uniform(cfg.mol_vocab, cfg.d_mol)
-    t["mol.pos"] = uniform(cfg.max_mol_len, cfg.d_mol)
-    for i in range(cfg.layers):
-        block(f"mol.{i}", cfg.d_mol)
-
-    t["proj.w_t"] = uniform(cfg.d_text, cfg.d_mol)
-    for w in ("wq", "wk", "wv"):
-        t[f"adapter.attn.{w}"] = uniform(cfg.d_mol, cfg.d_mol)
-    t["adapter.attn.wo"] = zeros(cfg.d_mol, cfg.d_mol)
-    f = cfg.d_mol * cfg.ffn_mult
-    t["adapter.ffn.w1"] = uniform(cfg.d_mol, f)
-    t["adapter.ffn.b1"] = zeros(f)
-    t["adapter.ffn.w2"] = zeros(f, cfg.d_mol)
-    t["adapter.ffn.b2"] = zeros(cfg.d_mol)
-
-    t["head.w"] = uniform(cfg.d_mol, cfg.mol_vocab)
-    t["head.b"] = zeros(cfg.mol_vocab)
-
+    for name, (shape, fill) in param_layout(cfg).items():
+        if fill == "uniform":
+            bound = 1.0 / math.sqrt(shape[0])
+            t[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
+        else:
+            t[name] = np.full(shape, fill, dtype=np.float32)
     frozen = {n for n in t if n.startswith(("text.", "mol.", "head."))}
     return ModelParams(t, frozen, replace(cfg))
 

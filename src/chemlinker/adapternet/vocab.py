@@ -8,6 +8,7 @@ PAD = "<pad>"
 BOS = "<bos>"
 EOS = "<eos>"
 UNK = "<unk>"
+SPECIALS = (PAD, BOS, EOS, UNK)
 
 # Character alphabet covering the supported SMILES feature set.
 SMILES_CHARS = tuple(
@@ -21,7 +22,7 @@ class Vocab:
 
     def __init__(self, tokens, with_unk: bool = False):
         specials = [PAD, BOS, EOS] + ([UNK] if with_unk else [])
-        self.tokens = specials + [t for t in tokens if t not in specials]
+        self.tokens = specials + [t for t in tokens if t not in SPECIALS]
         self.index = {t: i for i, t in enumerate(self.tokens)}
         if len(self.index) != len(self.tokens):
             raise VocabError("duplicate tokens in vocabulary")
@@ -34,14 +35,14 @@ class Vocab:
         return len(self.tokens)
 
     def encode(self, tokens) -> list[int]:
+        """Ids of input tokens. A token that spells a special one is not
+        that special: it is unknown, like any token outside the table."""
         ids = []
         for t in tokens:
-            if t in self.index:
-                ids.append(self.index[t])
-            elif self.unk is not None:
-                ids.append(self.unk)
-            else:
+            i = self.unk if t in SPECIALS else self.index.get(t, self.unk)
+            if i is None:
                 raise VocabError(f"token {t!r} not in vocabulary")
+            ids.append(i)
         return ids
 
     def decode(self, ids) -> list[str]:

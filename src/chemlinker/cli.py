@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 
 from chemlinker import __version__
-from chemlinker.errors import ChemlinkerError, LengthMismatch, VocabError
+from chemlinker.errors import ChemlinkerError, LengthMismatch
 from chemlinker.adapternet import (
     TrainConfig,
     Vocab,
@@ -181,44 +181,20 @@ def _cmd_train(args, started):
                       batch_size=args.batch_size)
     params = init_model(cfg)
     params, history = train_adapter(params, dataset, cfg)
-    save_checkpoint(params, args.out)
-    vocab_path = Path(str(args.out) + ".vocab.json")
-    vocab_path.write_text(json.dumps({"text_tokens": tvocab.tokens}) + "\n",
-                          encoding="utf-8")
+    save_checkpoint(params, args.out, tvocab, mvocab)
     _write_manifest(args, [args.out], [args.data], started, seed=args.seed)
     print(f"final loss {history[-1]:.4f} after {len(history)} steps; "
           f"checkpoint at {args.out}")
 
 
-def _load_text_vocab(ckpt_path):
-    """The training-time vocabulary `train` saves beside the checkpoint;
-    text ids mean nothing under any other vocabulary."""
-    vocab_path = Path(str(ckpt_path) + ".vocab.json")
-    if not vocab_path.exists():
-        raise VocabError(f"text vocabulary {vocab_path} not found")
-    with open(vocab_path, encoding="utf-8") as fh:
-        saved = json.load(fh)
-    tokens = saved.get("text_tokens") if isinstance(saved, dict) else None
-    if isinstance(tokens, list) and all(isinstance(t, str) for t in tokens):
-        vocab = Vocab(tokens, with_unk="<unk>" in tokens)
-        if vocab.tokens == tokens:
-            return vocab
-    raise VocabError(f"text vocabulary {vocab_path} is not one that train "
-                     "writes")
-
-
 def _cmd_generate(args, started):
     params = load_checkpoint(args.ckpt)
-    tvocab = _load_text_vocab(args.ckpt)
-    if len(tvocab) != params.config.text_vocab:
-        raise VocabError(f"text vocabulary of {len(tvocab)} tokens for a "
-                         f"checkpoint of {params.config.text_vocab}")
-    mvocab = smiles_char_vocab()
-    text_ids = _text_ids(tvocab, args.text, params.config.max_text_len)
+    text_ids = _text_ids(params.text_vocab, args.text,
+                         params.config.max_text_len)
     cfg = GenerationConfig(target_unique=args.n, base_seed=args.seed,
                            base_temperature=args.temperature)
     molecules, stats = generate_unique_set(params, text_ids, cfg,
-                                           vocab=mvocab)
+                                           vocab=params.mol_vocab)
     for smiles in molecules:
         print(smiles)
     if args.out:

@@ -32,14 +32,6 @@ class EvalReport:
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
-    def to_tsv(self) -> str:
-        header = ("n_pairs\tn_valid\tvalidity\texact\t"
-                  "maccs_fts\trdk_fts\tmorgan_fts")
-        row = (f"{self.n_pairs}\t{self.n_valid}\t{self.validity:.6f}\t"
-               f"{self.exact:.6f}\t{self.maccs_fts:.6f}\t"
-               f"{self.rdk_fts:.6f}\t{self.morgan_fts:.6f}")
-        return header + "\n" + row
-
 
 def exact_match(generated: str, reference: str) -> bool:
     """True iff both strings parse and canonicalize identically."""

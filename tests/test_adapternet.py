@@ -46,6 +46,14 @@ def toy_config(**kw):
     return TrainConfig(**defaults)
 
 
+def toy_vocabs(cfg):
+    """A text vocabulary (with <unk>) and a molecule vocabulary of the
+    sizes `cfg` names."""
+    return (Vocab([f"w{i}" for i in range(cfg.text_vocab - 4)],
+                  with_unk=True),
+            Vocab([f"m{i}" for i in range(cfg.mol_vocab - 3)]))
+
+
 def toy_batch():
     return [([1, 4, 5, 2], [1, 6, 7, 8, 9, 2]),
             ([1, 5, 2], [1, 9, 8, 2])]
@@ -384,28 +392,48 @@ def _with_config(**extra):
     return edit
 
 
+def _with_shape(name, shape):
+    def edit(header):
+        for entry in header["tensors"]:
+            if entry["name"] == name:
+                entry["shape"] = shape
+        return header
+    return edit
+
+
+def _without_tensor(name):
+    def edit(header):
+        header["tensors"] = [e for e in header["tensors"]
+                             if e["name"] != name]
+        return header
+    return edit
+
+
 def test_checkpoint_round_trip(tmp_path):
     params = init_model(toy_config())
+    text_vocab, mol_vocab = toy_vocabs(params.config)
     path = tmp_path / "model.clmk"
-    save_checkpoint(params, path)
-    assert path.read_bytes()[:5] == b"CLMK1"
+    save_checkpoint(params, path, text_vocab, mol_vocab)
+    assert path.read_bytes()[:5] == b"CLMK2"
     loaded = load_checkpoint(path)
     assert loaded.frozen == params.frozen
     assert loaded.config == params.config
+    assert loaded.text_vocab.tokens == text_vocab.tokens
+    assert loaded.text_vocab.unk == 3
+    assert loaded.mol_vocab.tokens == mol_vocab.tokens
+    assert loaded.mol_vocab.unk is None
     for name in params.tensors:
         assert np.array_equal(loaded.tensors[name], params.tensors[name])
 
 
-def test_checkpoint_with_retired_switches_off_loads(tmp_path):
-    """Older checkpoints echo three retired switches, always False."""
+def test_checkpoint_rejects_vocabulary_of_another_size(tmp_path):
     params = init_model(toy_config())
-    path = tmp_path / "old.clmk"
-    save_checkpoint(params, path)
-    _rewrite_header(path, _with_config(finetune_text=False, train_head=False,
-                                       unscaled_attention=False))
-    loaded = load_checkpoint(path)
-    assert loaded.config == params.config
-    assert loaded.frozen == params.frozen
+    text_vocab, mol_vocab = toy_vocabs(params.config)
+    path = tmp_path / "model.clmk"
+    for vocabs in ((mol_vocab, mol_vocab), (text_vocab, text_vocab)):
+        with pytest.raises(ValueError, match="vocabulary is not"):
+            save_checkpoint(params, path, *vocabs)
+    assert not path.exists()
 
 
 def test_checkpoint_rejects_other_files(tmp_path):
@@ -414,18 +442,26 @@ def test_checkpoint_rejects_other_files(tmp_path):
     with pytest.raises(ValueError):
         load_checkpoint(path)
 
-    save_checkpoint(init_model(toy_config()), path)
+    params = init_model(toy_config())
+    save_checkpoint(params, path, *toy_vocabs(params.config))
     good = path.read_bytes()
     (n,) = struct.unpack("<Q", good[5:13])
     for truncated in (good[:9], good[:13 + n // 2]):
         path.write_bytes(truncated)
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(path)
+    path.write_bytes(b"CLMK1" + good[5:])
+    with pytest.raises(ValueError, match="CLMK1 .* retrain"):
+        load_checkpoint(path)
     for edit in (_with_config(dropout=0.1),
-                 _with_config(unscaled_attention=True),
-                 _with_config(finetune_text=True),
+                 _with_config(layers=5),
+                 _with_config(d_mol=-64),
+                 _without_tensor("head.b"),
+                 _with_shape("mol.pos", [3, 64]),
+                 _with_shape("head.b", [-1]),
                  lambda header: [header],
-                 lambda header: {**header, "tensors": None}):
+                 lambda header: {**header, "tensors": None},
+                 lambda header: {**header, "mol_tokens": None}):
         path.write_bytes(good)
         _rewrite_header(path, edit)
         with pytest.raises(ValueError):
@@ -442,6 +478,18 @@ def test_vocab_round_trip():
         v.encode(["z"])
     with pytest.raises(VocabError):
         v.decode([99])
+
+
+def test_word_spelling_a_special_token_is_unknown():
+    """A description word that spells <eos> or <pad> is not an end of text
+    or padding; with no <unk> to map it to, it is an error."""
+    text = "a small <eos> alcohol <pad>"
+    vocab = word_vocab([text])
+    assert vocab.encode(text.split()) == [4, 5, 3, 6, 3]
+    assert vocab.unk == 3
+    for special in ("<pad>", "<bos>", "<eos>", "<unk>"):
+        with pytest.raises(VocabError):
+            Vocab(["x", "<unk>"]).encode([special])
 
 
 def test_smiles_vocab_covers_corpus_characters():

@@ -12,6 +12,7 @@ import pytest
 
 import chemlinker
 from chemlinker import cli
+from chemlinker.adapternet import load_checkpoint
 from chemlinker.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -190,9 +191,10 @@ def test_train_then_generate(capsys, tiny_checkpoint):
                        "--out", str(ckpt), "--steps", "5")
     assert code == 0
     assert "final loss" in out
-    assert ckpt.exists()
-    assert Path(str(ckpt) + ".vocab.json").exists()
-    assert Path(str(ckpt) + ".manifest.json").exists()
+    # The checkpoint carries its vocabularies: no file beside it but the
+    # manifest.
+    assert sorted(p.name for p in ckpt.parent.glob(ckpt.name + "*")) == [
+        "model.ckpt", "model.ckpt.manifest.json"]
 
     # Pinned outputs: a refactor must leave the trained tensors and the
     # sampled molecules byte-identical.
@@ -266,41 +268,80 @@ def test_long_description_trains_and_generates(capsys, tmp_path,
     assert out.split() == ["C(F)P"]
 
 
+def _edit_header(blob, edit, magic=b"CLMK2"):
+    """`blob` with its JSON header replaced by `edit(header)`."""
+    (header_len,) = struct.unpack("<Q", blob[5:13])
+    raw = json.dumps(edit(json.loads(blob[13:13 + header_len])))
+    raw = raw.encode("utf-8")
+    return magic + struct.pack("<Q", len(raw)) + raw + blob[13 + header_len:]
+
+
+def _set(key, value, section=None):
+    def edit(header):
+        (header[section] if section else header)[key] = value
+        return header
+    return edit
+
+
+def _tensor_shape(name, shape):
+    def edit(header):
+        for entry in header["tensors"]:
+            if entry["name"] == name:
+                entry["shape"] = shape
+        return header
+    return edit
+
+
+def _drop_tensor(name):
+    def edit(header):
+        header["tensors"] = [e for e in header["tensors"]
+                             if e["name"] != name]
+        return header
+    return edit
+
+
 def test_unreadable_checkpoint_exits_1(capsys, tmp_path, tiny_checkpoint):
+    """A truncated file, an unknown config key, or tensors that differ from
+    the config's layout exit 1 with no traceback."""
     data, _ = tiny_checkpoint
     ckpt = tmp_path / "model.ckpt"
     code, _, _ = run(capsys, "train", "--data", str(data),
                      "--out", str(ckpt), "--steps", "1")
     assert code == 0
     blob = ckpt.read_bytes()
-    (header_len,) = struct.unpack("<Q", blob[5:13])
-    header = json.loads(blob[13:13 + header_len])
-    header["config"]["dropout"] = 0.1
-    raw = json.dumps(header).encode("utf-8")
     for broken in (blob[:9],
-                   blob[:5] + struct.pack("<Q", len(raw)) + raw
-                   + blob[13 + header_len:]):
+                   _edit_header(blob, _set("dropout", 0.1, "config")),
+                   _edit_header(blob, _drop_tensor("head.b")),
+                   _edit_header(blob, _set("layers", 5, "config")),
+                   _edit_header(blob, _tensor_shape("mol.pos", [3, 64])),
+                   _edit_header(blob, _tensor_shape("head.b", [-1]))):
         ckpt.write_bytes(broken)
-        code, _, err = run(capsys, "generate", "--ckpt", str(ckpt),
-                           "--text", "molecule written as C C O")
+        code, out, err = run(capsys, "generate", "--ckpt", str(ckpt),
+                             "--text", "molecule written as C C O")
         assert code == 1
-        assert "error:" in err
+        assert out == ""
+        assert err.startswith("error:")
 
 
 def test_generate_without_text_vocabulary_exits_1(capsys, tmp_path,
                                                   tiny_checkpoint):
-    """Text ids mean nothing without the vocabulary `train` saved."""
+    """A CLMK1 checkpoint keeps no vocabularies, and text ids mean nothing
+    without the one training used: generate asks for a retrain."""
     data, _ = tiny_checkpoint
     ckpt = tmp_path / "model.ckpt"
     code, _, _ = run(capsys, "train", "--data", str(data),
                      "--out", str(ckpt), "--steps", "1")
     assert code == 0
-    Path(str(ckpt) + ".vocab.json").unlink()
+
+    def old_header(header):
+        del header["text_tokens"], header["mol_tokens"]
+        return header
+    ckpt.write_bytes(_edit_header(ckpt.read_bytes(), old_header, b"CLMK1"))
     code, out, err = run(capsys, "generate", "--ckpt", str(ckpt),
                          "--text", "molecule written as C C O")
     assert code == 1
     assert out == ""
-    assert "model.ckpt.vocab.json" in err
+    assert err.startswith("error:") and "CLMK1" in err and "retrain" in err
 
 
 TAGGED = "molecule <b> bold alcohol"
@@ -322,35 +363,39 @@ def test_reloaded_text_vocabulary_gives_the_training_ids(tagged_checkpoint):
     """A description word that starts with "<" keeps its place, so every
     later word keeps its id (the reloaded ids fell by one in 0.5.0)."""
     data, ckpt = tagged_checkpoint
-    dataset, tvocab, _ = cli._load_training_pairs(data, 64)
-    reloaded = cli._load_text_vocab(ckpt)
-    assert "<b>" in reloaded.tokens
-    assert reloaded.tokens == tvocab.tokens
-    assert cli._text_ids(reloaded, TAGGED, 64) == dataset[-1][0]
+    dataset, tvocab, mvocab = cli._load_training_pairs(data, 64)
+    loaded = load_checkpoint(ckpt)
+    assert "<b>" in loaded.text_vocab.tokens
+    assert loaded.text_vocab.tokens == tvocab.tokens
+    assert loaded.mol_vocab.tokens == mvocab.tokens
+    assert cli._text_ids(loaded.text_vocab, TAGGED, 64) == dataset[-1][0]
 
 
-@pytest.mark.parametrize("sidecar", ["other-run", "reordered", "no-list"])
+@pytest.mark.parametrize("tokens", ["other-run", "reordered", "no-list",
+                                    "wrong-count"])
 def test_mismatched_text_vocabulary_exits_1(capsys, tmp_path,
                                             tiny_checkpoint,
-                                            tagged_checkpoint, sidecar):
-    """A sidecar from another run, or one whose tokens a vocabulary cannot
-    hold in their saved order, would shift the text ids; one without a
-    token list holds none."""
+                                            tagged_checkpoint, tokens):
+    """A header whose text tokens come from another run, or that a
+    vocabulary cannot hold in their saved order (pad and bos swapped),
+    would shift the text ids; one without a token list holds none; one of
+    another length does not fit the text embedding."""
     data, _ = tiny_checkpoint
     ckpt = tmp_path / "model.ckpt"
     code, _, _ = run(capsys, "train", "--data", str(data),
                      "--out", str(ckpt), "--steps", "1")
     assert code == 0
-    vocab_path = Path(str(ckpt) + ".vocab.json")
-    if sidecar == "other-run":
-        other = Path(str(tagged_checkpoint[1]) + ".vocab.json")
-        vocab_path.write_text(other.read_text())
-    elif sidecar == "reordered":
-        tokens = json.loads(vocab_path.read_text())["text_tokens"]
-        tokens[0], tokens[1] = tokens[1], tokens[0]
-        vocab_path.write_text(json.dumps({"text_tokens": tokens}))
+    saved = load_checkpoint(ckpt).text_vocab.tokens
+    if tokens == "other-run":
+        edited = load_checkpoint(tagged_checkpoint[1]).text_vocab.tokens
+    elif tokens == "reordered":
+        edited = [saved[1], saved[0]] + saved[2:]
+    elif tokens == "no-list":
+        edited = None
     else:
-        vocab_path.write_text(json.dumps({"tokens": []}))
+        edited = saved + ["extra"]
+    ckpt.write_bytes(_edit_header(ckpt.read_bytes(),
+                                  _set("text_tokens", edited)))
     code, out, err = run(capsys, "generate", "--ckpt", str(ckpt),
                          "--text", "molecule written as C C O")
     assert code == 1

@@ -65,7 +65,8 @@ def checkpoints(tmp_path_factory):
     for name, pretrain_steps, warmup in (("smiles", 30, 10),
                                          ("noise", 0, 40)):
         path = tmp_path_factory.mktemp("golden") / f"{name}.ckpt"
-        save_checkpoint(_train(pretrain_steps, warmup), path)
+        save_checkpoint(_train(pretrain_steps, warmup), path, TEXT_VOCAB,
+                        MOL_VOCAB)
         params = load_checkpoint(path)
         assert np.abs(params.tensors["adapter.attn.wo"]).max() > 0
         out[name] = params
