@@ -1,3 +1,3 @@
 """chemlinker: desk-scale text-conditioned molecule generation toolkit."""
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

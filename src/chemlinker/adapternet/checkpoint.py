@@ -17,6 +17,7 @@ import struct
 
 import numpy as np
 
+from chemlinker.errors import ShapeError
 from chemlinker.adapternet.model import ModelParams, TrainConfig, param_layout
 from chemlinker.adapternet.vocab import UNK, Vocab
 
@@ -77,6 +78,8 @@ def load_checkpoint(path) -> ModelParams:
         return _params_from(header, memoryview(blob)[13 + header_len:])
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"unreadable checkpoint header: {exc!r}") from exc
+    except ShapeError as exc:
+        raise ValueError(f"checkpoint config: {exc}") from exc
 
 
 def _params_from(header: dict, payload) -> ModelParams:

@@ -74,7 +74,12 @@ class ModelParams:
 def param_layout(cfg: TrainConfig) -> dict:
     """Each tensor's name -> (shape, fill), in `init_model`'s drawing order.
     The fill is "uniform" (scaled by the first dimension), 0.0 or 1.0;
-    adapter output paths (W_O, the adapter FFN's second layer) start at 0."""
+    adapter output paths (W_O, the adapter FFN's second layer) start at 0.
+    Raises ShapeError for a config no model has."""
+    if cfg.heads < 1 or cfg.d_mol % cfg.heads or cfg.d_text % cfg.heads:
+        raise ShapeError("heads must divide d_text and d_mol")
+    if cfg.layers < 1 or cfg.text_vocab < 4 or cfg.mol_vocab < 4:
+        raise ShapeError("need >= 1 layer and vocabularies incl. specials")
     layout: dict[str, tuple] = {}
 
     def block(prefix: str, d: int):
@@ -116,15 +121,12 @@ def param_layout(cfg: TrainConfig) -> dict:
 
 def init_model(cfg: TrainConfig) -> ModelParams:
     """Deterministic scaled-uniform initialization of `param_layout(cfg)`."""
-    if cfg.d_mol % cfg.heads or cfg.d_text % cfg.heads:
-        raise ShapeError("heads must divide d_text and d_mol")
+    layout = param_layout(cfg)
     if cfg.warmup_steps < 1:
         raise ShapeError("warmup_steps must be >= 1")
-    if cfg.layers < 1 or cfg.text_vocab < 4 or cfg.mol_vocab < 4:
-        raise ShapeError("need >= 1 layer and vocabularies incl. specials")
     rng = np.random.default_rng(cfg.seed)
     t: dict[str, np.ndarray] = {}
-    for name, (shape, fill) in param_layout(cfg).items():
+    for name, (shape, fill) in layout.items():
         if fill == "uniform":
             bound = 1.0 / math.sqrt(shape[0])
             t[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
@@ -309,16 +311,6 @@ def padded_logits(t: dict, heads: int, states) -> Tensor:
     return adapter_logits(t, heads, Tensor(S), keys, values, mask)
 
 
-def forward_logits(params: ModelParams, text_ids, mol_ids,
-                   tensors: dict | None = None) -> Tensor:
-    """Full conditional forward: returns (len(mol_ids), mol_vocab) logits."""
-    cfg = params.config
-    t = tensors if tensors is not None else as_tensors(params)
-    keys_values = text_keys_values(t, cfg.heads, encode_text(t, cfg, text_ids))
-    return adapter_logits(t, cfg.heads, decode_mol_states(t, cfg, mol_ids),
-                          *keys_values)
-
-
 # --- cached decoding -------------------------------------------------------------
 
 
@@ -363,7 +355,8 @@ class DecodeCache:
 
     def step(self, tokens) -> np.ndarray:
         """(slots, mol_vocab) logits after one token per slot. A slot's row
-        matches the last row of `forward_logits` on that slot's prefix to
+        matches the last row of the full forward pass (`encode_text`,
+        `decode_mol_states`, then `adapter_logits`) on that slot's prefix to
         within float32 rounding, whatever its neighbours hold; a GEMM over
         several slots rounds unlike one slot's one-row products."""
         prompt = self.prompt

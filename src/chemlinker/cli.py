@@ -37,8 +37,7 @@ from chemlinker.consensus import (
 )
 from chemlinker.datasetpipe import (
     PubchemFilterConfig,
-    compat_filter,
-    filter_pubchem,
+    _curate,
     load_split,
     normalize_description,
     sample_subset,
@@ -135,13 +134,10 @@ def _cmd_dataset(args, started):
         raw = Path(args.exclusion).read_text(encoding="utf-8").split()
         exclusion = frozenset(canonical_smiles(s) for s in raw)
     cfg = PubchemFilterConfig(min_words=args.min_words, exclusion=exclusion)
-    records, pubchem_report = filter_pubchem(records, cfg)
+    records, pubchem_report, compat_report = _curate(
+        records, cfg, compat=not args.skip_compat)
     records = [type(r)(r.cid, r.smiles, normalize_description(r.description))
                for r in records]
-    if args.skip_compat:
-        compat_report = None
-    else:
-        records, compat_report = compat_filter(records)
     if args.sample is not None:
         records = sample_subset(records, args.sample, args.seed)
     write_split(records, args.output)

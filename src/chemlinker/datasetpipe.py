@@ -2,7 +2,11 @@
 normalization, molecule-alphabet compatibility filtering, seeded subsampling.
 
 Filter reports record per-rule drop counts so every curation run is
-reproducible and auditable.
+reproducible and auditable. A curation run parses each record's SMILES
+once: the description rules and the compat rules read the same parse, and
+the parsed molecule is dropped as soon as its canonical SMILES and compat
+verdict are known, so memory grows with the record strings, not with the
+molecules.
 """
 
 from __future__ import annotations
@@ -83,20 +87,26 @@ class PubchemFilterConfig:
     exclusion: frozenset = frozenset()   # canonical SMILES to remove
 
 
-def _canonical_or_none(smiles: str) -> str | None:
-    try:
-        return canonical_smiles(smiles)
-    except ParseError:
-        return None
-
-
 def filter_pubchem(records, cfg: PubchemFilterConfig | None = None):
     """Apply the description-curation rules; returns (survivors, report).
 
     Per-record rules first (word count, phrase, parseability), then the
     one-to-many rule over their survivors, then exclusion-set removal.
     """
+    survivors, report, _ = _curate(records, cfg, compat=False)
+    return survivors, report
+
+
+def _curate(records, cfg: PubchemFilterConfig | None, compat: bool):
+    """`filter_pubchem`, then with `compat` the compat filter on its
+    survivors, from one parse of each record; returns (survivors, pubchem
+    report, compat report or None).
+
+    Only strings outlive a record's turn in the per-record pass: its
+    canonical SMILES and, with `compat`, its compat verdict.
+    """
     cfg = cfg or PubchemFilterConfig()
+    vocab = smiles_char_vocab() if compat else None
     report = {"input": len(records), "short_description": 0,
               "drop_phrase": 0, "unparseable": 0, "one_to_many": 0,
               "excluded": 0, "output": 0}
@@ -108,26 +118,32 @@ def filter_pubchem(records, cfg: PubchemFilterConfig | None = None):
         if DROP_PHRASE in rec.description.lower():
             report["drop_phrase"] += 1
             continue
-        canon = _canonical_or_none(rec.smiles)
-        if canon is None:
+        try:
+            mol = parse_smiles(rec.smiles)
+            canon = canonical_smiles(mol)
+        except ParseError:
             report["unparseable"] += 1
             continue
-        staged.append((rec, canon))
+        staged.append((rec, canon,
+                       _compat_verdict(mol, vocab) if compat else None))
 
     by_description: dict[str, set[str]] = {}
-    for rec, canon in staged:
+    for rec, canon, _ in staged:
         by_description.setdefault(rec.description, set()).add(canon)
     survivors = []
-    for rec, canon in staged:
+    for rec, canon, verdict in staged:
         if len(by_description[rec.description]) > 1:
             report["one_to_many"] += 1
             continue
         if canon in cfg.exclusion:
             report["excluded"] += 1
             continue
-        survivors.append(rec)
+        survivors.append((rec, verdict))
     report["output"] = len(survivors)
-    return survivors, report
+    if not compat:
+        return [rec for rec, _ in survivors], report, None
+    kept, compat_report = _compat_outcome(survivors)
+    return kept, report, compat_report
 
 
 _TRAILER = re.compile(r"\s*with data available(?=\s*\.?\s*$)")
@@ -153,26 +169,42 @@ def compat_filter(records):
     SMILES.
     """
     vocab = smiles_char_vocab()
-    report = {"input": len(records), "unparseable": 0,
-              "disallowed_element": 0, "untokenizable": 0, "output": 0}
-    survivors = []
-    for rec in records:
+
+    def verdict(rec):
         try:
             mol = parse_smiles(rec.smiles)
         except ParseError:
-            report["unparseable"] += 1
-            continue
-        mol = mol.strip_stereo()
-        if any(a.element not in MOSES_ELEMENTS for a in mol.atoms):
-            report["disallowed_element"] += 1
-            continue
-        rewritten = canonical_smiles(mol)
-        try:
-            vocab.encode(list(rewritten))
-        except VocabError:
-            report["untokenizable"] += 1
-            continue
-        survivors.append(DatasetRecord(rec.cid, rewritten, rec.description))
+            return "unparseable", None
+        return _compat_verdict(mol, vocab)
+
+    return _compat_outcome([(rec, verdict(rec)) for rec in records])
+
+
+def _compat_verdict(mol, vocab) -> tuple[str | None, str | None]:
+    """The compat rules on one parsed molecule: (the rule that drops it,
+    None), or (None, its stereo-free canonical SMILES)."""
+    if any(a.element not in MOSES_ELEMENTS for a in mol.atoms):
+        return "disallowed_element", None
+    rewritten = canonical_smiles(mol.strip_stereo())
+    try:
+        vocab.encode(list(rewritten))
+    except VocabError:
+        return "untokenizable", None
+    return None, rewritten
+
+
+def _compat_outcome(judged):
+    """Survivors and report of the compat filter over (record, verdict)
+    pairs; a survivor carries its rewritten SMILES."""
+    report = {"input": len(judged), "unparseable": 0,
+              "disallowed_element": 0, "untokenizable": 0, "output": 0}
+    survivors = []
+    for rec, (rule, rewritten) in judged:
+        if rule is not None:
+            report[rule] += 1
+        else:
+            survivors.append(
+                DatasetRecord(rec.cid, rewritten, rec.description))
     report["output"] = len(survivors)
     return survivors, report
 

@@ -143,7 +143,7 @@ def kekulized(m: Molecule) -> Molecule:
     """Copy with aromatic flags cleared and explicit alternating bonds."""
     if not any(a.aromatic for a in m.atoms):
         return m
-    orders = kekulize(m)
+    orders = m.kekule_orders()
     bonds = [replace(b, order=orders[k]) if k in orders else b
              for k, b in enumerate(m.bonds)]
     atoms = [replace(a, aromatic=False, explicit_h=m.hydrogen_count(i))

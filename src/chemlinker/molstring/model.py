@@ -4,8 +4,8 @@ Molecule values are immutable to callers; every operation in this package
 returns a new Molecule rather than mutating in place. Each graph fact lives
 here and nowhere else: the bond index of every incident bond and the
 hydrogen counts are built in the constructor; the depth-first forest,
-ring bonds and smallest rings are computed once, on first use, and cached
-on the instance.
+ring bonds, smallest rings, Kekulé assignment, aromatic form and canonical
+SMILES are computed once, on first use, and cached on the instance.
 """
 
 from __future__ import annotations
@@ -126,7 +126,8 @@ class Molecule:
     """Immutable attributed molecular graph."""
 
     __slots__ = ("atoms", "bonds", "_adj", "_incident", "_hcounts",
-                 "_forest", "_ring_bonds", "_smallest_rings", "_aromatic")
+                 "_forest", "_ring_bonds", "_smallest_rings", "_kekule",
+                 "_aromatic", "_canonical")
 
     def __init__(self, atoms, bonds, validate: bool = True):
         object.__setattr__(self, "atoms", tuple(atoms))
@@ -142,7 +143,9 @@ class Molecule:
         object.__setattr__(self, "_forest", None)
         object.__setattr__(self, "_ring_bonds", None)
         object.__setattr__(self, "_smallest_rings", None)
+        object.__setattr__(self, "_kekule", None)
         object.__setattr__(self, "_aromatic", None)
+        object.__setattr__(self, "_canonical", None)
         object.__setattr__(self, "_hcounts", self._compute_hcounts())
         if validate:
             self._validate()
@@ -313,6 +316,15 @@ class Molecule:
             object.__setattr__(self, "_smallest_rings", tuple(rings))
         return self._smallest_rings
 
+    def kekule_orders(self) -> dict[int, int]:
+        """kekulize(self), computed once: SINGLE or DOUBLE for each aromatic
+        bond index. Callers must not change the map."""
+        if self._kekule is None:
+            from chemlinker.molstring.kekulize import kekulize  # cycle guard
+
+            object.__setattr__(self, "_kekule", kekulize(self))
+        return self._kekule
+
     def aromatic_form(self) -> "Molecule":
         """One spelling for Kekulé and aromatic input, computed once:
         aromatize(kekulized(self)).
@@ -352,8 +364,6 @@ class Molecule:
     # --- validation ------------------------------------------------------------
 
     def _validate(self) -> None:
-        from chemlinker.molstring.kekulize import kekulize  # cycle guard
-
         for i, atom in enumerate(self.atoms):
             if not (-4 <= atom.formal_charge <= 4):
                 raise ValenceViolation(
@@ -393,7 +403,7 @@ class Molecule:
                     raise ValenceViolation(
                         "aromatic bond between non-aromatic atoms")
         if any(a.aromatic for a in self.atoms):
-            kekulize(self)  # raises KekulizationFailure if inconsistent
+            self.kekule_orders()  # raises KekulizationFailure if inconsistent
 
     # --- transforms ---------------------------------------------------------
 
@@ -409,7 +419,10 @@ class Molecule:
         return m
 
     def strip_stereo(self) -> "Molecule":
-        """Copy with all chirality marks and bond stereo removed."""
+        """Copy with all chirality marks and bond stereo removed; the
+        molecule itself, with every cached fact, when it has none."""
+        if not self.has_stereo():
+            return self
         atoms = [replace(a, chirality=CHI_NONE, chiral_ref=()) for a in self.atoms]
         bonds = [replace(b, stereo=STEREO_NONE) for b in self.bonds]
         return self.on_same_graph(atoms, bonds)

@@ -199,18 +199,19 @@ def parse_smiles(text: str) -> Molecule:
     if pending_order is not None:
         raise LexError("dangling bond symbol at end of input")
 
-    atoms = [replace(a, chiral_ref=tuple(builder.refs[i]) if a.chirality else ())
-             for i, a in enumerate(builder.atoms)]
+    atoms = [replace(a, chiral_ref=tuple(builder.refs[i])) if a.chirality
+             else a for i, a in enumerate(builder.atoms)]
     bonds = builder.bonds
+    if not any(b.order == AROMATIC for b in bonds):
+        return Molecule(atoms, bonds)
     # An unspecified bond between two aromatic atoms outside any ring
     # (biphenyl-style) is a plain single bond.
-    if any(b.order == AROMATIC for b in bonds):
-        probe = Molecule(atoms, bonds, validate=False)
-        ring = probe.ring_bonds()
-        bonds = [replace(b, order=SINGLE)
-                 if b.order == AROMATIC and k not in ring else b
-                 for k, b in enumerate(bonds)]
-    return Molecule(atoms, bonds)
+    probe = Molecule(atoms, bonds, validate=False)
+    ring = probe.ring_bonds()
+    bonds = [replace(b, order=SINGLE)
+             if b.order == AROMATIC and k not in ring else b
+             for k, b in enumerate(bonds)]
+    return probe.on_same_graph(atoms, bonds, validate=True)
 
 
 def _resolve_ring_order(opened: int | None, closing: int | None,

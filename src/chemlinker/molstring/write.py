@@ -61,12 +61,17 @@ def write_smiles(m: Molecule, canonical: bool = False) -> str:
 
 
 def canonical_smiles(text_or_mol) -> str:
-    """Canonical SMILES of a molecule or of a SMILES string."""
+    """Canonical SMILES of a molecule or of a SMILES string. The string is
+    written once per Molecule and kept on it, so later calls on the same
+    molecule (or on its `strip_stereo()` when it has no stereo) return it."""
     from chemlinker.molstring.smiles import parse_smiles
 
     m = text_or_mol
     m = parse_smiles(m) if isinstance(m, str) else m
-    return write_smiles(m.aromatic_form(), canonical=True)
+    if m._canonical is None:
+        object.__setattr__(m, "_canonical",
+                           write_smiles(m.aromatic_form(), canonical=True))
+    return m._canonical
 
 
 # --- refinement and search -------------------------------------------------------

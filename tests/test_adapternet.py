@@ -21,7 +21,6 @@ from chemlinker.adapternet import (
     adapter_attend,
     adapter_ffn,
     batch_loss,
-    forward_logits,
     grad_check,
     init_model,
     load_checkpoint,
@@ -34,10 +33,23 @@ from chemlinker.adapternet import (
     word_vocab,
 )
 from chemlinker.adapternet.model import (
+    adapter_logits,
     as_tensors,
     decode_mol_states,
     encode_text,
+    text_keys_values,
 )
+
+
+def forward_logits(params, text_ids, mol_ids, tensors=None) -> Tensor:
+    """The full conditional forward of one example, (len(mol_ids),
+    mol_vocab) logits: the oracle that the batched decode step and the
+    padded training loss are checked against."""
+    cfg = params.config
+    t = tensors if tensors is not None else as_tensors(params)
+    keys_values = text_keys_values(t, cfg.heads, encode_text(t, cfg, text_ids))
+    return adapter_logits(t, cfg.heads, decode_mol_states(t, cfg, mol_ids),
+                          *keys_values)
 
 
 def toy_config(**kw):
@@ -75,6 +87,8 @@ def test_init_shape_errors():
         init_model(toy_config(heads=3, d_mol=64))
     with pytest.raises(ShapeError):
         init_model(toy_config(warmup_steps=0))
+    with pytest.raises(ShapeError):
+        init_model(toy_config(heads=0))
 
 
 def test_default_toy_model_under_1m_params():
@@ -465,6 +479,13 @@ def test_checkpoint_rejects_other_files(tmp_path):
         path.write_bytes(good)
         _rewrite_header(path, edit)
         with pytest.raises(ValueError):
+            load_checkpoint(path)
+    # A config no model has is named as such, before any layout check.
+    for edit, message in ((_with_config(heads=3), "heads must divide"),
+                          (_with_config(layers=0), ">= 1 layer")):
+        path.write_bytes(good)
+        _rewrite_header(path, edit)
+        with pytest.raises(ValueError, match=f"config: .*{message}"):
             load_checkpoint(path)
 
 

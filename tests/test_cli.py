@@ -301,8 +301,9 @@ def _drop_tensor(name):
 
 
 def test_unreadable_checkpoint_exits_1(capsys, tmp_path, tiny_checkpoint):
-    """A truncated file, an unknown config key, or tensors that differ from
-    the config's layout exit 1 with no traceback."""
+    """A truncated file, an unknown config key, a config no model has, or
+    tensors that differ from the config's layout exit 1 with no
+    traceback."""
     data, _ = tiny_checkpoint
     ckpt = tmp_path / "model.ckpt"
     code, _, _ = run(capsys, "train", "--data", str(data),
@@ -313,6 +314,8 @@ def test_unreadable_checkpoint_exits_1(capsys, tmp_path, tiny_checkpoint):
                    _edit_header(blob, _set("dropout", 0.1, "config")),
                    _edit_header(blob, _drop_tensor("head.b")),
                    _edit_header(blob, _set("layers", 5, "config")),
+                   _edit_header(blob, _set("heads", 3, "config")),
+                   _edit_header(blob, _set("layers", 0, "config")),
                    _edit_header(blob, _tensor_shape("mol.pos", [3, 64])),
                    _edit_header(blob, _tensor_shape("head.b", [-1]))):
         ckpt.write_bytes(broken)

@@ -1,11 +1,18 @@
 """Tests for dataset loading, curation filters, and seeded subsampling."""
 
+import hashlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from chemlinker.errors import DuplicateCid, MalformedRow, SampleTooLarge
+from chemlinker.errors import (
+    DuplicateCid,
+    MalformedRow,
+    ParseError,
+    SampleTooLarge,
+)
 from chemlinker.datasetpipe import (
     DatasetRecord,
     MOSES_ELEMENTS,
@@ -18,11 +25,14 @@ from chemlinker.datasetpipe import (
     sample_subset,
     write_split,
 )
-from chemlinker.molstring import canonical_smiles
+from chemlinker.cli import main
+from chemlinker.molstring import canonical_smiles, parse_smiles
 from chemlinker.rng import SplitMix64
+from test_molstring import count_calls
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PUBCHEM = FIXTURES / "pubchem_20.tsv"
+CORPUS = (FIXTURES / "corpus_500.smi").read_text().split()
 
 
 # --- loading ----------------------------------------------------------------------
@@ -231,3 +241,125 @@ def test_sample_subset_preserves_order(seed, n):
     picked = sample_subset(records, n, seed)
     ids = [int(r.cid) for r in picked]
     assert ids == sorted(ids)
+
+
+# --- one curation pass ------------------------------------------------------------
+
+LONG = ("It has been characterized by nuclear magnetic resonance, mass "
+        "spectrometry and infrared spectroscopy across several independent "
+        "studies, and it serves as a reference substance in a number of "
+        "routine laboratory assays.")   # 31 words
+SHARED = "One description for two different molecules. " + LONG
+# Rows beyond the corpus that each exercise one rule: stereo (kept, and
+# written without its marks by the compat filter), one-to-many (also
+# across stereoisomers, and not across two spellings of one molecule),
+# exclusion, unparseable, disallowed element, and the two description
+# rules.
+EXTRA = [
+    ("C[C@H](N)C(=O)O", None), ("N[C@@H](CS)C(=O)O", None),
+    ("F/C=C/F", None), ("C/C=C\\CCO", None), ("Cl[C@H](Br)CC", None),
+    ("C[C@@H](O)[Si](C)(C)C", None),
+    ("C[C@H](N)O", "Stereo pair. " + SHARED),
+    ("C[C@@H](N)O", "Stereo pair. " + SHARED),
+    ("CCCCN", SHARED), ("CCCCS", SHARED),
+    ("CCO", "Two spellings of one molecule. " + LONG),
+    ("OCC", "Two spellings of one molecule. " + LONG),
+    ("OCC(O)CO", None), ("C(O)CO", None),
+    ("not smiles", None), ("c1ccc1", None), ("C1CC", None),
+    ("C(=O)(=O)(=O)C", None),
+    ("CC[Si](C)C", None), ("CCI", None), ("CCP", None), ("O=P(O)(O)O", None),
+    ("CCO", "Too short to keep."),
+    ("CCN", "A natural product found in moss. " + LONG),
+]
+EXCLUSION = "OCC(O)CO\nOCCO\nC1CCCCC1\n"
+# SHA-256 of `dataset`'s output TSV and report on `_curation_input`, with
+# the compat filter and with --skip-compat.
+CURATION_GOLDEN = {
+    (): ("e9f2866a0798334c88dc6641aa41e972813b391babda349f05d54190006ce20e",
+         "2ff6045fe6ae4d64570682c1205cf71ad9ce6c2477de226eb3aebc5d5e5b0614"),
+    ("--skip-compat",): (
+        "92b4a652d1dcb533f2de931ca2c6388c5a7f918d2e46650dc164a4dca8905e2a",
+        "4230617d8206251724831b70b70e7cc63ff26c76bebb2991b78296c1c08f361e"),
+}
+
+
+def _curation_input(tmp_path) -> tuple[Path, Path]:
+    """corpus_500 under distinct descriptions, then the rows of EXTRA."""
+    rows = [(smiles, f"Compound {k} is a corpus molecule. " + LONG)
+            for k, smiles in enumerate(CORPUS)]
+    rows += [(smiles, desc or f"Extra compound {k} is listed here. " + LONG)
+             for k, (smiles, desc) in enumerate(EXTRA)]
+    data = tmp_path / "raw.tsv"
+    data.write_text("CID\tSMILES\tdescription\n" + "".join(
+        f"{10000 + k}\t{smiles}\t{desc}\n"
+        for k, (smiles, desc) in enumerate(rows)), encoding="utf-8")
+    exclusion = tmp_path / "exclusion.txt"
+    exclusion.write_text(EXCLUSION, encoding="utf-8")
+    return data, exclusion
+
+
+def _run_dataset(tmp_path, *flags) -> tuple[bytes, bytes]:
+    data, exclusion = _curation_input(tmp_path)
+    out, report = tmp_path / "clean.tsv", tmp_path / "report.json"
+    assert main(["dataset", "--input", str(data), "--output", str(out),
+                 "--report", str(report), "--exclusion", str(exclusion),
+                 *flags]) == 0
+    return out.read_bytes(), report.read_bytes()
+
+
+@pytest.mark.parametrize("flags", sorted(CURATION_GOLDEN))
+def test_dataset_output_is_pinned(tmp_path, capsys, flags):
+    """`dataset` writes the same bytes whatever the curation pass does
+    inside; the digests were recorded before the two filters shared one
+    parse."""
+    out, report = _run_dataset(tmp_path, *flags)
+    assert (hashlib.sha256(out).hexdigest(),
+            hashlib.sha256(report).hexdigest()) == CURATION_GOLDEN[flags]
+
+
+@pytest.mark.parametrize("flags", [(), ("--skip-compat",)])
+def test_dataset_parses_each_smiles_once(tmp_path, capsys, monkeypatch,
+                                         flags):
+    """One `dataset` run parses each input SMILES at most once and runs
+    the canonical writer once per parsed record, and once more for a record
+    with stereo marks and allowed elements, whose stripped form the compat
+    filter writes; --skip-compat does no compat work."""
+    import chemlinker.molstring.smiles as smiles_module
+    import chemlinker.molstring.write as write_module
+
+    data, _ = _curation_input(tmp_path)
+    texts = [rec.smiles for rec in load_split(data)
+             if len(rec.description.split()) > 30
+             and "natural product" not in rec.description.lower()]
+    parsed = []
+    for text in texts:
+        try:
+            parsed.append(parse_smiles(text))
+        except ParseError:
+            pass
+    stripped = sum(m.has_stereo() and all(a.element in MOSES_ELEMENTS
+                                          for a in m.atoms)
+                   for m in parsed)
+    parses = count_calls(monkeypatch, smiles_module, "parse_smiles")
+    writes = count_calls(monkeypatch, write_module, "write_smiles")
+    out = tmp_path / "clean.tsv"
+    assert main(["dataset", "--input", str(data), "--output", str(out),
+                 *flags]) == 0
+    assert Counter(args[0] for args in parses) == Counter(texts)
+    assert len(writes) == len(parsed) + (0 if flags else stripped)
+
+
+def test_stereoisomers_under_one_description_are_one_to_many():
+    desc = " ".join(["word"] * 40)
+    records = [DatasetRecord("1", "C[C@H](N)O", desc),
+               DatasetRecord("2", "C[C@@H](N)O", desc)]
+    survivors, report = filter_pubchem(records)
+    assert survivors == []
+    assert report["one_to_many"] == 2
+
+
+def test_compat_filter_drops_double_bond_stereo():
+    survivors, report = compat_filter([DatasetRecord("1", "F/C=C/F", "d")])
+    assert [r.smiles for r in survivors] == [canonical_smiles("FC=CF")]
+    assert survivors[0].smiles == "C(F)=CF"
+    assert report["output"] == 1

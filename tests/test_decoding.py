@@ -13,7 +13,6 @@ from chemlinker.adapternet import (
     DecodeCache,
     Tensor,
     TrainConfig,
-    forward_logits,
     init_model,
     load_checkpoint,
     prepare_prompt,
@@ -26,6 +25,7 @@ from chemlinker.adapternet import (
 from chemlinker.errors import ShapeError, TargetUnreached, VocabError
 from chemlinker.rng import SplitMix64
 from chemlinker.sampler import GenerationConfig, generate_unique_set
+from test_adapternet import forward_logits
 
 PAIRS = [("ethanol a small alcohol", "CCO"),
          ("ethylamine a small amine", "CCN"),

@@ -213,6 +213,64 @@ def test_strip_stereo_identity_without_stereo():
     assert not m.has_stereo()
 
 
+def test_strip_stereo_without_stereo_is_the_molecule():
+    """A molecule with nothing to strip is its own stripped form, so the
+    two share every cached fact, the canonical string included."""
+    m = parse_smiles("CC(N)C(=O)O")
+    assert m.strip_stereo() is m
+    chiral = parse_smiles("C[C@H](N)C(=O)O")
+    stripped = chiral.strip_stereo()
+    assert stripped is not chiral
+    assert not stripped.has_stereo()
+    assert canonical_smiles(stripped) == canonical_smiles(m)
+
+
+# --- facts computed once per molecule --------------------------------------------
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Replace `module.name` in every chemlinker module that holds it with a
+    wrapper that records each call's positional arguments in the returned
+    list."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if (mod_name.split(".")[0] == "chemlinker"
+                and getattr(mod, name, None) is original):
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_canonical_string_is_written_once_per_molecule(monkeypatch):
+    import chemlinker.molstring.write as write_module
+
+    writes = count_calls(monkeypatch, write_module, "write_smiles")
+    m = parse_smiles("OC(=O)c1ccccc1")
+    first = canonical_smiles(m)
+    assert canonical_smiles(m) is first
+    assert canonical_smiles(m.strip_stereo()) is first
+    assert len(writes) == 1
+    assert canonical_smiles("OC(=O)c1ccccc1") == first
+    assert len(writes) == 2     # a string is a new molecule
+
+
+def test_kekule_assignment_is_computed_once_per_molecule(monkeypatch):
+    """Parsing validates the parsed molecule's Kekulé assignment, and
+    canonicalizing reuses it; only the aromatic form's validation runs a
+    second matching."""
+    # The package re-exports the function under the module's name.
+    kekulize_module = sys.modules["chemlinker.molstring.kekulize"]
+    calls = count_calls(monkeypatch, kekulize_module, "kekulize")
+    m = parse_smiles("Cc1ccc(O)cc1")
+    assert canonical_smiles(m) == "Cc1ccc(O)cc1"
+    assert [args[0] for args in calls] == [m, m.aromatic_form()]
+
+
 # --- SELFIES ------------------------------------------------------------------
 
 

@@ -32,6 +32,7 @@ from chemlinker.errors import (
     VocabError,
 )
 from chemlinker.rng import SplitMix64
+from test_adapternet import forward_logits
 
 CORPUS = (Path(__file__).parent / "fixtures" / "corpus_500.smi"
           ).read_text().split()[:40]
@@ -167,8 +168,8 @@ def _reference_batch_loss(params, batch, tensors):
     pair's mean token loss, then the mean over the batch."""
     total = None
     for text_ids, mol_ids in batch:
-        logits = model.forward_logits(params, text_ids, mol_ids[:-1],
-                                      tensors=tensors)
+        logits = forward_logits(params, text_ids, mol_ids[:-1],
+                                tensors=tensors)
         loss = training.teacher_forced_loss(logits, mol_ids[1:], pad_id=0)
         total = loss if total is None else total + loss
     return total * (1.0 / len(batch))
