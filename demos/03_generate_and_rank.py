@@ -18,14 +18,13 @@ from chemlinker.metrics import evaluate_pairs
 from chemlinker.molstring import parse_smiles
 from chemlinker.sampler import GenerationConfig, generate_unique_set
 
-vocab = smiles_char_vocab()
-params = init_model(TrainConfig(text_vocab=8, mol_vocab=len(vocab)))
+params = init_model(TrainConfig(text_vocab=8,
+                                mol_vocab=len(smiles_char_vocab())))
 
 print("sampling 8 unique valid molecules from an untrained decoder...")
 cfg = GenerationConfig(target_unique=8, max_len=12, per_temperature_cap=500)
 try:
-    molecules, stats = generate_unique_set(params, [1, 4, 2], cfg,
-                                           vocab=vocab)
+    molecules, stats = generate_unique_set(params, [1, 4, 2], cfg)
 except TargetUnreached as err:
     # An untrained decoder may exhaust the temperature schedule; the
     # exception carries whatever it did find, with consistent accounting.

@@ -2,10 +2,10 @@
 
 Layout: 5-byte magic ``CLMK2``, 8-byte little-endian header length, UTF-8
 JSON header, then the concatenated little-endian float32 tensor payload.
-The header records tensor names, shapes, byte offsets, frozen flags, an
-echo of the training configuration, and the token lists of the text and
-molecule vocabularies (``text_tokens``, ``mol_tokens``), so a checkpoint is
-the one file sampling needs.
+The header records tensor names, shapes and byte offsets, an echo of the
+training configuration, and the token lists of the text and molecule
+vocabularies (``text_tokens``, ``mol_tokens``), so a checkpoint is the one
+file sampling needs. The ``frozen`` flags of earlier files are ignored.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ def save_checkpoint(params: ModelParams, path, text_vocab: Vocab,
             "name": name,
             "shape": list(array.shape),
             "offset": offset,
-            "frozen": name in params.frozen,
         })
         offset += len(blob)
         blobs.append(blob)
@@ -100,8 +99,7 @@ def _params_from(header: dict, payload) -> ModelParams:
                                    count=math.prod(shape),
                                    offset=e["offset"]).reshape(shape).copy()
                for e, (name, shape) in zip(entries, layout)}
-    frozen = {e["name"] for e in entries if e["frozen"]}
-    return ModelParams(tensors, frozen, config, text_vocab, mol_vocab)
+    return ModelParams(tensors, config, text_vocab, mol_vocab)
 
 
 def _vocab_from(tokens, size: int, kind: str) -> Vocab:

@@ -46,20 +46,27 @@ class TrainConfig:
     max_steps: int = 500
 
 
-class ModelParams:
-    """Named float32 tensors with per-tensor frozen flags; a loaded
-    checkpoint also carries the text and molecule vocabularies of its run."""
+ADAPTER = ("proj.", "adapter.")   # the tensors adapter training trains
 
-    def __init__(self, tensors: dict, frozen: set, config: TrainConfig,
-                 text_vocab=None, mol_vocab=None):
+
+class ModelParams:
+    """Named float32 tensors; a loaded checkpoint also carries the text and
+    molecule vocabularies of its run. A tensor's name gives its role: the
+    projection and the adapter (`ADAPTER`) train, the rest is frozen."""
+
+    def __init__(self, tensors: dict, config: TrainConfig, text_vocab=None,
+                 mol_vocab=None):
         self.tensors = tensors
-        self.frozen = frozen
         self.config = config
         self.text_vocab = text_vocab
         self.mol_vocab = mol_vocab
 
+    @property
+    def frozen(self) -> frozenset:
+        return frozenset(n for n in self.tensors if not n.startswith(ADAPTER))
+
     def trainable_names(self) -> list:
-        return [n for n in self.tensors if n not in self.frozen]
+        return [n for n in self.tensors if n.startswith(ADAPTER)]
 
     def count(self, names=None) -> int:
         names = self.tensors.keys() if names is None else names
@@ -67,8 +74,8 @@ class ModelParams:
 
     def clone(self) -> "ModelParams":
         return ModelParams({n: t.copy() for n, t in self.tensors.items()},
-                           set(self.frozen), replace(self.config),
-                           self.text_vocab, self.mol_vocab)
+                           replace(self.config), self.text_vocab,
+                           self.mol_vocab)
 
 
 def param_layout(cfg: TrainConfig) -> dict:
@@ -132,20 +139,19 @@ def init_model(cfg: TrainConfig) -> ModelParams:
             t[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
         else:
             t[name] = np.full(shape, fill, dtype=np.float32)
-    frozen = {n for n in t if n.startswith(("text.", "mol.", "head."))}
-    return ModelParams(t, frozen, replace(cfg))
+    return ModelParams(t, replace(cfg))
 
 
 # --- forward pass ----------------------------------------------------------------
 
 
-def as_tensors(params: ModelParams, grad: bool = False,
-               prefixes: tuple | None = None) -> dict:
-    """Wrap every tensor, or those whose names start with one of `prefixes`;
-    with `grad`, the non-frozen ones record gradients."""
-    return {n: Tensor(v, requires_grad=grad and n not in params.frozen)
+def as_tensors(params: ModelParams, trains: tuple = (),
+               reads: tuple | None = None) -> dict:
+    """Wrap every tensor, or those whose names start with one of `reads`;
+    those whose names start with one of `trains` record gradients."""
+    return {n: Tensor(v, requires_grad=n.startswith(trains))
             for n, v in params.tensors.items()
-            if prefixes is None or n.startswith(prefixes)}
+            if reads is None or n.startswith(reads)}
 
 
 def _heads_split(x, heads: int):
@@ -215,7 +221,8 @@ def _check_ids(ids, vocab: int, limit: int, what: str) -> np.ndarray:
     if ids.min() < 0 or ids.max() >= vocab:
         raise VocabError(f"{what} token id outside vocabulary of {vocab}")
     if ids.size > limit:
-        raise VocabError(f"{what} sequence longer than positional table")
+        raise VocabError(f"{what} sequence of {ids.size} tokens longer than "
+                         f"positional table of {limit}")
     return ids
 
 

@@ -20,14 +20,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from chemlinker.errors import (
-    EmptyDataset,
-    LengthMismatch,
-    UnsupportedFeature,
-    VocabError,
-)
+from chemlinker.errors import EmptyDataset, LengthMismatch, VocabError
 from chemlinker.adapternet.autograd import Tensor
 from chemlinker.adapternet.model import (
+    ADAPTER,
     ModelParams,
     _check_ids,
     as_tensors,
@@ -42,6 +38,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.98
 ADAM_EPS = 1e-9
 ADAPTER_READS = ("proj.", "adapter.", "head.")   # what an adapter step reads
+DECODER = ("mol.", "head.")   # what pretraining trains, and all it reads
 
 
 def noam_lr(step: int, warmup: int, d_model: int) -> float:
@@ -129,28 +126,18 @@ def _batches(n: int, steps: int, batch_size: int, seed: int):
     return walk()
 
 
-def _require_frozen_stack(params: ModelParams) -> None:
-    """The adapter loss runs on frozen states, which carry no gradient."""
-    thawed = sorted(n for n in params.trainable_names()
-                    if n.startswith(("text.", "mol.")))
-    if thawed:
-        raise UnsupportedFeature(
-            "adapter training needs a frozen encoder and decoder; "
-            f"trainable: {', '.join(thawed)}")
-
-
 def batch_loss(params: ModelParams, batch, tensors=None) -> Tensor:
     """Mean per-pair teacher-forced loss over (text_ids, mol_ids) pairs.
 
     mol_ids must include BOS...EOS; inputs are mol_ids[:-1], targets
-    mol_ids[1:]. The encoder and decoder must be frozen.
+    mol_ids[1:]. The encoder and decoder run on plain arrays, so only the
+    adapter's tensors get a gradient.
     """
     batch = list(batch)
     if not batch:
         raise EmptyDataset("batch is empty")
-    _require_frozen_stack(params)
     t = tensors if tensors is not None else as_tensors(
-        params, grad=True, prefixes=ADAPTER_READS)
+        params, ADAPTER, ADAPTER_READS)
     frozen, cfg = params.tensors, params.config
     states = [(encode_text(frozen, cfg, text_ids),
                decode_mol_states(frozen, cfg, mol_ids[:-1]))
@@ -159,17 +146,17 @@ def batch_loss(params: ModelParams, batch, tensors=None) -> Tensor:
                         [m for _, m in batch])
 
 
-def _adam(params: ModelParams, cfg, batches, loss_of, reads: tuple) -> list:
-    """Adam under the Noam schedule, one step per batch; only non-frozen
-    tensors are updated. `loss_of(tensors, batch)` builds the step's loss
-    from the tensors whose names start with one of `reads`. Returns the loss
-    of each step."""
-    moments = {n: (np.zeros_like(params.tensors[n]),
-                   np.zeros_like(params.tensors[n]))
-               for n in params.trainable_names() if n.startswith(reads)}
+def _adam(params: ModelParams, cfg, batches, loss_of, trains: tuple,
+          reads: tuple) -> list:
+    """Adam under the Noam schedule, one step per batch; only the tensors
+    whose names start with one of `trains` are updated. `loss_of(tensors,
+    batch)` builds the step's loss from the tensors whose names start with
+    one of `reads`. Returns the loss of each step."""
+    moments = {n: (np.zeros_like(v), np.zeros_like(v))
+               for n, v in params.tensors.items() if n.startswith(trains)}
     history = []
     for step, batch in enumerate(batches, start=1):
-        tensors = as_tensors(params, grad=True, prefixes=reads)
+        tensors = as_tensors(params, trains, reads)
         loss = loss_of(tensors, batch)
         loss.backward()
         history.append(float(loss.data))
@@ -189,23 +176,26 @@ def _adam(params: ModelParams, cfg, batches, loss_of, reads: tuple) -> list:
 
 
 def train_adapter(params: ModelParams, dataset, cfg=None):
-    """Adam under the Noam schedule; only non-frozen tensors are updated.
+    """Adam under the Noam schedule; only the projection and the adapter
+    (`ADAPTER`) are updated.
 
     Batches walk seeded permutations of the dataset. Returns
-    (params, loss_history). Deterministic given cfg.seed.
-
-    Frozen states are computed once per example (see the module docstring),
-    so a trainable `text.*` or `mol.*` tensor raises UnsupportedFeature.
+    (params, loss_history). Deterministic given cfg.seed. Every example is
+    checked before the first step; an example that fails raises its error
+    with the attribute `example`, its index in `dataset`.
     """
     cfg = cfg or params.config
     dataset = list(dataset)
     batches = _batches(len(dataset), cfg.max_steps, cfg.batch_size, cfg.seed)
-    _require_frozen_stack(params)
     frozen, model_cfg = params.tensors, params.config
-    for text_ids, mol_ids in dataset:
-        _check_ids(text_ids, model_cfg.text_vocab, model_cfg.max_text_len,
-                   "text")
-        _check_molecule(model_cfg, mol_ids)
+    for i, (text_ids, mol_ids) in enumerate(dataset):
+        try:
+            _check_ids(text_ids, model_cfg.text_vocab, model_cfg.max_text_len,
+                       "text")
+            _check_molecule(model_cfg, mol_ids)
+        except (LengthMismatch, VocabError) as exc:
+            exc.example = i
+            raise
     states: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def example_states(i):
@@ -220,7 +210,8 @@ def train_adapter(params: ModelParams, dataset, cfg=None):
         return _padded_loss(padded_logits(t, model_cfg.heads, states),
                             [dataset[i][1] for i in batch])
 
-    return params, _adam(params, cfg, batches, loss_of, ADAPTER_READS)
+    return params, _adam(params, cfg, batches, loss_of, ADAPTER,
+                         ADAPTER_READS)
 
 
 def _decoder_loss(t: dict, cfg, mol_batch) -> Tensor:
@@ -235,26 +226,16 @@ def _decoder_loss(t: dict, cfg, mol_batch) -> Tensor:
 
 def pretrain_decoder(params: ModelParams, mol_sequences, steps: int,
                      seed: int = 0) -> list:
-    """Unconditional next-token pretraining of the decoder + head, on `steps`
-    batches drawn as `train_adapter` draws them, seeded with `seed`.
-
-    Temporarily unfreezes mol.* and head.* tensors; they are re-frozen on
-    return, also when a step raises, which is the regime the adapter is
-    then trained in.
-    """
+    """Unconditional next-token pretraining of the decoder + head
+    (`DECODER`), on `steps` batches drawn as `train_adapter` draws them,
+    seeded with `seed`. Nothing else is read or updated."""
     cfg = params.config
     sequences = list(mol_sequences)
     batches = _batches(len(sequences), steps, cfg.batch_size, seed)
     for mol_ids in sequences:
         _check_molecule(cfg, mol_ids)
-    to_unfreeze = {n for n in params.frozen
-                   if n.startswith(("mol.", "head."))}
-    params.frozen -= to_unfreeze
-    try:
-        return _adam(params, cfg, batches, lambda t, batch: _decoder_loss(
-            t, cfg, [sequences[i] for i in batch]), ("mol.", "head."))
-    finally:
-        params.frozen |= to_unfreeze
+    return _adam(params, cfg, batches, lambda t, batch: _decoder_loss(
+        t, cfg, [sequences[i] for i in batch]), DECODER, DECODER)
 
 
 def grad_check(params: ModelParams, batch, eps: float = 1e-5,
@@ -269,7 +250,7 @@ def grad_check(params: ModelParams, batch, eps: float = 1e-5,
     for name in work.tensors:
         work.tensors[name] = work.tensors[name].astype(np.float64)
 
-    tensors = as_tensors(work, grad=True)
+    tensors = as_tensors(work, ADAPTER)
     loss = batch_loss(work, batch, tensors=tensors)
     loss.backward()
 

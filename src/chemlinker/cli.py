@@ -158,8 +158,7 @@ def _text_ids(vocab: Vocab, text: str, max_text_len: int) -> list[int]:
     return [vocab.bos] + vocab.encode(words) + [vocab.eos]
 
 
-def _load_training_pairs(path, max_text_len: int):
-    records = load_split(path)
+def _training_pairs(records, max_text_len: int):
     texts = [r.description for r in records]
     tvocab = word_vocab(texts)
     mvocab = smiles_char_vocab()
@@ -170,13 +169,20 @@ def _load_training_pairs(path, max_text_len: int):
 
 
 def _cmd_train(args, started):
-    dataset, tvocab, mvocab = _load_training_pairs(
-        args.data, TrainConfig.max_text_len)
+    records = load_split(args.data)
+    dataset, tvocab, mvocab = _training_pairs(records,
+                                              TrainConfig.max_text_len)
     cfg = TrainConfig(text_vocab=len(tvocab), mol_vocab=len(mvocab),
                       max_steps=args.steps, seed=args.seed,
                       batch_size=args.batch_size)
     params = init_model(cfg)
-    params, history = train_adapter(params, dataset, cfg)
+    try:
+        params, history = train_adapter(params, dataset, cfg)
+    except ChemlinkerError as exc:
+        if not hasattr(exc, "example"):
+            raise
+        raise type(exc)(
+            f"record CID {records[exc.example].cid}: {exc}") from exc
     save_checkpoint(params, args.out, tvocab, mvocab)
     _write_manifest(args, [args.out], [args.data], started, seed=args.seed)
     print(f"final loss {history[-1]:.4f} after {len(history)} steps; "
@@ -189,8 +195,7 @@ def _cmd_generate(args, started):
                          params.config.max_text_len)
     cfg = GenerationConfig(target_unique=args.n, base_seed=args.seed,
                            base_temperature=args.temperature)
-    molecules, stats = generate_unique_set(params, text_ids, cfg,
-                                           vocab=params.mol_vocab)
+    molecules, stats = generate_unique_set(params, text_ids, cfg)
     for smiles in molecules:
         print(smiles)
     if args.out:

@@ -204,12 +204,14 @@ def parse_smiles(text: str) -> Molecule:
     bonds = builder.bonds
     if not any(b.order == AROMATIC for b in bonds):
         return Molecule(atoms, bonds)
-    # An unspecified bond between two aromatic atoms outside any ring
-    # (biphenyl-style) is a plain single bond.
+    # An aromatic bond between two aromatic atoms outside any ring
+    # (biphenyl-style) is a plain single bond; between aliphatic atoms it
+    # stays aromatic, which validation rejects.
     probe = Molecule(atoms, bonds, validate=False)
     ring = probe.ring_bonds()
     bonds = [replace(b, order=SINGLE)
-             if b.order == AROMATIC and k not in ring else b
+             if b.order == AROMATIC and k not in ring
+             and atoms[b.a].aromatic and atoms[b.b].aromatic else b
              for k, b in enumerate(bonds)]
     return probe.on_same_graph(atoms, bonds, validate=True)
 

@@ -250,7 +250,7 @@ def escalation_schedule(cfg: GenerationConfig) -> list[float]:
     return temps
 
 
-def generate_unique_set(params, text_ids, cfg: GenerationConfig, vocab=None,
+def generate_unique_set(params, text_ids, cfg: GenerationConfig,
                         generate_fn=None):
     """Sample with temperature escalation until target_unique Pass molecules.
 
@@ -259,7 +259,9 @@ def generate_unique_set(params, text_ids, cfg: GenerationConfig, vocab=None,
     the schedule is exhausted. Candidate j at temperature index b draws from
     its own stream, `SplitMix64` seeded with the j-th `next_u64()` of
     `SplitMix64(base_seed + b)`, and candidates are counted in that order.
-    `vocab` defaults to `smiles_char_vocab()`. `generate_fn(temperature,
+    Tokens are spelled with the model's vocabulary: a loaded checkpoint's
+    `params.mol_vocab`, else `smiles_char_vocab()`; one whose size is not
+    the config's `mol_vocab` raises VocabError. `generate_fn(temperature,
     rng) -> str` overrides the model-based sampler (used for replay and
     testing); it is called once per candidate with the candidate's stream.
     """
@@ -268,9 +270,12 @@ def generate_unique_set(params, text_ids, cfg: GenerationConfig, vocab=None,
             raise VocabError(
                 f"max_len {cfg.max_len} exceeds the checkpoint's positional "
                 f"table of {params.config.max_mol_len}")
+        vocab = (params.mol_vocab if params.mol_vocab is not None
+                 else smiles_char_vocab())
+        if len(vocab) != params.config.mol_vocab:
+            raise VocabError(f"molecule vocabulary of {len(vocab)} tokens "
+                             f"for a model of {params.config.mol_vocab}")
         prompt = prepare_prompt(params, text_ids)
-        if vocab is None:
-            vocab = smiles_char_vocab()
 
         def candidates(temperature, streams):
             return sample_candidates(prompt, vocab, temperature, cfg.max_len,

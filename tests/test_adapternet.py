@@ -33,6 +33,7 @@ from chemlinker.adapternet import (
     word_vocab,
 )
 from chemlinker.adapternet.model import (
+    ADAPTER,
     adapter_logits,
     as_tensors,
     decode_mol_states,
@@ -208,7 +209,7 @@ def test_frozen_stack_on_arrays_matches_tape(dtype):
     params = init_model(toy_config())
     for name in params.tensors:
         params.tensors[name] = params.tensors[name].astype(dtype)
-    cfg, t = params.config, as_tensors(params, grad=True)
+    cfg, t = params.config, as_tensors(params, ADAPTER)
     text, mol = [1, 4, 5, 6, 7, 2], [1, 6, 7, 8, 9, 10, 11]
     for run in (encode_text, decode_mol_states):
         ids = text if run is encode_text else mol
@@ -306,7 +307,7 @@ def test_only_leaves_keep_gradients():
     """A tensor made by an operation drops its gradient once it has passed
     it on, so the graph never holds every gradient at once."""
     params = init_model(toy_config())
-    tensors = as_tensors(params, grad=True)
+    tensors = as_tensors(params, ADAPTER)
     loss = batch_loss(params, toy_batch(), tensors=tensors)
     loss.backward()
     made, stack, seen = 0, [loss], set()
@@ -373,13 +374,18 @@ def test_empty_dataset_rejected():
 
 
 def test_pretrain_decoder_lowers_loss_and_refreezes():
+    """Pretraining moves only the decoder and the head; the roles the names
+    give are the same after it."""
     params = init_model(toy_config(warmup_steps=10))
     frozen = set(params.frozen)
+    before = {n: v.tobytes() for n, v in params.tensors.items()}
     sequences = [[1, 6, 7, 8, 9, 2], [1, 9, 8, 2], [1, 6, 6, 7, 2]]
     history = pretrain_decoder(params, sequences, steps=30)
     assert len(history) == 30
     assert history[-1] < history[0]
     assert params.frozen == frozen
+    moved = {n for n, v in params.tensors.items() if v.tobytes() != before[n]}
+    assert moved and all(n.startswith(("mol.", "head.")) for n in moved)
 
     too_long = [1] + [6] * params.config.max_mol_len + [2]
     with pytest.raises(VocabError):
@@ -429,6 +435,10 @@ def test_checkpoint_round_trip(tmp_path):
     path = tmp_path / "model.clmk"
     save_checkpoint(params, path, text_vocab, mol_vocab)
     assert path.read_bytes()[:5] == b"CLMK2"
+    blob = path.read_bytes()
+    (n,) = struct.unpack("<Q", blob[5:13])
+    assert not any("frozen" in entry
+                   for entry in json.loads(blob[13:13 + n])["tensors"])
     loaded = load_checkpoint(path)
     assert loaded.frozen == params.frozen
     assert loaded.config == params.config
@@ -438,6 +448,31 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.mol_vocab.unk is None
     for name in params.tensors:
         assert np.array_equal(loaded.tensors[name], params.tensors[name])
+
+
+def test_checkpoint_frozen_flags_are_ignored(tmp_path):
+    """A `CLMK2` file written before 0.9.0 carries a `frozen` flag per
+    tensor. One that marks an encoder and a decoder tensor trainable still
+    loads, and adapter training moves no `text.*`, `mol.*` or `head.*`
+    tensor."""
+    cfg, pairs = _training_setup(max_steps=10)
+    path = tmp_path / "old.clmk"
+    save_checkpoint(init_model(cfg), path, *toy_vocabs(cfg))
+    thawed = {"text.embed", "mol.0.ffn.w1"}
+
+    def flag(header):
+        for entry in header["tensors"]:
+            entry["frozen"] = not entry["name"].startswith(
+                ("proj.", "adapter.")) and entry["name"] not in thawed
+        return header
+
+    _rewrite_header(path, flag)
+    params = load_checkpoint(path)
+    assert thawed <= params.frozen
+    before = {n: v.tobytes() for n, v in params.tensors.items()}
+    trained, _ = train_adapter(params, pairs)
+    moved = {n for n, v in trained.tensors.items() if v.tobytes() != before[n]}
+    assert moved and all(n.startswith(("proj.", "adapter.")) for n in moved)
 
 
 def test_checkpoint_rejects_vocabulary_of_another_size(tmp_path):

@@ -14,6 +14,7 @@ import chemlinker
 from chemlinker import cli
 from chemlinker.adapternet import load_checkpoint
 from chemlinker.cli import main
+from chemlinker.datasetpipe import load_split
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -37,6 +38,19 @@ def test_domain_error_exits_1(capsys):
     code, _, err = run(capsys, "canon", "C(")
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("canon", "c1cccc1"), ("canon", "[CH12]"), ("canon", "[C+5]"),
+    ("canon", "C=1CCC#1"), ("canon", "C:C"), ("canon", "CC:O"),
+    ("canon", "C1:C:C:C:C:C1"), ("selfies-encode", "[Si](C)(C)C"),
+    ("selfies-encode", "[13CH4]"), ("selfies-encode", "[O-2]"),
+    ("selfies-encode", "[SH4]")])
+def test_molecule_error_exits_1_without_traceback(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -220,6 +234,24 @@ def test_train_then_generate(capsys, tiny_checkpoint):
     assert out2 == out
 
 
+def test_train_names_the_record_that_does_not_fit(capsys, tmp_path,
+                                                 tiny_checkpoint):
+    """An 85-character SMILES is 86 decoder inputs with BOS, more than the
+    molecule positional table's 80: `train` names its CID."""
+    smiles = "C" * 40 + "O" * 5 + "C" * 40
+    data = tmp_path / "long.tsv"
+    data.write_text(tiny_checkpoint[0].read_text()
+                    + f"777\t{smiles}\tmolecule written as long\n")
+    ckpt = tmp_path / "model.ckpt"
+    code, out, err = run(capsys, "train", "--data", str(data),
+                         "--out", str(ckpt), "--steps", "1")
+    assert code == 1
+    assert out == ""
+    assert err.strip() == ("error: record CID 777: molecule sequence of 86 "
+                           "tokens longer than positional table of 80")
+    assert not ckpt.exists()
+
+
 @pytest.mark.parametrize("flag,value,named", [
     ("--steps", "0", "max_steps must be >= 1, not 0"),
     ("--steps", "-3", "max_steps must be >= 1, not -3"),
@@ -234,6 +266,25 @@ def test_train_without_steps_or_batch_exits_1(capsys, tmp_path,
     assert code == 1
     assert err.strip() == f"error: {named}"
     assert not ckpt.exists()
+
+
+def test_generate_writes_molecules_and_manifest(capsys, tmp_path,
+                                                tiny_checkpoint):
+    data, _ = tiny_checkpoint
+    ckpt, out_path = tmp_path / "model.ckpt", tmp_path / "molecules.smi"
+    assert run(capsys, "train", "--data", str(data), "--out", str(ckpt),
+               "--steps", "1")[0] == 0
+    code, out, _ = run(capsys, "generate", "--ckpt", str(ckpt),
+                       "--text", "molecule written as C C O", "--n", "2",
+                       "--out", str(out_path))
+    assert code == 0
+    assert out_path.read_text() == out
+    assert len(out.splitlines()) == 2
+    manifest = json.loads((tmp_path / "molecules.smi.manifest.json")
+                          .read_text())
+    assert manifest["subcommand"] == "generate"
+    assert manifest["seed"] == 42
+    assert list(manifest["input_hashes"]) == [str(ckpt)]
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])
@@ -366,7 +417,7 @@ def test_reloaded_text_vocabulary_gives_the_training_ids(tagged_checkpoint):
     """A description word that starts with "<" keeps its place, so every
     later word keeps its id (the reloaded ids fell by one in 0.5.0)."""
     data, ckpt = tagged_checkpoint
-    dataset, tvocab, mvocab = cli._load_training_pairs(data, 64)
+    dataset, tvocab, mvocab = cli._training_pairs(load_split(data), 64)
     loaded = load_checkpoint(ckpt)
     assert "<b>" in loaded.text_vocab.tokens
     assert loaded.text_vocab.tokens == tvocab.tokens

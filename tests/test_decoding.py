@@ -138,7 +138,7 @@ def _run(params, prompt, fields):
     cfg = GenerationConfig(**fields)
     try:
         molecules, stats = generate_unique_set(params, _text_ids(prompt),
-                                               cfg, vocab=MOL_VOCAB)
+                                               cfg)
     except TargetUnreached as err:
         return err.molecules, err.stats.to_json(), True
     return molecules, stats.to_json(), False
@@ -190,12 +190,11 @@ def test_max_len_beyond_positional_table(checkpoints, monkeypatch):
     text = _text_ids("ethanol a small alcohol")
     with pytest.raises(VocabError):
         generate_unique_set(params, text, GenerationConfig(
-            target_unique=1, max_len=limit + 1), vocab=MOL_VOCAB)
+            target_unique=1, max_len=limit + 1))
     assert not made
     with pytest.raises(TargetUnreached) as exc_info:
         generate_unique_set(params, text, GenerationConfig(
-            target_unique=100, max_len=limit, per_temperature_cap=2),
-            vocab=MOL_VOCAB)
+            target_unique=100, max_len=limit, per_temperature_cap=2))
     assert exc_info.value.stats.sample == 16
 
 
@@ -367,8 +366,7 @@ def _check_draws(params, fields):
         patch.setattr(sampler, "sample_candidates", recording_candidates)
         try:
             _, stats = generate_unique_set(
-                params, _text_ids("ethanol a small alcohol"), cfg,
-                vocab=MOL_VOCAB)
+                params, _text_ids("ethanol a small alcohol"), cfg)
         except TargetUnreached as err:
             stats = err.stats
     returned_at = len(log)

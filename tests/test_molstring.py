@@ -74,6 +74,8 @@ def test_parse_unclosed_ring():
 def test_parse_cyclobutadiene_annotation_rejected():
     with pytest.raises(KekulizationFailure):
         parse_smiles("c1ccc1")
+    with pytest.raises(KekulizationFailure, match="no Kekule assignment"):
+        parse_smiles("c1cccc1")
 
 
 def test_parse_valence_violation():
@@ -81,10 +83,15 @@ def test_parse_valence_violation():
         parse_smiles("C(C)(C)(C)(C)C")
     with pytest.raises(ValenceViolation):
         parse_smiles("O=C=O=C")
+    with pytest.raises(ValenceViolation, match="H count out of range"):
+        parse_smiles("[CH12]")
+    with pytest.raises(ValenceViolation, match="charge 5 out of range"):
+        parse_smiles("[C+5]")
 
 
 def test_parse_lex_errors():
-    for bad in ["C*C", "C$", "[Xx]", "C==C", "[C@@H", "%1C", "1CC"]:
+    for bad in ["C*C", "C$", "[Xx]", "C==C", "[C@@H", "%1C", "1CC",
+                "C=1CCC#1"]:
         with pytest.raises(LexError):
             parse_smiles(bad)
 
@@ -143,6 +150,17 @@ def test_biphenyl_single_linker_bond():
     assert len(non_ring) == 1 and non_ring[0].order == SINGLE
 
 
+def test_explicit_aromatic_bond_only_links_aromatic_atoms():
+    """An explicit ':' outside a ring is a single bond between aromatic
+    atoms (biphenyl) and rejected between aliphatic ones, as in a ring
+    (`C:C` read as `CC` in 0.8.0)."""
+    assert canonical_smiles("c1ccccc1:c1ccccc1") == "c1ccccc1-c2ccccc2"
+    for bad in ("C:C", "CC:O", "C1:C:C:C:C:C1"):
+        with pytest.raises(ValenceViolation,
+                           match="aromatic bond between non-aromatic"):
+            parse_smiles(bad)
+
+
 # --- canonical writing ---------------------------------------------------------
 
 
@@ -151,6 +169,23 @@ def test_canonical_equivalent_writings():
     assert (canonical_smiles("Cc1ccc(O)cc1")
             == canonical_smiles("Oc1ccc(C)cc1")
             == "Cc1ccc(O)cc1")
+    assert canonical_smiles("[O--]") == canonical_smiles("[O-2]") == "[O-2]"
+
+
+@pytest.mark.parametrize("smiles,canonical", [
+    ("c1ccccc1c1ccccc1", "c1ccccc1-c2ccccc2"),
+    ("c1ccc2c(c1)-c1ccccc1-2", "c2cccc3-c1ccccc1-c23"),
+], ids=["biphenyl", "biphenylene"])
+def test_single_bond_between_aromatic_atoms(smiles, canonical):
+    """The writer spells a non-aromatic bond between aromatic atoms '-'; the
+    string is its own canonical form, re-parses to the two benzene rings'
+    12 aromatic bonds, and survives a SELFIES round trip."""
+    assert canonical_smiles(smiles) == canonical
+    assert canonical_smiles(canonical) == canonical
+    m = parse_smiles(canonical)
+    assert sum(b.order == AROMATIC for b in m.bonds) == 12
+    assert canonical_smiles(decode_selfies("".join(encode_selfies(m)))) \
+        == canonical
 
 
 def test_canonical_idempotence_on_corpus():
@@ -318,6 +353,17 @@ def test_encode_rejects_multifragment_and_stereo():
         encode_selfies(parse_smiles("CC.CC"))
     with pytest.raises(UnsupportedFeature):
         encode_selfies(parse_smiles("N[C@@H](C)C(=O)O"))
+
+
+@pytest.mark.parametrize("smiles,reason", [
+    ("[Si](C)(C)C", "element Si outside the SELFIES alphabet"),
+    ("[13CH4]", "isotopes"),
+    ("[O-2]", "charges beyond"),
+    ("[SH4]", "hydrogen count"),
+])
+def test_encode_rejects_what_selfies_cannot_spell(smiles, reason):
+    with pytest.raises(UnsupportedFeature, match=reason):
+        encode_selfies(parse_smiles(smiles))
 
 
 @pytest.mark.parametrize("smiles,n_tokens", [

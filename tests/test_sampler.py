@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chemlinker.errors import TargetUnreached
+from chemlinker.errors import TargetUnreached, VocabError
 from chemlinker.adapternet import (
     TrainConfig,
+    Vocab,
     init_model,
     prepare_prompt,
     smiles_char_vocab,
@@ -151,6 +152,16 @@ def test_max_len_must_be_positive():
         GenerationConfig(target_unique=1, max_len=0)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("base_temperature", 0, "0 < base_temperature <= 4.5"),
+    ("base_temperature", 5, "0 < base_temperature <= 4.5"),
+    ("per_temperature_cap", 0, "per_temperature_cap must be >= 1"),
+])
+def test_generation_config_rejects_out_of_range(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        GenerationConfig(target_unique=1, **{field: value})
+
+
 @pytest.mark.parametrize("target", [0, -1])
 def test_target_unique_must_be_positive(target):
     """Rejected in the config, before generate_fn could draw anything."""
@@ -161,19 +172,38 @@ def test_target_unique_must_be_positive(target):
 
 
 def test_generate_unique_set_defaults_to_smiles_vocab():
+    """A model from `init_model` carries no vocabulary and samples with
+    `smiles_char_vocab()`, as one that carries it does."""
     params, vocab = _model_and_vocab()
     gcfg = GenerationConfig(target_unique=2, max_len=12,
                             per_temperature_cap=20)
 
-    def run(**kwargs):
+    def run(params):
         try:
-            molecules, stats = generate_unique_set(params, [1, 4, 2], gcfg,
-                                                   **kwargs)
+            molecules, stats = generate_unique_set(params, [1, 4, 2], gcfg)
         except TargetUnreached as err:
             molecules, stats = err.molecules, err.stats
         return molecules, stats.to_json()
 
-    assert run() == run(vocab=vocab)
+    carrying = params.clone()
+    carrying.mol_vocab = vocab
+    assert params.mol_vocab is None
+    assert run(params) == run(carrying)
+
+
+def test_generate_unique_set_rejects_a_vocabulary_of_another_size():
+    """The model's vocabulary must spell every token id it can draw (an
+    IndexError for 60 ids over the 43-token SMILES vocabulary in 0.8.0)."""
+    gcfg = GenerationConfig(target_unique=2, max_len=12,
+                            per_temperature_cap=20)
+    params = init_model(TrainConfig(text_vocab=8, mol_vocab=60))
+    with pytest.raises(VocabError, match="vocabulary of 43 tokens for a "
+                                         "model of 60"):
+        generate_unique_set(params, [1, 4, 2], gcfg)
+    params, vocab = _model_and_vocab()
+    params.mol_vocab = Vocab(vocab.tokens[3:-1])
+    with pytest.raises(VocabError, match="of 42 tokens for a model of 43"):
+        generate_unique_set(params, [1, 4, 2], gcfg)
 
 
 # --- classify_filter ----------------------------------------------------------------
