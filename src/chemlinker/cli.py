@@ -206,20 +206,35 @@ def _cmd_generate(args, started):
     print(stats.to_json(), file=sys.stderr)
 
 
+def _scores(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(v, (int, float)) for v in value)
+
+
 def _cmd_consensus(args, started):
     table = load_score_table(args.scores, args.dirs)
     scores = ecr_scores(table, sigma=args.sigma)
-    write_ecr_csv(scores, args.out)
-    outputs = [args.out]
     inputs = [args.scores, args.dirs]
+    report = None
     if args.background:
         with open(args.background, encoding="utf-8") as fh:
             fixture = json.load(fh)
+        if not (isinstance(fixture, dict)
+                and _scores(fixture.get("candidates"))
+                and isinstance(fixture.get("backgrounds"), dict)
+                and all(map(_scores, fixture["backgrounds"].values()))
+                and isinstance(fixture.get("probe"), (int, float))):
+            raise ValueError(
+                "background file must hold a JSON object with candidates "
+                "(a score list), backgrounds (named score lists) and probe "
+                "(a score)")
         report = background_report(fixture["candidates"],
                                    fixture["backgrounds"], fixture["probe"])
-        print(report.to_json())
         inputs.append(args.background)
-    _write_manifest(args, outputs, inputs, started)
+    write_ecr_csv(scores, args.out)
+    if report is not None:
+        print(report.to_json())
+    _write_manifest(args, [args.out], inputs, started)
     print(f"wrote {len(scores)} ECR scores to {args.out}")
 
 

@@ -163,6 +163,9 @@ def load_score_table(csv_path, directions_path) -> ScoreTable:
     each program to "lower" or "higher"."""
     with open(directions_path, encoding="utf-8") as fh:
         directions = json.load(fh)
+    if not isinstance(directions, dict):
+        raise ValueError(
+            "directions file must hold a JSON object of program -> direction")
     for program, direction in directions.items():
         if direction not in (LOWER_IS_BETTER, HIGHER_IS_BETTER):
             raise ValueError(
@@ -173,6 +176,9 @@ def load_score_table(csv_path, directions_path) -> ScoreTable:
         if reader.fieldnames != ["molecule_id", "program", "score"]:
             raise ValueError("expected header molecule_id,program,score")
         for row in reader:
+            if None in row.values():
+                raise ValueError(f"line {reader.line_num}: expected "
+                                 "molecule_id,program,score")
             table.add(row["molecule_id"], row["program"],
                       float(row["score"]))
     return table

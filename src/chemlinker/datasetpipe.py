@@ -42,21 +42,23 @@ class DatasetRecord:
 
 
 def load_split(path) -> list[DatasetRecord]:
-    """Read one `CID<TAB>SMILES<TAB>description` TSV (header required on
-    non-empty files). SMILES validity is enforced by the downstream filters,
-    not at load time."""
+    """Read one `CID<TAB>SMILES<TAB>description` TSV (header required as
+    the first non-blank line). SMILES validity is enforced by the
+    downstream filters, not at load time."""
     records: list[DatasetRecord] = []
     seen: set[str] = set()
+    header = False
     with open(path, encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
             fields = line.split("\t")
-            if line_number == 1:
+            if not header:
                 if tuple(fields) != _HEADER:
                     raise MalformedRow(
                         f"expected header {_HEADER}", line_number)
+                header = True
                 continue
             if len(fields) != 3 or not fields[1] or not fields[2]:
                 raise MalformedRow(

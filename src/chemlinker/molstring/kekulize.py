@@ -1,14 +1,17 @@
 """Kekulé assignment for aromatic systems and the inverse perception step.
 
-Kekulization places one double bond on every aromatic atom that needs one
-(exact backtracking matching on an explicit stack) and then checks the
-pi-electron count of each aromatic system against the 4n+2 rule, so
-annotations like c1ccc1 are rejected even though a pairing of double bonds
-exists.
+One rule decides aromaticity both ways: `_pi` counts the pi electrons an
+atom gives, and `_huckel` accepts the whole system when it has no bridge,
+or else each smallest ring, whose count is 4n+2. Kekulization pairs every
+aromatic atom that needs a double bond (exact backtracking matching on an
+explicit stack), then requires the accepted parts to cover the system:
+c1ccc1 fails though a pairing exists, and pyrene (16 pi electrons) passes
+ring by ring.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import replace
 
@@ -24,6 +27,47 @@ from chemlinker.molstring.model import (
 )
 
 _PI_DONORS = frozenset({"N", "O", "S", "P"})
+
+
+def _pi(m: Molecule, i: int, system_doubles: int) -> int | None:
+    """Pi electrons atom i gives a candidate aromatic system in which it
+    has `system_doubles` double bonds; None when it cannot be aromatic."""
+    atom = m.atoms[i]
+    orders = {b.order for b in m.bonds_of(i)}
+    if (atom.element not in AROMATIC_ELEMENTS or system_doubles > 1
+            or TRIPLE in orders):
+        return None
+    if system_doubles:
+        return 1
+    if DOUBLE in orders:
+        return 0  # its double bond leaves the system
+    if atom.element in _PI_DONORS or atom.formal_charge < 0:
+        return 2  # lone pair
+    if atom.element == "B" or atom.formal_charge > 0:
+        return 0  # empty p orbital
+    return None  # sp3
+
+
+def _huckel(m: Molecule, atoms: list[int], bonds: list[int],
+            pi: dict[int, int | None]) -> list:
+    """Parts of a candidate system (atom lists) that obey the 4n+2 rule.
+
+    The whole system is the one part when every atom counts, no bond is a
+    bridge (ring C=C, xanthene's benzene-O-benzene cut off by its CH2) and
+    the pi total is 4n+2. Otherwise each smallest ring whose atoms all
+    count and total 4n+2 is a part; a system whose atoms each lie on two
+    of its bonds is one ring, so has none. `pi` maps the system's atoms.
+    """
+    ends = Counter(e for k in bonds for e in (m.bonds[k].a, m.bonds[k].b))
+    one_ring = all(ends[i] == 2 for i in atoms)
+    if (None not in pi.values() and sum(pi.values()) % 4 == 2
+            and (one_ring or m.bridgeless(bonds))):
+        return [atoms]
+    if one_ring:
+        return []
+    return [ring for ring in m.smallest_rings()
+            if all(pi.get(i) is not None for i in ring)
+            and sum(pi[i] for i in ring) % 4 == 2]
 
 
 def _needs_double(m: Molecule, i: int) -> bool:
@@ -96,7 +140,8 @@ def kekulize(m: Molecule) -> dict[int, int]:
 
     Returns a map bond-index -> SINGLE or DOUBLE covering exactly the
     aromatic bonds. Raises KekulizationFailure when no assignment exists or
-    the pi count violates the 4n+2 rule.
+    the 4n+2 parts `_huckel` finds do not cover a system; an atom has a
+    double bond inside its system exactly when the matching pairs it.
     """
     assignment: dict[int, int] = {}
     arom = [k for k, b in enumerate(m.bonds) if b.order == AROMATIC]
@@ -118,19 +163,10 @@ def kekulize(m: Molecule) -> dict[int, int]:
             raise KekulizationFailure(
                 "no Kekule assignment for aromatic system "
                 f"of {len(atoms)} atoms")
-        pi = 0
-        for i in atoms:
-            if i in mate:
-                pi += 1
-            elif (m.atoms[i].element in _PI_DONORS
-                  or m.atoms[i].formal_charge < 0):
-                # Lone-pair donor contributes both electrons; atoms with an
-                # exocyclic double bond (and boron) contribute none.
-                if not any(b.order in (DOUBLE, TRIPLE) for b in m.bonds_of(i)):
-                    pi += 2
-        if pi % 4 != 2:
+        pi = {i: _pi(m, i, int(i in mate)) for i in atoms}
+        if len(set().union(*_huckel(m, atoms, bonds, pi))) < len(atoms):
             raise KekulizationFailure(
-                f"aromatic system has {pi} pi electrons (needs 4n+2)")
+                f"aromatic system of {len(atoms)} atoms: no 4n+2 pi count")
         for k in bonds:
             assignment[k] = SINGLE
         for i, j in mate.items():
@@ -152,81 +188,43 @@ def kekulized(m: Molecule) -> Molecule:
     return m.on_same_graph(atoms, bonds)
 
 
-# --- perception (used on SELFIES-decoded Kekule graphs) ---------------------
-
-
-def _classify_sp2(m: Molecule, i: int, sys_atoms: set[int]) -> int | None:
-    """Pi-electron contribution of atom i in a candidate aromatic system.
-
-    None means the atom disqualifies the system (sp3 carbon, triple bond,
-    two ring double bonds, unsupported element).
-    """
-    atom = m.atoms[i]
-    if atom.element not in AROMATIC_ELEMENTS:
-        return None
-    in_sys_dbl = 0
-    exo_dbl = False
-    for b in m.bonds_of(i):
-        if b.order == TRIPLE:
-            return None
-        if b.order == DOUBLE:
-            if b.other(i) in sys_atoms:
-                in_sys_dbl += 1
-            else:
-                exo_dbl = True
-    if in_sys_dbl == 1:
-        return 1
-    if in_sys_dbl > 1:
-        return None
-    if exo_dbl:
-        return 0
-    if atom.element in _PI_DONORS or atom.formal_charge < 0:
-        return 2
-    return None
-
-
 def aromatize(m: Molecule) -> Molecule:
-    """Perceive aromatic rings on a Kekule graph and mark them aromatic.
+    """Perceive aromatic systems on a Kekulé graph and mark them aromatic.
 
-    Tries whole fused ring systems first (covers azulene-type cases), then
-    individual smallest rings (covers partially saturated fused systems).
-    Hydrogen counts are frozen on converted atoms so donors like pyrrole
-    nitrogen keep their hydrogen.
+    The candidates are the ring bonds between atoms that can be aromatic
+    under `_pi`, counting double bonds on ring bonds as the system's; each
+    component is judged by `_huckel`, and only bonds inside an accepted
+    part are marked (biphenylene's four-ring stays single). This is the
+    rule `kekulize` checks, so it gives parsed and SELFIES-decoded graphs
+    one aromatic form. Hydrogen counts are frozen on converted atoms so
+    donors like pyrrole nitrogen keep their hydrogen.
     """
     ring = m.ring_bonds()
-    if not ring:
-        return m
+    pi = {i: _pi(m, i, sum(b.order == DOUBLE for k, b in m.incident(i)
+                           if k in ring))
+          for i in {e for k in ring for e in (m.bonds[k].a, m.bonds[k].b)}}
     arom_atoms: set[int] = set()
     arom_bonds: set[int] = set()
-    # Ring systems (components of the ring-bond subgraph) share no atoms,
-    # so a smallest ring lies in the system of any one of its atoms.
-    for atoms, sys_bonds in m.components(ring):
-        sys_atoms = set(atoms)
-        contrib = {i: _classify_sp2(m, i, sys_atoms) for i in atoms}
-        if (all(c is not None for c in contrib.values())
-                and sum(contrib.values()) % 4 == 2):
-            arom_atoms |= sys_atoms
-            arom_bonds |= set(sys_bonds)
-            continue
-        for ring_atoms in m.smallest_rings():
-            if ring_atoms[0] not in sys_atoms:
-                continue
-            cs = [contrib[i] for i in ring_atoms]
-            if any(c is None for c in cs) or sum(cs) % 4 != 2:
-                continue
-            ring_set = set(ring_atoms)
-            arom_atoms |= ring_set
-            arom_bonds |= {k for k in sys_bonds
-                           if m.bonds[k].a in ring_set
-                           and m.bonds[k].b in ring_set}
+    for atoms, bonds in m.components(
+            [k for k in ring if pi[m.bonds[k].a] is not None
+             and pi[m.bonds[k].b] is not None]):
+        for part in _huckel(m, atoms, bonds, {i: pi[i] for i in atoms}):
+            inside = set(part)
+            arom_atoms |= inside
+            arom_bonds.update(k for k in bonds if m.bonds[k].a in inside
+                              and m.bonds[k].b in inside)
     if not arom_atoms:
         return m
 
     atoms = [replace(a, aromatic=True, explicit_h=m.hydrogen_count(i))
              if i in arom_atoms else a
              for i, a in enumerate(m.atoms)]
-    bonds = [replace(b, order=AROMATIC) if k in arom_bonds else b
-             for k, b in enumerate(m.bonds)]
+    # A ring bond between two parts (biphenylene's four-ring) is single:
+    # its double bond, if any, counted in the parts on either side.
+    bonds = [replace(b, order=AROMATIC) if k in arom_bonds
+             else replace(b, order=SINGLE) if k in ring
+             and b.a in arom_atoms and b.b in arom_atoms
+             else b for k, b in enumerate(m.bonds)]
     try:
         return m.on_same_graph(atoms, bonds, validate=True)
     except KekulizationFailure:

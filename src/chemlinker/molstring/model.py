@@ -275,6 +275,40 @@ class Molecule:
                                frozenset(range(len(self.bonds))) - bridges)
         return self._ring_bonds
 
+    def bridgeless(self, bonds) -> bool:
+        """Whether every bond in `bonds` lies on a cycle of those bonds.
+
+        The low-link test of `ring_bonds` on the subgraph of `bonds` alone,
+        stopping at its first bridge; an isolated bond is a bridge.
+        """
+        keep = set(bonds)
+        disc: dict[int, int] = {}
+        low: dict[int, int] = {}
+        for root in (self.bonds[k].a for k in keep):
+            if root in disc:
+                continue
+            disc[root] = low[root] = len(disc)
+            stack = [(root, -1, iter(self._incident[root]))]
+            while stack:
+                node, parent_k, pending = stack[-1]
+                for k, bond in pending:
+                    if k == parent_k or k not in keep:
+                        continue
+                    j = bond.other(node)
+                    if j not in disc:
+                        disc[j] = low[j] = len(disc)
+                        stack.append((j, k, iter(self._incident[j])))
+                        break
+                    low[node] = min(low[node], disc[j])
+                else:
+                    stack.pop()
+                    if stack:
+                        if low[node] == disc[node]:
+                            return False
+                        up = stack[-1][0]
+                        low[up] = min(low[up], low[node])
+        return True
+
     def ring_atom_flags(self) -> list[bool]:
         flags = [False] * len(self.atoms)
         for k in self.ring_bonds():
@@ -329,10 +363,11 @@ class Molecule:
         """One spelling for Kekulé and aromatic input, computed once:
         aromatize(kekulized(self)).
 
-        Where perception marks nothing, or the validator rejects its marks,
-        aromatize returns its Kekulé input unchanged, whose double bonds
-        follow the matching kekulize found and so the atom order; the
-        molecule itself is kept then. The form is its own aromatic form.
+        Perception applies the rule kekulize checked, so every aromatic
+        system of the input is perceived again whichever Kekulé bonds the
+        matching chose. Where it marks nothing, or the validator rejects
+        its marks, aromatize returns its Kekulé input and the molecule
+        itself is kept. The form is its own aromatic form.
         """
         if self._aromatic is None:
             from chemlinker.molstring.kekulize import aromatize, kekulized

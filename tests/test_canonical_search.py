@@ -396,7 +396,7 @@ ADVERSARIAL = [
     ("CC(C)CCCC(C)C1CCC2C1(CCC3C2CC=C4C3(CCC(C4)O)C)C",
      "CC12CCC(O)CC1=CCC3C2CCC4(C)C3CCC4C(C)CCCC(C)C", 0.1),
     ("C1=CC2=CC=C3C=CC4=CC=C5C=CC6=CC=C1C7=C2C3=C4C5=C67",
-     "C=1C=C7C=CC5=CC=C4C=CC3=CC=C2C=CC1C6=C2C3=C4C5=C67", 0.1),
+     "c1cc7ccc5ccc4ccc3ccc2ccc1c6c2c3c4c5c67", 0.1),
     ("S(C1CC1)(C1CC1)(C1CC1)(C1CC1)(C1CC1)C1CC1",
      "C1CC1S(C2CC2)(C3CC3)(C4CC4)(C5CC5)C6CC6", 0.1),
     ("c1" + "c" * 2001 + "1", "c1" + "c" * 2001 + "1", 1.0),

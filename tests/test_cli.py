@@ -522,6 +522,37 @@ def test_consensus_nonfinite_or_nonpositive_sigma_exits_1(capsys, tmp_path,
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("rows,dirs,background", [
+    ("A,p1,-9.0\nB,p1\n", '{"p1": "lower"}', None),
+    ("A,p1,-9.0\n", '["p1"]', None),
+    ("A,p1,-9.0\n", '{"p1": "lower"}',
+     '{"candidates": [1.0], "backgrounds": {"b": [2.0]}}'),
+    ("A,p1,-9.0\n", '{"p1": "lower"}', "[1.0, 2.0]"),
+    ("A,p1,-9.0\n", '{"p1": "lower"}',
+     '{"candidates": [1.0], "backgrounds": [2.0], "probe": 1.0}'),
+    ("A,p1,-9.0\n", '{"p1": "lower"}',
+     '{"candidates": [1.0], "backgrounds": {"b": [2.0]}, "probe": "x"}'),
+    ("A,p1,-9.0\n", '{"p1": "lower"}',
+     '{"candidates": 3, "backgrounds": {"b": [2.0]}, "probe": 1.0}'),
+], ids=["row-without-score", "directions-list", "background-without-probe",
+        "background-list", "backgrounds-list", "probe-string",
+        "candidates-number"])
+def test_consensus_malformed_input_exits_1(capsys, tmp_path, rows, dirs,
+                                           background):
+    scores = tmp_path / "s.csv"
+    scores.write_text("molecule_id,program,score\n" + rows)
+    (tmp_path / "d.json").write_text(dirs)
+    argv = ["consensus", "--scores", str(scores), "--dirs",
+            str(tmp_path / "d.json"), "--out", str(tmp_path / "o.csv")]
+    if background is not None:
+        (tmp_path / "bg.json").write_text(background)
+        argv += ["--background", str(tmp_path / "bg.json")]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_cli_import_loads_no_scipy():
     """numpy is the only runtime dependency: importing the CLI must not
     pull in scipy."""

@@ -53,6 +53,16 @@ def test_load_rejects_bad_header(tmp_path):
     assert exc_info.value.line_number == 1
 
 
+def test_load_reads_header_on_first_non_blank_line(tmp_path):
+    path = tmp_path / "blank.txt"
+    path.write_text("\n\nCID\tSMILES\tdescription\n1\tCC\tok\n")
+    assert load_split(path) == [DatasetRecord("1", "CC", "ok")]
+    path.write_text("\n1\tCC\tok\n")
+    with pytest.raises(MalformedRow) as exc_info:
+        load_split(path)
+    assert exc_info.value.line_number == 2
+
+
 def test_load_rejects_missing_column(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("CID\tSMILES\tdescription\n1\tCC\tok\n2\tCC\n")
