@@ -97,7 +97,7 @@ def _cmd_selfies_decode(args, started):
 
 
 def _cmd_fp(args, started):
-    mol = parse_smiles(args.smiles)
+    mol = parse_smiles(args.smiles).aromatic_form()     # as `eval` scores it
     if args.scheme == "circ":
         fp = circular_fp(mol, radius=args.radius, nbits=args.nbits)
     elif args.scheme == "path":

@@ -6,10 +6,11 @@ element number, formal charge (two's complement), heavy-atom degree,
 hydrogen count; bond orders interleaved along the traversal — then hashed
 with 64-bit FNV-1a; the bit index is the hash modulo the bit width.
 Children of a circular environment are ordered by (bond order, serialized
-child bytes), and each undirected path is hashed once, in the smaller of
-its two byte directions, which makes every scheme invariant under atom
-relabeling. Each call serializes every environment and path once and
-hashes each distinct string once.
+child bytes), and each undirected path is hashed in the smaller of its two
+byte directions, which makes every scheme invariant under atom relabeling.
+The hash is folded a field at a time, and a path's hash is carried down the
+walk one step at a time. For a power-of-two width the fold keeps only the
+low bits the bit index needs; any other width keeps all 64.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ def _u32(value: int) -> bytes:
     return struct.pack("<I", value & 0xFFFFFFFF)
 
 
-def _atom_bytes(m: Molecule, i: int) -> bytes:
+def _atom_fields(m: Molecule, i: int) -> tuple:
     a = m.atoms[i]
-    return (_u32(ELEMENT_NUMBERS[a.element]) + _u32(a.formal_charge)
-            + _u32(m.degree(i)) + _u32(m.hydrogen_count(i)))
+    return (ELEMENT_NUMBERS[a.element], a.formal_charge & 0xFFFFFFFF,
+            m.degree(i), m.hydrogen_count(i))
 
 
 @dataclass(frozen=True)
@@ -74,29 +75,45 @@ class FingerprintBitset:
         return f"keys-{self.params[0]}"
 
 
+MAX_NBITS = 1 << 16
+
+
 def _check_nbits(nbits: int) -> None:
-    if nbits < 1:
-        raise ValueError("nbits must be at least 1")
+    if not 1 <= nbits <= MAX_NBITS:
+        raise ValueError(f"nbits must be in [1, {MAX_NBITS}]")
 
 
-def _fnv1a64_fields(data: bytes) -> int:
-    """`fnv1a64` of a string of little-endian u32 fields, a field at a time.
+def _mask(nbits: int) -> int:
+    """The bits of FNV-1a state that decide `hash % nbits`.
+
+    The low k bits of a product depend only on the low k bits of its
+    factors, so a width of 2**k needs only k bits of state.
+    """
+    return nbits - 1 if nbits & (nbits - 1) == 0 else _U64
+
+
+def _fold(h: int, fields, mask: int) -> int:
+    """Continue FNV-1a state `h` over little-endian u32 `fields`, under `mask`.
 
     A field below 256 is one byte and three zero bytes, and XOR with zero
     changes nothing, so it costs one XOR and one multiply by P**4.
     """
-    h = _FNV_OFFSET
-    for value in struct.unpack(f"<{len(data) >> 2}I", data):
+    prime, prime4 = _FNV_PRIME & mask, _FNV_PRIME4 & mask
+    for value in fields:
         if value < 256:
-            h = ((h ^ value) * _FNV_PRIME4) & _U64
+            h = ((h ^ value) * prime4) & mask
         else:
             for shift in (0, 8, 16, 24):
-                h = ((h ^ (value >> shift & 0xFF)) * _FNV_PRIME) & _U64
+                h = ((h ^ (value >> shift & 0xFF)) * prime) & mask
     return h
 
 
 def _bits(strings, nbits: int) -> frozenset:
-    return frozenset(_fnv1a64_fields(s) % nbits for s in strings)
+    mask = _mask(nbits)
+    start = _FNV_OFFSET & mask
+    return frozenset(
+        _fold(start, struct.unpack(f"<{len(s) >> 2}I", s), mask) % nbits
+        for s in strings)
 
 
 def circular_fp(m: Molecule, radius: int = 2,
@@ -105,7 +122,8 @@ def circular_fp(m: Molecule, radius: int = 2,
     if not 0 <= radius <= 4:
         raise ValueError("radius must be in [0, 4]")
     _check_nbits(nbits)
-    atom = [_atom_bytes(m, i) for i in range(len(m.atoms))]
+    atom = [struct.pack("<4I", *_atom_fields(m, i))
+            for i in range(len(m.atoms))]
     built = {}
 
     def environment(i: int, parent: int | None, depth: int) -> bytes:
@@ -135,33 +153,42 @@ def path_fp(m: Molecule, max_len: int = 7,
     if not 1 <= max_len <= 7:
         raise ValueError("max_len must be in [1, 7]")
     _check_nbits(nbits)
-    atom = [_atom_bytes(m, i) for i in range(len(m.atoms))]
-    # Per neighbour j of atom i: the bytes a step to j appends to the
-    # forward string and prepends to the reverse one.
+    mask = _mask(nbits)
+    fields = [_atom_fields(m, i) for i in range(len(m.atoms))]
+    atom = [struct.pack("<4I", *f) for f in fields]
+    # Per neighbour j of atom i: the fields a step to j folds into the
+    # forward hash, and the bytes it appends to the forward string and
+    # prepends to the reverse one.
     steps = [[] for _ in m.atoms]
     for b in m.bonds:
         order = _u32(b.order)
-        steps[b.a].append((b.b, order + atom[b.b], atom[b.b] + order))
-        steps[b.b].append((b.a, order + atom[b.a], atom[b.a] + order))
-    strings = set()
+        for i, j in ((b.a, b.b), (b.b, b.a)):
+            steps[i].append((j, (b.order, *fields[j]),
+                             order + atom[j], atom[j] + order))
+    bits = set()
 
-    def extend(path: list[int], forward: bytes, reverse: bytes) -> None:
+    def extend(path: list[int], h: int, forward: bytes,
+               reverse: bytes) -> None:
         more = len(path) < max_len
-        for j, ahead, behind in steps[path[-1]]:
+        for j, step, ahead, behind in steps[path[-1]]:
             if j in path:
                 continue
+            g = _fold(h, step, mask)
             fwd = forward + ahead
             rev = behind + reverse
-            if path[0] < j:     # each undirected path once, from its lower end
-                strings.add(min(fwd, rev))
+            # Each undirected path is walked from both ends, so this sets
+            # the bit of its smaller spelling (a palindrome's twice).
+            if fwd <= rev:
+                bits.add(g % nbits)
             if more:
                 path.append(j)
-                extend(path, fwd, rev)
+                extend(path, g, fwd, rev)
                 path.pop()
 
+    start = _FNV_OFFSET & mask
     for i in range(len(m.atoms)):
-        extend([i], atom[i], atom[i])
-    return FingerprintBitset("path", nbits, _bits(strings, nbits), (max_len,))
+        extend([i], _fold(start, fields[i], mask), atom[i], atom[i])
+    return FingerprintBitset("path", nbits, frozenset(bits), (max_len,))
 
 
 # --- structural keys -----------------------------------------------------------

@@ -48,9 +48,11 @@ def evaluate_pairs(pairs) -> EvalReport:
 
     Every reference must parse (InvalidReference otherwise); generated
     strings may be arbitrary. Means are accumulated in input order. Each
-    distinct string is parsed and brought to its `aromatic_form` (the
-    molecule `canonical_smiles` writes, so Kekulé and aromatic spellings
-    score alike) once, and that form is canonicalized and fingerprinted.
+    distinct string is parsed, brought to its `aromatic_form` (the molecule
+    `canonical_smiles` writes, so Kekulé and aromatic spellings score
+    alike) and canonicalized once. Each distinct canonical string is
+    fingerprinted once: fingerprints of the aromatic form do not depend on
+    atom order, so every spelling of one molecule shares them.
     """
     pairs = list(pairs)
     n = len(pairs)
@@ -61,12 +63,16 @@ def evaluate_pairs(pairs) -> EvalReport:
     # every parsed molecule, out of a reference cycle.
     parsed = {}               # string -> Molecule, or None if it does not parse
     features = {}             # string -> (canonical, keys, path, circular)
+    fingerprints = {}         # canonical -> (keys, path, circular)
 
     def features_of(smiles):
         if smiles not in features:
             mol = parsed[smiles].aromatic_form()
-            features[smiles] = (canonical_smiles(mol), key_fp(mol),
-                                path_fp(mol), circular_fp(mol))
+            canonical = canonical_smiles(mol)
+            if canonical not in fingerprints:
+                fingerprints[canonical] = (key_fp(mol), path_fp(mol),
+                                           circular_fp(mol))
+            features[smiles] = (canonical, *fingerprints[canonical])
         return features[smiles]
 
     for generated, reference in pairs:

@@ -78,9 +78,21 @@ def test_fp_schemes(capsys):
     assert out.startswith("keys-default-v1/64:")
 
 
+@pytest.mark.parametrize("scheme", ["circ", "path", "keys"])
+def test_fp_kekule_and_aromatic_spellings_agree(capsys, scheme):
+    hexes = set()
+    for smiles in ("C1=CC=CC=C1O", "Oc1ccccc1"):
+        code, out, _ = run(capsys, "fp", smiles, "--scheme", scheme,
+                           "--nbits", "64")
+        assert code == 0
+        hexes.add(out.strip())
+    assert len(hexes) == 1, hexes
+
+
 @pytest.mark.parametrize("argv", [
     ["fp", "CC", "--scheme", "path", "--nbits", "0"],
     ["fp", "C", "--scheme", "circ", "--nbits", "-5"],
+    ["fp", "C", "--nbits", str(1 << 40)],
 ])
 def test_fp_bad_nbits_exits_1(capsys, argv):
     code, out, err = run(capsys, *argv)

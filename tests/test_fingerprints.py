@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chemlinker.fingerprints as fingerprints
 from chemlinker.errors import SchemeMismatch
 from chemlinker.fingerprints import (
+    MAX_NBITS,
     FingerprintBitset,
     KeySet,
-    _fnv1a64_fields,
+    _FNV_OFFSET,
+    _fold,
     circular_fp,
     default_keyset,
     fnv1a64,
@@ -27,6 +30,11 @@ CORPUS = (FIXTURES / "corpus_500.smi").read_text().split()
 # corpus_500 holds no negative charge, so these are the only molecules with
 # a u32 field of 256 or more (the two's complement of the charge).
 CHARGED = ["CC(=O)[O-]", "[NH4+].[Cl-]", "C[N-]C", "[O-][N+](=O)c1ccccc1"]
+# Fused and bridged ring systems, crowded branches, many equivalent paths
+# (sucrose) and paths much longer than the longest hashed one.
+DEEP = ["CC12CCC3c4ccc(O)cc4CCC3C1CCC2O", "CC(C)(C)c1ccc(O)c(C(C)(C)C)c1",
+        "OC12CC3CC(CC(C3)C1)C2", "OCC1OC(OC2(CO)OC(CO)C(O)C2O)C(O)C(O)C1O",
+        "C" * 40]
 
 
 # --- independent oracle: brute-force environment enumeration -------------------
@@ -74,11 +82,14 @@ def oracle_circular_bits(m, radius, nbits):
 def test_circular_matches_oracle_on_small_molecules():
     small = [s for s in CORPUS if len(parse_smiles(s).atoms) <= 12][:60]
     assert len(small) >= 20
-    for s in small + CHARGED + ["C", "c1ccccc1", "CC(N)C(=O)O", "c1cc[nH]c1"]:
+    for s in (small + CHARGED + DEEP
+              + ["C", "c1ccccc1", "CC(N)C(=O)O", "c1cc[nH]c1"]):
         m = parse_smiles(s)
         for radius in range(5):
-            assert (circular_fp(m, radius).bits
-                    == oracle_circular_bits(m, radius, 2048)), (s, radius)
+            for nbits in (7, 64, 2048):
+                assert (circular_fp(m, radius, nbits).bits
+                        == oracle_circular_bits(m, radius, nbits)), (
+                    s, radius, nbits)
 
 
 # --- independent oracle: brute-force path enumeration --------------------------
@@ -123,7 +134,7 @@ def oracle_path_hashes(m, max_len):
 
 
 def test_path_matches_oracle():
-    for s in CORPUS[::12] + CHARGED + ["C", "C1CC1", "c1ccccc1", "C#N"]:
+    for s in CORPUS[::12] + CHARGED + DEEP + ["C", "C1CC1", "c1ccccc1", "C#N"]:
         m = parse_smiles(s)
         hashes = oracle_path_hashes(m, 7)
         for max_len in range(1, 8):
@@ -250,15 +261,29 @@ def test_fnv1a64_reference_vectors():
     assert fnv1a64(b"foobar") == 0x85944171F73967E8
 
 
-def test_fieldwise_hash_equals_fnv1a64():
+def _field_strings():
     rng = random.Random(5)
     for n_fields in list(range(6)) + [rng.randrange(6, 60) for _ in range(300)]:
-        fields = [rng.randrange(256) if rng.random() < 0.7
-                  else rng.choice([rng.randrange(256, 1 << 32),
-                                   (-rng.randrange(1, 4)) % (1 << 32)])
-                  for _ in range(n_fields)]
+        yield [rng.randrange(256) if rng.random() < 0.7
+               else rng.choice([rng.randrange(256, 1 << 32),
+                                (-rng.randrange(1, 4)) % (1 << 32)])
+               for _ in range(n_fields)]
+
+
+def test_fieldwise_hash_equals_fnv1a64():
+    for fields in _field_strings():
         blob = b"".join(v.to_bytes(4, "little") for v in fields)
-        assert _fnv1a64_fields(blob) == fnv1a64(blob), fields
+        assert _fold(_FNV_OFFSET, fields, (1 << 64) - 1) == fnv1a64(blob), (
+            fields)
+
+
+def test_masked_fold_equals_hash_modulo_power_of_two():
+    for fields in _field_strings():
+        full = fnv1a64(b"".join(v.to_bytes(4, "little") for v in fields))
+        for k in list(range(21)) + [64]:
+            mask = (1 << k) - 1
+            assert (_fold(_FNV_OFFSET & mask, fields, mask)
+                    == full % (1 << k)), (fields, k)
 
 
 @pytest.mark.parametrize("nbits", [0, -5])
@@ -268,3 +293,19 @@ def test_nbits_below_one_rejected(nbits):
         circular_fp(m, nbits=nbits)
     with pytest.raises(ValueError):
         path_fp(m, nbits=nbits)
+
+
+def test_nbits_above_limit_rejected_before_hashing(monkeypatch):
+    def no_hashing(*args):
+        raise AssertionError("hashed before checking nbits")
+
+    monkeypatch.setattr(fingerprints, "_fold", no_hashing)
+    m = parse_smiles("CC")
+    for nbits in (MAX_NBITS + 1, 1 << 40, 100_000_000_000):
+        with pytest.raises(ValueError, match=str(MAX_NBITS)):
+            circular_fp(m, nbits=nbits)
+        with pytest.raises(ValueError, match=str(MAX_NBITS)):
+            path_fp(m, nbits=nbits)
+    monkeypatch.undo()
+    text = path_fp(m, nbits=MAX_NBITS).to_hex()
+    assert len(text.partition(":")[2]) == MAX_NBITS // 4

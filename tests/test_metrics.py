@@ -143,20 +143,40 @@ def test_deduplicated_report_equals_pair_by_pair():
         assert evaluate_pairs(pairs) == _pair_by_pair(pairs)
 
 
-def test_each_distinct_string_parsed_and_fingerprinted_once(monkeypatch):
-    calls = {"parse": [], "path": []}
+def _count_calls(monkeypatch, *names):
+    calls = {name: [] for name in names}
 
-    def counting(key, fn):
+    def counting(name, fn):
         def wrapper(arg, *args, **kwargs):
-            calls[key].append(arg)
+            calls[name].append(arg)
             return fn(arg, *args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(metrics, "parse_smiles",
-                        counting("parse", metrics.parse_smiles))
-    monkeypatch.setattr(metrics, "path_fp", counting("path", metrics.path_fp))
+    for name in names:
+        monkeypatch.setattr(metrics, name,
+                            counting(name, getattr(metrics, name)))
+    return calls
+
+
+def test_each_distinct_string_parsed_once_and_fingerprinted_once_per_molecule(
+        monkeypatch):
+    calls = _count_calls(monkeypatch, "parse_smiles", "path_fp")
     generations = ["CCO", "CCN", "C(", "OCC", "CCN", "C(", "CCO"]
     report = evaluate_pairs([(g, "c1ccccc1") for g in generations])
     assert report.n_pairs == 7 and report.n_valid == 5
-    assert sorted(calls["parse"]) == sorted({"c1ccccc1", *generations})
-    assert len(calls["path"]) == 4      # CCO, CCN, OCC and the reference
+    assert sorted(calls["parse_smiles"]) == sorted({"c1ccccc1", *generations})
+    assert len(calls["path_fp"]) == 3   # ethanol, ethylamine, the reference
+
+
+def test_spellings_of_one_molecule_fingerprinted_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "key_fp", "path_fp", "circular_fp")
+    spellings = ("C1=CC=CC=C1O", "Oc1ccccc1", "c1ccc(O)cc1")
+    pairs = [(g, "Cc1ccccc1O") for g in spellings]
+    report = evaluate_pairs(pairs)
+    # One call for the three spellings of phenol and one for the reference.
+    assert [len(c) for c in calls.values()] == [2, 2, 2]
+    monkeypatch.undo()
+    assert report.exact == 0.0 and 0.0 < report.rdk_fts < 1.0
+    # `_pair_by_pair` fingerprints each string as parsed, so it is given the
+    # aromatic spelling that `evaluate_pairs` scores every spelling as.
+    assert report == _pair_by_pair([("Oc1ccccc1", "Cc1ccccc1O")] * 3)
