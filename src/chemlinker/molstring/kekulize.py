@@ -4,9 +4,12 @@ One rule decides aromaticity both ways: `_pi` counts the pi electrons an
 atom gives, and `_huckel` accepts the whole system when it has no bridge,
 or else each smallest ring, whose count is 4n+2. Kekulization pairs every
 aromatic atom that needs a double bond (exact backtracking matching on an
-explicit stack), then requires the accepted parts to cover the system:
-c1ccc1 fails though a pairing exists, and pyrene (16 pi electrons) passes
-ring by ring.
+explicit stack, in depth-first order), then requires the accepted parts to
+cover the system: c1ccc1 fails though a pairing exists, and pyrene (16 pi
+electrons) passes ring by ring. Perception counts a ring double bond only
+while both of its ends are in the system, and keeps a marked system only
+where the atoms that counted a double bond still pair up inside it; those
+are the two things Kekulization checks beyond the shared count.
 """
 
 from __future__ import annotations
@@ -111,28 +114,28 @@ def _match(order: list[int], adj: dict[int, list[int]],
             return False
 
 
-def _depth_first(needy: list[int], adj: dict[int, list[int]]) -> list[int]:
-    """Needy atoms in depth-first order, lowest index first.
-
-    Pairing along paths strands no atom on a chain or a ring whatever the
-    atom order, where plain index order can send `_match` into exponential
-    backtracking (a 2,002-atom aromatic ring in random atom order). Where
-    index order is already depth-first, as for most parsed SMILES, the
-    order and so the matching are unchanged.
-    """
-    seen: set[int] = set()
-    order = []
-    for root in needy:
-        stack = [root]
-        while stack:
-            i = stack.pop()
-            if i in seen:
-                continue
-            seen.add(i)
-            order.append(i)
-            stack.extend(sorted((j for j in adj[i] if j not in seen),
-                                reverse=True))
-    return order
+def _pair(m: Molecule, needy: list[int], bonds) -> dict[int, int] | None:
+    """Each atom of `needy` mapped to the bond of `bonds` that pairs it with
+    another needy atom, or None when no such perfect matching exists."""
+    adj: dict[int, list[int]] = {i: [] for i in needy}
+    pairable = {}
+    for k in bonds:
+        a, b = m.bonds[k].a, m.bonds[k].b
+        if a in adj and b in adj:
+            adj[a].append(b)
+            adj[b].append(a)
+            pairable[frozenset((a, b))] = k
+    if not all(adj.values()):
+        return None  # an atom with no pairable bond, so not in the forest
+    # Needy atoms in depth-first order over their pairable bonds: pairing
+    # along paths strands no atom on a chain or a ring whatever the atom
+    # order, where index order can send `_match` into exponential
+    # backtracking (a 2,002-atom aromatic ring in random atom order).
+    disc = m.dfs_forest(pairable.values())[0]
+    mate: dict[int, int] = {}
+    if not _match(sorted(needy, key=disc.__getitem__), adj, mate):
+        return None
+    return {i: pairable[frozenset((i, j))] for i, j in mate.items()}
 
 
 def kekulize(m: Molecule) -> dict[int, int]:
@@ -148,30 +151,19 @@ def kekulize(m: Molecule) -> dict[int, int]:
     # Systems are checked in order of their first bond; the first that
     # fails names the error.
     for atoms, bonds in sorted(m.components(arom), key=lambda c: c[1][0]):
-        needy = [i for i in atoms if _needs_double(m, i)]
-        needy_set = set(needy)
-        adj: dict[int, list[int]] = {i: [] for i in needy}
-        pairable = {}
-        for k in bonds:
-            a, b = m.bonds[k].a, m.bonds[k].b
-            if a in needy_set and b in needy_set:
-                adj[a].append(b)
-                adj[b].append(a)
-                pairable[frozenset((a, b))] = k
-        mate: dict[int, int] = {}
-        if not _match(_depth_first(needy, adj), adj, mate):
+        paired = _pair(m, [i for i in atoms if _needs_double(m, i)], bonds)
+        if paired is None:
             raise KekulizationFailure(
                 "no Kekule assignment for aromatic system "
                 f"of {len(atoms)} atoms")
-        pi = {i: _pi(m, i, int(i in mate)) for i in atoms}
+        pi = {i: _pi(m, i, int(i in paired)) for i in atoms}
         if len(set().union(*_huckel(m, atoms, bonds, pi))) < len(atoms):
             raise KekulizationFailure(
                 f"aromatic system of {len(atoms)} atoms: no 4n+2 pi count")
         for k in bonds:
             assignment[k] = SINGLE
-        for i, j in mate.items():
-            if i < j:
-                assignment[pairable[frozenset((i, j))]] = DOUBLE
+        for k in paired.values():
+            assignment[k] = DOUBLE
     return assignment
 
 
@@ -196,23 +188,47 @@ def aromatize(m: Molecule) -> Molecule:
     component is judged by `_huckel`, and only bonds inside an accepted
     part are marked (biphenylene's four-ring stays single). This is the
     rule `kekulize` checks, so it gives parsed and SELFIES-decoded graphs
-    one aromatic form. Hydrogen counts are frozen on converted atoms so
-    donors like pyrrole nitrogen keep their hydrogen.
+    one aromatic form; `validate=True` checks the marks once more. Hydrogen
+    counts are frozen on converted atoms so donors like pyrrole nitrogen
+    keep their hydrogen.
     """
     ring = m.ring_bonds()
-    pi = {i: _pi(m, i, sum(b.order == DOUBLE for k, b in m.incident(i)
-                           if k in ring))
-          for i in {e for k in ring for e in (m.bonds[k].a, m.bonds[k].b)}}
-    arom_atoms: set[int] = set()
-    arom_bonds: set[int] = set()
-    for atoms, bonds in m.components(
-            [k for k in ring if pi[m.bonds[k].a] is not None
-             and pi[m.bonds[k].b] is not None]):
-        for part in _huckel(m, atoms, bonds, {i: pi[i] for i in atoms}):
-            inside = set(part)
-            arom_atoms |= inside
-            arom_bonds.update(k for k in bonds if m.bonds[k].a in inside
-                              and m.bonds[k].b in inside)
+    # A ring double bond counts toward a system only while both of its ends
+    # are in it. Where an accepted atom counted one that leaves the accepted
+    # atoms, `kekulize` would count that atom 0, so perception repeats on
+    # the accepted atoms alone. A double bond joining two accepted parts is
+    # made single below (biphenylene's four-ring), so the atoms that counted
+    # one must pair up again inside their marked system; where they cannot,
+    # the system is dropped and perception repeats without it.
+    inside = {e for k in ring for e in (m.bonds[k].a, m.bonds[k].b)}
+    while True:
+        doubles = {i: [k for k, b in m.incident(i)
+                       if k in ring and b.order == DOUBLE
+                       and b.other(i) in inside]
+                   for i in inside}
+        pi = {i: _pi(m, i, len(ks)) for i, ks in doubles.items()}
+        arom_atoms: set[int] = set()
+        arom_bonds: set[int] = set()
+        for atoms, bonds in m.components(
+                [k for k in ring if pi.get(m.bonds[k].a) is not None
+                 and pi.get(m.bonds[k].b) is not None]):
+            for part in _huckel(m, atoms, bonds, {i: pi[i] for i in atoms}):
+                part_atoms = set(part)
+                arom_atoms |= part_atoms
+                arom_bonds.update(k for k in bonds
+                                  if m.bonds[k].a in part_atoms
+                                  and m.bonds[k].b in part_atoms)
+        dropped: set[int] = set()
+        if all(m.bonds[k].other(i) in arom_atoms
+               for i in arom_atoms for k in doubles[i]):
+            unmarked = {i for i in arom_atoms if set(doubles[i]) - arom_bonds}
+            for atoms, bonds in m.components(arom_bonds) if unmarked else ():
+                if unmarked.intersection(atoms) and _pair(
+                        m, [i for i in atoms if doubles[i]], bonds) is None:
+                    dropped.update(atoms)
+            if not dropped:
+                break
+        inside = arom_atoms - dropped
     if not arom_atoms:
         return m
 
@@ -225,9 +241,4 @@ def aromatize(m: Molecule) -> Molecule:
              else replace(b, order=SINGLE) if k in ring
              and b.a in arom_atoms and b.b in arom_atoms
              else b for k, b in enumerate(m.bonds)]
-    try:
-        return m.on_same_graph(atoms, bonds, validate=True)
-    except KekulizationFailure:
-        # Perception disagreed with the validator; keep the Kekule form,
-        # which is already valid.
-        return m
+    return m.on_same_graph(atoms, bonds, validate=True)

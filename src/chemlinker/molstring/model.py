@@ -10,6 +10,7 @@ SMILES are computed once, on first use, and cached on the instance.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -174,6 +175,15 @@ class Molecule:
         """Total (explicit-in-bracket or implicit) hydrogens on atom i."""
         return self._hcounts[i]
 
+    def _scope(self, bonds):
+        """(bond set to keep or None, start atoms in index order) of a walk
+        over the subgraph of `bonds`, or over the whole molecule."""
+        if bonds is None:
+            return None, range(len(self.atoms))
+        keep = set(bonds)
+        return keep, sorted({i for k in keep
+                             for i in (self.bonds[k].a, self.bonds[k].b)})
+
     def components(self, bonds=None) -> list[tuple[list[int], list[int]]]:
         """Connected components as sorted (atom indices, bond indices).
 
@@ -181,13 +191,7 @@ class Molecule:
         their end atoms; otherwise the whole molecule, isolated atoms
         included. Components come in order of their smallest atom.
         """
-        if bonds is None:
-            keep = None
-            starts = range(len(self.atoms))
-        else:
-            keep = set(bonds)
-            starts = sorted({i for k in keep
-                             for i in (self.bonds[k].a, self.bonds[k].b)})
+        keep, starts = self._scope(bonds)
         seen: set[int] = set()
         comps = []
         for start in starts:
@@ -213,52 +217,62 @@ class Molecule:
         """Connected components as sorted atom-index lists."""
         return [atoms for atoms, _ in self.components()]
 
-    def dfs_forest(self):
-        """Iterative DFS, one tree per fragment from its smallest atom.
+    def dfs_forest(self, bonds=None):
+        """Iterative DFS, one tree per component from its smallest atom.
 
         Per atom: disc (discovery time), low (earliest disc its subtree
         reaches by one non-tree bond), size (subtree atoms), tree_bond
         (bond from its DFS parent, -1 at a root) and children (in order).
+        The whole-molecule forest is cached, each fact a tuple over all
+        atoms. With `bonds` (bond indices) given, the walk keeps to those
+        bonds and starts from their ends, so it costs the subgraph's size,
+        and each fact is a dict over the atoms it reached.
         """
-        if self._forest is None:
+        if bonds is None and self._forest is not None:
+            return self._forest
+        keep, roots = self._scope(bonds)
+        if keep is None:
             n = len(self.atoms)
-            disc = [-1] * n
-            low = [0] * n
-            size = [1] * n
-            tree_bond = [-1] * n
-            children: list[list[int]] = [[] for _ in range(n)]
-            timer = 0
-            for root in range(n):
-                if disc[root] != -1:
-                    continue
-                disc[root] = low[root] = timer
-                timer += 1
-                # (atom, index of the tree bond into it, incident iterator)
-                stack = [(root, -1, iter(self._incident[root]))]
-                while stack:
-                    node, parent_k, pending = stack[-1]
-                    for k, bond in pending:
-                        if k == parent_k:
-                            continue
-                        j = bond.other(node)
-                        if disc[j] == -1:
-                            disc[j] = low[j] = timer
-                            timer += 1
-                            tree_bond[j] = k
-                            children[node].append(j)
-                            stack.append((j, k, iter(self._incident[j])))
-                            break
-                        low[node] = min(low[node], disc[j])
-                    else:
-                        stack.pop()
-                        if stack:
-                            up = stack[-1][0]
-                            low[up] = min(low[up], low[node])
-                            size[up] += size[node]
-            object.__setattr__(self, "_forest", (
-                tuple(disc), tuple(low), tuple(size), tuple(tree_bond),
-                tuple(tuple(c) for c in children)))
-        return self._forest
+            disc, low, size, tree_bond = [-1] * n, [0] * n, [1] * n, [-1] * n
+            children = [[] for _ in range(n)]
+        else:
+            disc, size = defaultdict(lambda: -1), defaultdict(lambda: 1)
+            low, tree_bond, children = {}, {}, defaultdict(list)
+        timer = 0
+        for root in roots:
+            if disc[root] != -1:
+                continue
+            disc[root] = low[root] = timer
+            tree_bond[root] = -1
+            timer += 1
+            # (atom, index of the tree bond into it, incident iterator)
+            stack = [(root, -1, iter(self._incident[root]))]
+            while stack:
+                node, parent_k, pending = stack[-1]
+                for k, bond in pending:
+                    if k == parent_k or keep is not None and k not in keep:
+                        continue
+                    j = bond.other(node)
+                    if disc[j] == -1:
+                        disc[j] = low[j] = timer
+                        timer += 1
+                        tree_bond[j] = k
+                        children[node].append(j)
+                        stack.append((j, k, iter(self._incident[j])))
+                        break
+                    low[node] = min(low[node], disc[j])
+                else:
+                    stack.pop()
+                    if stack:
+                        up = stack[-1][0]
+                        low[up] = min(low[up], low[node])
+                        size[up] += size[node]
+        if keep is not None:
+            return disc, low, size, tree_bond, children
+        forest = (tuple(disc), tuple(low), tuple(size), tuple(tree_bond),
+                  tuple(map(tuple, children)))
+        object.__setattr__(self, "_forest", forest)
+        return forest
 
     def ring_bonds(self) -> frozenset[int]:
         """Indices of bonds that lie on a cycle (non-bridge edges).
@@ -276,38 +290,11 @@ class Molecule:
         return self._ring_bonds
 
     def bridgeless(self, bonds) -> bool:
-        """Whether every bond in `bonds` lies on a cycle of those bonds.
-
-        The low-link test of `ring_bonds` on the subgraph of `bonds` alone,
-        stopping at its first bridge; an isolated bond is a bridge.
-        """
-        keep = set(bonds)
-        disc: dict[int, int] = {}
-        low: dict[int, int] = {}
-        for root in (self.bonds[k].a for k in keep):
-            if root in disc:
-                continue
-            disc[root] = low[root] = len(disc)
-            stack = [(root, -1, iter(self._incident[root]))]
-            while stack:
-                node, parent_k, pending = stack[-1]
-                for k, bond in pending:
-                    if k == parent_k or k not in keep:
-                        continue
-                    j = bond.other(node)
-                    if j not in disc:
-                        disc[j] = low[j] = len(disc)
-                        stack.append((j, k, iter(self._incident[j])))
-                        break
-                    low[node] = min(low[node], disc[j])
-                else:
-                    stack.pop()
-                    if stack:
-                        if low[node] == disc[node]:
-                            return False
-                        up = stack[-1][0]
-                        low[up] = min(low[up], low[node])
-        return True
+        """Whether every bond in `bonds` lies on a cycle of those bonds:
+        the low-link test of `ring_bonds` on the forest of `bonds` alone,
+        where an isolated bond is a bridge."""
+        disc, low, _, tree_bond, _ = self.dfs_forest(bonds)
+        return all(low[j] < disc[j] for j, k in tree_bond.items() if k >= 0)
 
     def ring_atom_flags(self) -> list[bool]:
         flags = [False] * len(self.atoms)
@@ -365,9 +352,9 @@ class Molecule:
 
         Perception applies the rule kekulize checked, so every aromatic
         system of the input is perceived again whichever Kekulé bonds the
-        matching chose. Where it marks nothing, or the validator rejects
-        its marks, aromatize returns its Kekulé input and the molecule
-        itself is kept. The form is its own aromatic form.
+        matching chose. Where it marks nothing, aromatize returns its
+        Kekulé input and the molecule itself is kept. The form is its own
+        aromatic form.
         """
         if self._aromatic is None:
             from chemlinker.molstring.kekulize import aromatize, kekulized

@@ -62,6 +62,14 @@ class _Builder:
         self.refs.append([])
         return len(self.atoms) - 1
 
+    def order_of(self, written: int | None, a: int, b: int) -> int:
+        """A bond's order as written; unwritten, aromatic between two
+        aromatic atoms and single otherwise."""
+        if written is not None:
+            return written
+        both_aromatic = self.atoms[a].aromatic and self.atoms[b].aromatic
+        return AROMATIC if both_aromatic else SINGLE
+
     def add_bond(self, a: int, b: int, order: int, stereo: str,
                  a_slot: int | None = None) -> None:
         if a == b:
@@ -118,12 +126,9 @@ def parse_smiles(text: str) -> Molecule:
     def connect(new_idx: int) -> None:
         nonlocal pending_order, pending_stereo
         if prev is not None:
-            order = pending_order
-            if order is None:
-                both_aromatic = (builder.atoms[prev].aromatic
-                                 and builder.atoms[new_idx].aromatic)
-                order = AROMATIC if both_aromatic else SINGLE
-            builder.add_bond(prev, new_idx, order, pending_stereo)
+            builder.add_bond(prev, new_idx,
+                             builder.order_of(pending_order, prev, new_idx),
+                             pending_stereo)
         pending_order = None
         pending_stereo = STEREO_NONE
 
@@ -220,11 +225,7 @@ def _resolve_ring_order(opened: int | None, closing: int | None,
                         builder: _Builder, a: int, b: int) -> int:
     if opened is not None and closing is not None and opened != closing:
         raise LexError("conflicting bond orders on ring closure")
-    order = opened if opened is not None else closing
-    if order is None:
-        both_aromatic = builder.atoms[a].aromatic and builder.atoms[b].aromatic
-        order = AROMATIC if both_aromatic else SINGLE
-    return order
+    return builder.order_of(opened if opened is not None else closing, a, b)
 
 
 def _parse_bracket_atom(text: str, pos: int) -> tuple[Atom, int]:

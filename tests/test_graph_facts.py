@@ -9,6 +9,7 @@ columns did not move.
 """
 
 import hashlib
+import random
 from pathlib import Path
 
 import pytest
@@ -113,6 +114,47 @@ def test_ring_facts_are_cached():
     assert m.ring_bonds() is m.ring_bonds()
     assert m.smallest_rings() is m.smallest_rings()
     assert sorted(len(r) for r in m.smallest_rings()) == [5, 6]
+
+
+def _bridgeless_by_deletion(m, bonds) -> bool:
+    """Every bond's ends stay connected within `bonds` without it."""
+    for k in bonds:
+        rest = [kk for kk in bonds if kk != k]
+        reached, frontier = {m.bonds[k].a}, [m.bonds[k].a]
+        while frontier:
+            i = frontier.pop()
+            for kk in rest:
+                if i in (m.bonds[kk].a, m.bonds[kk].b):
+                    j = m.bonds[kk].other(i)
+                    if j not in reached:
+                        reached.add(j)
+                        frontier.append(j)
+        if m.bonds[k].b not in reached:
+            return False
+    return True
+
+
+def test_bridgeless_matches_deletion_oracle():
+    rng = random.Random(21)
+    seen = set()
+    for s in CORPUS:
+        m = parse_smiles(s)
+        ring = sorted(m.ring_bonds())
+        subsets = [bonds for _, bonds in m.components(ring)]
+        subsets += [[k for k in ring if rng.random() < 0.8] for _ in range(2)]
+        subsets.append([k for k in range(len(m.bonds)) if rng.random() < 0.5])
+        for bonds in subsets:
+            verdict = m.bridgeless(bonds)
+            assert verdict == _bridgeless_by_deletion(m, bonds), (s, bonds)
+            seen.add(verdict)
+    assert seen == {False, True}
+
+
+def test_subgraph_forest_is_not_cached():
+    m = parse_smiles("C1CCC2(CC1)CCCC2")
+    whole = m.dfs_forest()
+    assert m.dfs_forest([0, 1])[3] == {0: -1, 1: 0, 2: 1}
+    assert m.dfs_forest() is whole and whole[3][:4] == (-1, 0, 1, 2)
 
 
 def test_default_hydrogens():

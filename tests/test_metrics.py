@@ -124,6 +124,7 @@ def _pair_by_pair(pairs):
             continue
         n_valid += 1
         n_exact += canonical_smiles(gen) == canonical_smiles(ref)
+        gen, ref = gen.aromatic_form(), ref.aromatic_form()
         for k, fp in enumerate((key_fp, path_fp, circular_fp)):
             sums[k] += tanimoto(fp(gen), fp(ref))
     means = [s / n_valid if n_valid else 0.0 for s in sums]
@@ -133,7 +134,8 @@ def _pair_by_pair(pairs):
 
 REPEATED = [("CCO", "CCO"), ("CCN", "OCC"), ("C(", "CCO"), ("OCC", "CCO"),
             ("c1ccccc1O", "Oc1ccccc1"), ("CCN", "CCO"), ("C(", "CCN"),
-            ("CCO", "CCN"), ("c1ccccc1O", "CCO"), ("CCO", "CCO")]
+            ("CCO", "CCN"), ("c1ccccc1O", "CCO"), ("CCO", "CCO"),
+            ("C1=CC=CC=C1O", "CCO")]
 
 
 def test_deduplicated_report_equals_pair_by_pair():
@@ -177,6 +179,4 @@ def test_spellings_of_one_molecule_fingerprinted_once(monkeypatch):
     assert [len(c) for c in calls.values()] == [2, 2, 2]
     monkeypatch.undo()
     assert report.exact == 0.0 and 0.0 < report.rdk_fts < 1.0
-    # `_pair_by_pair` fingerprints each string as parsed, so it is given the
-    # aromatic spelling that `evaluate_pairs` scores every spelling as.
-    assert report == _pair_by_pair([("Oc1ccccc1", "Cc1ccccc1O")] * 3)
+    assert report == _pair_by_pair(pairs)

@@ -21,12 +21,14 @@ from chemlinker.errors import (
     UnsupportedFeature,
     ValenceViolation,
 )
+from chemlinker.fingerprints import circular_fp, key_fp, path_fp
 from chemlinker.molstring import (
     AROMATIC,
     SINGLE,
     canonical_smiles,
     decode_selfies,
     encode_selfies,
+    kekulized,
     parse_smiles,
     split_tokens,
     token_alphabet,
@@ -450,14 +452,29 @@ ALPHABET = token_alphabet()
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=40))
-def test_random_token_strings_never_yield_invalid_molecules(tokens):
+@given(st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=40),
+       st.randoms(use_true_random=False))
+def test_random_token_strings_never_yield_invalid_molecules(tokens, rng):
     try:
         m = decode_selfies(tokens)
     except DecodeFailure:
         return
     # Construction re-validates; round-tripping through SMILES must also work.
     parse_smiles(write_smiles(m))
+    # One verdict whichever way the molecule is reached: in another atom
+    # order, from its Kekulé form, and back through SELFIES.
+    canon = canonical_smiles(m)
+    perm = list(range(len(m.atoms)))
+    rng.shuffle(perm)
+    shuffled = m.renumbered(perm)
+    assert canonical_smiles(shuffled) == canon
+    assert canonical_smiles(kekulized(m)) == canon
+    assert canonical_smiles(decode_selfies(encode_selfies(m))) == canon
+    # Fingerprints read the aromatic form, whichever Kekulé bonds the
+    # matching chose in the shuffled order.
+    kekule = kekulized(shuffled)
+    for fp in (circular_fp, path_fp, key_fp):
+        assert fp(kekule.aromatic_form()) == fp(m.aromatic_form())
 
 
 @settings(max_examples=100, deadline=None)
