@@ -191,26 +191,20 @@ class Molecule:
         their end atoms; otherwise the whole molecule, isolated atoms
         included. Components come in order of their smallest atom.
         """
-        keep, starts = self._scope(bonds)
-        seen: set[int] = set()
-        comps = []
-        for start in starts:
-            if start in seen:
-                continue
-            seen.add(start)
-            stack, atoms, comp_bonds = [start], [], set()
-            while stack:
-                i = stack.pop()
-                atoms.append(i)
-                for k, b in self._incident[i]:
-                    if keep is not None and k not in keep:
-                        continue
-                    comp_bonds.add(k)
-                    j = b.other(i)
-                    if j not in seen:
-                        seen.add(j)
-                        stack.append(j)
-            comps.append((sorted(atoms), sorted(comp_bonds)))
+        disc, _, size, _, _ = self.dfs_forest(bonds)
+        # Each tree's atoms hold consecutive discovery times, from its root
+        # (its smallest atom) on.
+        by_disc = sorted(range(len(disc)) if bonds is None else disc,
+                         key=disc.__getitem__)
+        comps, comp_of, t = [], {}, 0
+        while t < len(by_disc):
+            tree = by_disc[t:t + size[by_disc[t]]]
+            comp_of.update(dict.fromkeys(tree, len(comps)))
+            comps.append((sorted(tree), []))
+            t += len(tree)
+        for k in sorted(range(len(self.bonds)) if bonds is None
+                        else set(bonds)):
+            comps[comp_of[self.bonds[k].a]][1].append(k)
         return comps
 
     def fragments(self) -> list[list[int]]:
@@ -235,8 +229,8 @@ class Molecule:
             n = len(self.atoms)
             disc, low, size, tree_bond = [-1] * n, [0] * n, [1] * n, [-1] * n
             children = [[] for _ in range(n)]
-        else:
-            disc, size = defaultdict(lambda: -1), defaultdict(lambda: 1)
+        else:   # every atom the walk can reach is the end of a kept bond
+            disc, size = dict.fromkeys(roots, -1), dict.fromkeys(roots, 1)
             low, tree_bond, children = {}, {}, defaultdict(list)
         timer = 0
         for root in roots:

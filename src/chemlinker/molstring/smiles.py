@@ -5,10 +5,28 @@ and their aromatic lowercase forms), bracket atoms with isotope, charge,
 explicit hydrogens and @/@@ chirality, ring closures including %nn, branch
 parentheses, /-\\ double-bond stereo marks, and dot-separated fragments.
 Wildcards, reaction arrows, and quadruple bonds are rejected.
+
+The grammar is data: `_TOKEN` splits a string into the kinds atom, ring,
+bond, open, close and dot, and `_FOLLOWS` names the kinds each kind may
+follow, and which may end a string; a string starts as a fragment does,
+after a dot. A bond is kept pending: the token after it must be an atom or
+a ring bond, and follows the kind before the bond. So a string is a chain
+of atoms, each followed by its ring bonds and then its branches; a branch
+holds a chain led by at most one bond or dot; and a dot joins two chains.
+Strings that the OpenSMILES grammar does not derive raise LexError rather
+than being repaired:
+- a bond or dot at either end: `=C`, `/C`, `.C`, `C.`;
+- two dots or two bonds in a row: `C..C`, `C=/C`;
+- a bond after a dot, or before a branch or its end: `C.=C`, `C=(C)C`,
+  `C(C=)C`;
+- an empty or doubled branch: `C()C`, `C(=)C`, `C((C))`, and a dot that
+  ends one: `C(C.)C`;
+- a ring bond after a parenthesis: `C1CC(1)`, `C(C)1CC1`.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 
 from chemlinker.errors import (
@@ -19,12 +37,9 @@ from chemlinker.errors import (
 )
 from chemlinker.molstring.model import (
     AROMATIC,
-    CHI_CCW,
-    CHI_CW,
     CHI_NONE,
     DOUBLE,
     ELEMENT_NUMBERS,
-    ORGANIC_SUBSET,
     SINGLE,
     STEREO_DOWN,
     STEREO_NONE,
@@ -35,9 +50,30 @@ from chemlinker.molstring.model import (
     Molecule,
 )
 
-_TWO_LETTER_ORGANIC = ("Cl", "Br")
-_AROMATIC_ORGANIC = {"b": "B", "c": "C", "n": "N", "o": "O", "p": "P", "s": "S"}
-_BOND_CHARS = {"-": SINGLE, "=": DOUBLE, "#": TRIPLE, ":": AROMATIC}
+_TOKEN = re.compile(
+    r"(?P<atom>Cl|Br|[BCNOPSFI]|[bcnops]|\[(?P<bracket>[^\]]*)\])"
+    r"|(?P<ring>[0-9]|%[0-9]{2})|(?P<bond>[-=#:/\\])"
+    r"|(?P<open>\()|(?P<close>\))|(?P<dot>\.)")
+# The kinds a token of each kind may follow; "end" lists those a string may
+# end with. A bond joins the token after it, which must be an atom or a ring.
+_FOLLOWS = {
+    "atom": {"atom", "ring", "open", "close", "dot"},
+    "bond": {"atom", "ring", "open", "close"},
+    "ring": {"atom", "ring"},
+    "open": {"atom", "ring", "close"},
+    "close": {"atom", "ring", "close"},
+    "dot": {"atom", "ring", "open", "close"},
+    "end": {"atom", "ring", "close"},
+}
+# Atoms are immutable, so every organic-subset token of a kind shares one.
+_ORGANIC = {sym: Atom(element=sym.capitalize(), aromatic=sym.islower())
+            for sym in ("Cl", "Br", *"BCNOPSFI", *"bcnops")}
+_BONDS = {"-": (SINGLE, STEREO_NONE), "=": (DOUBLE, STEREO_NONE),
+          "#": (TRIPLE, STEREO_NONE), ":": (AROMATIC, STEREO_NONE),
+          "/": (SINGLE, STEREO_UP), "\\": (SINGLE, STEREO_DOWN)}
+_BRACKET = re.compile(
+    r"(?P<isotope>[0-9]+)?(?P<element>[A-Z][a-z]?|[bcnops])"
+    r"(?P<chirality>@@?)?(?P<h>H[0-9]*)?(?P<charge>[+-][0-9]+|\++|-+)?")
 
 
 @dataclass
@@ -98,111 +134,66 @@ def parse_smiles(text: str) -> Molecule:
 
     builder = _Builder()
     prev: int | None = None            # previous atom index
-    pending_order: int | None = None   # bond symbol awaiting its atom
-    pending_stereo: str = STEREO_NONE
+    kind = "dot"                       # last kind but a bond; starts as '.'
+    bond: tuple[int, str] | None = None   # bond awaiting its atom or ring
     branch_stack: list[int] = []
     open_rings: dict[int, _PendingRing] = {}
 
     pos = 0
-    n = len(text)
-
-    def take_atom() -> tuple[Atom, int]:
-        nonlocal pos
-        ch = text[pos]
-        if ch == "[":
-            return _parse_bracket_atom(text, pos)
-        two = text[pos:pos + 2]
-        if two in _TWO_LETTER_ORGANIC:
-            pos += 2
-            return Atom(element=two), pos
-        if ch in ORGANIC_SUBSET:
-            pos += 1
-            return Atom(element=ch), pos
-        if ch in _AROMATIC_ORGANIC:
-            pos += 1
-            return Atom(element=_AROMATIC_ORGANIC[ch], aromatic=True), pos
-        raise LexError(f"unexpected character {ch!r} at position {pos}")
-
-    def connect(new_idx: int) -> None:
-        nonlocal pending_order, pending_stereo
-        if prev is not None:
-            builder.add_bond(prev, new_idx,
-                             builder.order_of(pending_order, prev, new_idx),
-                             pending_stereo)
-        pending_order = None
-        pending_stereo = STEREO_NONE
-
-    while pos < n:
-        ch = text[pos]
-        if ch in _BOND_CHARS:
-            if pending_order is not None:
-                raise LexError(f"two bond symbols in a row at position {pos}")
-            pending_order = _BOND_CHARS[ch]
-            pos += 1
-        elif ch == "/":
-            pending_order = SINGLE
-            pending_stereo = STEREO_UP
-            pos += 1
-        elif ch == "\\":
-            pending_order = SINGLE
-            pending_stereo = STEREO_DOWN
-            pos += 1
-        elif ch == "(":
-            if prev is None:
-                raise LexError("branch before any atom")
-            branch_stack.append(prev)
-            pos += 1
-        elif ch == ")":
-            if not branch_stack:
-                raise UnclosedBranch("unmatched ')'")
-            prev = branch_stack.pop()
-            pos += 1
-        elif ch == ".":
-            if pending_order is not None:
-                raise LexError("bond symbol before fragment separator")
-            prev = None
-            pos += 1
-        elif ch.isdigit() or ch == "%":
-            if prev is None:
-                raise LexError("ring closure before any atom")
-            if ch == "%":
-                if pos + 2 >= n or not text[pos + 1:pos + 3].isdigit():
-                    raise LexError("%% ring closure needs two digits")
-                ring_id = int(text[pos + 1:pos + 3])
-                pos += 3
-            else:
-                ring_id = int(ch)
-                pos += 1
-            if ring_id in open_rings:
-                opened = open_rings.pop(ring_id)
-                order = _resolve_ring_order(opened.order, pending_order,
-                                            builder, opened.atom, prev)
-                stereo = pending_stereo or opened.stereo
-                builder.add_bond(opened.atom, prev, order, stereo,
-                                 a_slot=opened.ref_slot)
-            else:
-                builder.refs[prev].append(-2)   # placeholder, filled on close
-                open_rings[ring_id] = _PendingRing(
-                    atom=prev, order=pending_order, stereo=pending_stereo,
-                    ref_slot=len(builder.refs[prev]) - 1)
-            pending_order = None
-            pending_stereo = STEREO_NONE
-        else:
-            atom, pos = take_atom()
+    while pos < len(text):
+        token = _TOKEN.match(text, pos)
+        if token is None:
+            raise LexError(f"unexpected character {text[pos]!r} "
+                           f"at position {pos}")
+        new = token.lastgroup
+        if kind not in _FOLLOWS[new] or bond and new not in ("atom", "ring"):
+            raise LexError(f"unexpected {token[0]!r} at position {pos}")
+        pos = token.end()
+        if new == "bond":
+            bond = _BONDS[token[0]]
+            continue
+        order, stereo = bond or (None, STEREO_NONE)
+        if new == "atom":
+            atom = _ORGANIC.get(token[0]) or _bracket_atom(token["bracket"])
             idx = builder.add_atom(atom)
-            connect(idx)
+            if kind != "dot":   # an atom after a dot starts a fragment
+                builder.add_bond(prev, idx, builder.order_of(order, prev, idx),
+                                 stereo)
             if atom.explicit_h and atom.chirality:
                 # The in-bracket hydrogen occupies the reference slot right
                 # after the preceding atom.
                 builder.refs[idx].append(-1)
             prev = idx
+        elif new == "ring":
+            ring_id = int(token[0].lstrip("%"))
+            opened = open_rings.pop(ring_id, None)
+            if opened is None:
+                builder.refs[prev].append(-2)   # placeholder, filled on close
+                open_rings[ring_id] = _PendingRing(
+                    atom=prev, order=order, stereo=stereo,
+                    ref_slot=len(builder.refs[prev]) - 1)
+            elif None not in (order, opened.order) and order != opened.order:
+                raise LexError("conflicting bond orders on ring closure")
+            else:
+                written = order if opened.order is None else opened.order
+                builder.add_bond(opened.atom, prev,
+                                 builder.order_of(written, opened.atom, prev),
+                                 stereo or opened.stereo,
+                                 a_slot=opened.ref_slot)
+        elif new == "open":
+            branch_stack.append(prev)
+        elif new == "close":
+            if not branch_stack:
+                raise UnclosedBranch("unmatched ')'")
+            prev = branch_stack.pop()
+        kind, bond = new, None
 
     if branch_stack:
         raise UnclosedBranch(f"{len(branch_stack)} unclosed '('")
     if open_rings:
         raise UnclosedRing(f"unclosed ring closure(s): {sorted(open_rings)}")
-    if pending_order is not None:
-        raise LexError("dangling bond symbol at end of input")
+    if kind not in _FOLLOWS["end"] or bond:
+        raise LexError(f"unexpected end after {text[-1]!r}")
 
     atoms = [replace(a, chiral_ref=tuple(builder.refs[i])) if a.chirality
              else a for i, a in enumerate(builder.atoms)]
@@ -221,79 +212,18 @@ def parse_smiles(text: str) -> Molecule:
     return probe.on_same_graph(atoms, bonds, validate=True)
 
 
-def _resolve_ring_order(opened: int | None, closing: int | None,
-                        builder: _Builder, a: int, b: int) -> int:
-    if opened is not None and closing is not None and opened != closing:
-        raise LexError("conflicting bond orders on ring closure")
-    return builder.order_of(opened if opened is not None else closing, a, b)
-
-
-def _parse_bracket_atom(text: str, pos: int) -> tuple[Atom, int]:
-    """Parse '[...]' starting at pos; returns (Atom, position after ']')."""
-    end = text.find("]", pos)
-    if end == -1:
-        raise LexError("unclosed bracket atom")
-    body = text[pos + 1:end]
-    i = 0
-    isotope = None
-    start = i
-    while i < len(body) and body[i].isdigit():
-        i += 1
-    if i > start:
-        isotope = int(body[start:i])
-        if isotope == 0:
-            raise LexError("isotope must be positive")
-    if i >= len(body):
-        raise LexError("bracket atom without element symbol")
-    aromatic = False
-    if body[i].islower():
-        sym = body[i]
-        if sym not in _AROMATIC_ORGANIC:
-            raise LexError(f"unknown aromatic symbol {sym!r}")
-        element = _AROMATIC_ORGANIC[sym]
-        aromatic = True
-        i += 1
-    else:
-        if i + 1 < len(body) and body[i + 1].islower() \
-                and body[i:i + 2] in ELEMENT_NUMBERS:
-            element = body[i:i + 2]
-            i += 2
-        else:
-            element = body[i]
-            i += 1
-        if element not in ELEMENT_NUMBERS:
-            raise LexError(f"unknown element symbol {element!r}")
-    chirality = CHI_NONE
-    if body[i:i + 2] == "@@":
-        chirality = CHI_CW
-        i += 2
-    elif body[i:i + 1] == "@":
-        chirality = CHI_CCW
-        i += 1
-    explicit_h = 0
-    if body[i:i + 1] == "H":
-        i += 1
-        start = i
-        while i < len(body) and body[i].isdigit():
-            i += 1
-        explicit_h = int(body[start:i]) if i > start else 1
-    charge = 0
-    if body[i:i + 1] in ("+", "-"):
-        sign = 1 if body[i] == "+" else -1
-        i += 1
-        start = i
-        while i < len(body) and body[i].isdigit():
-            i += 1
-        if i > start:
-            charge = sign * int(body[start:i])
-        else:
-            magnitude = 1
-            while body[i:i + 1] == body[start - 1]:
-                magnitude += 1
-                i += 1
-            charge = sign * magnitude
-    if i != len(body):
-        raise LexError(f"unexpected bracket content {body[i:]!r}")
-    atom = Atom(element=element, aromatic=aromatic, formal_charge=charge,
-                explicit_h=explicit_h, isotope=isotope, chirality=chirality)
-    return atom, end + 1
+def _bracket_atom(body: str) -> Atom:
+    """The atom of a bracket token's body, the text between '[' and ']'."""
+    m = _BRACKET.fullmatch(body)
+    if m is None or m["element"].capitalize() not in ELEMENT_NUMBERS:
+        raise LexError(f"unknown bracket atom [{body}]")
+    isotope, h, charge = m["isotope"], m["h"], m["charge"] or "0"
+    if isotope and not int(isotope):
+        raise LexError("isotope must be positive")
+    if not charge[-1].isdigit():   # '+', '--', ...: one unit per sign
+        charge = charge[0] + str(len(charge))
+    return Atom(element=m["element"].capitalize(),
+                aromatic=m["element"].islower(), formal_charge=int(charge),
+                explicit_h=int(h[1:] or 1) if h else 0,
+                isotope=int(isotope) if isotope else None,
+                chirality=m["chirality"] or CHI_NONE)

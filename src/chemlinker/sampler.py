@@ -13,7 +13,7 @@ over the same streams would count them, and sampling stops as soon as the
 target is reached.
 
 Filter taxonomy (applied in this order, one outcome per candidate):
-Invalid (in-alphabet but unparseable, or no atoms, as in "."),
+Invalid (in-alphabet but unparseable, as in "." or "C("),
 NaturalLanguage (characters outside the molecular alphabet), Salts
 (multiple fragments or a bare charged atom), SingleElement (all heavy
 atoms share one element), else Pass. Deduplication
@@ -228,8 +228,6 @@ def _classify(candidate: str):
         if not bracket_form and any(ch not in _ALPHABET for ch in candidate):
             return FilterOutcome.NATURAL_LANGUAGE, None
         return FilterOutcome.INVALID, None
-    if not mol.atoms:
-        return FilterOutcome.INVALID, mol
     if len(mol.fragments()) > 1:
         return FilterOutcome.SALTS, mol
     if len(mol.atoms) == 1 and mol.atoms[0].formal_charge != 0:
@@ -286,7 +284,7 @@ def generate_unique_set(params, text_ids, cfg: GenerationConfig,
     stats = GenerationStats()
     seen: set[str] = set()
     passed: list[str] = []
-    memo: dict[str, tuple[str, FilterOutcome, str | None]] = {}
+    memo: dict[str, tuple[str, FilterOutcome]] = {}
     temps = escalation_schedule(cfg)
     visited: list[float] = []
     for batch_index, temperature in enumerate(temps):
@@ -296,20 +294,18 @@ def generate_unique_set(params, text_ids, cfg: GenerationConfig,
         visited.append(temperature)
         for candidate in candidates(temperature, streams):
             if candidate not in memo:
-                # A passing bracket-token string may parse only as SELFIES.
+                # A bracket-token string may parse only as SELFIES.
                 outcome, mol = _classify(candidate)
-                canon = (canonical_smiles(mol)
-                         if outcome == FilterOutcome.PASS else None)
-                key = canon if canon is not None else candidate
-                memo[candidate] = (key, outcome, canon)
-            key, outcome, canon = memo[candidate]
+                memo[candidate] = (candidate if mol is None
+                                   else canonical_smiles(mol), outcome)
+            key, outcome = memo[candidate]
             if key in seen:
                 stats.record(None)
                 continue
             seen.add(key)
             stats.record(outcome)
             if outcome == FilterOutcome.PASS:
-                passed.append(canon)
+                passed.append(key)
             if len(passed) >= cfg.target_unique:
                 stats.validate()
                 return passed, stats

@@ -25,6 +25,7 @@ from chemlinker.fingerprints import circular_fp, key_fp, path_fp
 from chemlinker.molstring import (
     AROMATIC,
     SINGLE,
+    Atom,
     canonical_smiles,
     decode_selfies,
     encode_selfies,
@@ -34,6 +35,7 @@ from chemlinker.molstring import (
     token_alphabet,
     write_smiles,
 )
+from chemlinker.molstring.smiles import _bracket_atom
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS = (FIXTURES / "corpus_500.smi").read_text().split()
@@ -92,10 +94,58 @@ def test_parse_valence_violation():
 
 
 def test_parse_lex_errors():
-    for bad in ["C*C", "C$", "[Xx]", "C==C", "[C@@H", "%1C", "1CC",
-                "C=1CCC#1"]:
+    # Strings the OpenSMILES grammar does not derive. Up to 0.12.0 the
+    # parser repaired those from "=C" on: "=C" gave C, "C(=)C" gave C=C,
+    # "C.=C" gave C.C and "C=/C" gave C/C. A superscript two raised
+    # ValueError, and other digits outside ASCII counted as ring labels.
+    for bad in [
+        "C*C", "C$", "[Xx]", "C==C", "[C@@H", "%1C", "1CC", "C=1CCC#1",
+        "=C", "/C", ".C", "C.",            # a bond or dot at either end
+        "C..C",                            # two dots in a row
+        "C.=C",                            # a bond after a dot
+        "C=(C)C", "C(C=)C",                # a bond before a branch or its end
+        "C()C", "C(=)C", "C((C))", "C(C.)C",   # an empty or doubled branch
+        "C=/C", "C//C",                    # a bond followed by another bond
+        "C1CC(1)", "C(C)1CC1",             # a ring bond after a parenthesis
+        "C\u00b2", "[\u00b2C]", "C\u0663CC\u0663",   # digits outside ASCII
+    ]:
         with pytest.raises(LexError):
             parse_smiles(bad)
+
+
+def test_parse_grammar_keeps_what_it_derives():
+    """Branches may open with a bond or a dot, follow a ring bond, and
+    close one another; a ring bond may carry a bond."""
+    assert canonical_smiles("C(=O)(C)C") == "CC(C)=O"
+    assert canonical_smiles("C(.O)C") == "CC.O"
+    assert canonical_smiles("C1(C)CC1") == "CC1CC1"
+    assert canonical_smiles("CC(C(C))C") == canonical_smiles("CC(CC)C")
+    assert canonical_smiles("C=1CC=1") == canonical_smiles("C1=CC1")
+
+
+# Bracket atoms as the 0.12.0 scanner read them; those marked raise
+# ValenceViolation when parsed alone.
+BRACKET_ATOMS = [
+    ("[13CH3-]", Atom("C", formal_charge=-1, explicit_h=3, isotope=13),
+     None),
+    ("[CH12]", Atom("C", explicit_h=12), ValenceViolation),
+    ("[Fe+++]", Atom("Fe", formal_charge=3, explicit_h=0), None),
+    ("[N+2]", Atom("N", formal_charge=2, explicit_h=0), ValenceViolation),
+    ("[C@@H]", Atom("C", explicit_h=1, chirality="@@"), ValenceViolation),
+    ("[Sc]", Atom("Sc", explicit_h=0), None),
+    ("[nH]", Atom("N", aromatic=True, explicit_h=1), ValenceViolation),
+    ("[Cl-]", Atom("Cl", formal_charge=-1, explicit_h=0), None),
+]
+
+
+@pytest.mark.parametrize("text, atom, error", BRACKET_ATOMS)
+def test_parse_bracket_atom_fields(text, atom, error):
+    assert _bracket_atom(text[1:-1]) == atom
+    if error is None:
+        assert parse_smiles(text).atoms == (atom,)
+    else:
+        with pytest.raises(error):
+            parse_smiles(text)
 
 
 def test_parse_wildcard_rejected():

@@ -313,6 +313,18 @@ def test_empty_molecule_never_returned():
     stats.validate()
 
 
+def test_every_parsed_candidate_is_keyed_by_canonical_smiles():
+    """"C(C)" is "CC" spelled again: a duplicate, not a second
+    SingleElement."""
+    candidates = iter(["CC", "C(C)", "CCO"])
+    cfg = GenerationConfig(target_unique=1, per_temperature_cap=10)
+    molecules, stats = generate_unique_set(
+        None, None, cfg, generate_fn=lambda t, rng: next(candidates))
+    assert molecules == ["CCO"]
+    assert (stats.se, stats.duplicate) == (1, 1)
+    stats.validate()
+
+
 def test_passing_selfies_candidate_is_canonicalized():
     """The SELFIES string [C][O] passes the filter but is not SMILES; the
     filter's decoded molecule is what gets canonicalized."""
