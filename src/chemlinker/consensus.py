@@ -12,7 +12,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+import statistics
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -95,13 +96,6 @@ def rank_molecules(table: ScoreTable, sigma: float | None = None):
     return sorted(scores, key=lambda m: (-scores[m], m))
 
 
-def _median(values) -> float:
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = n // 2
-    return ordered[mid] if n % 2 else (ordered[mid - 1] + ordered[mid]) / 2
-
-
 def percentile_of(value: float, background) -> float:
     """Midpoint-convention percentile of `value` within `background`:
     (count below + half the count equal) / n * 100."""
@@ -125,13 +119,7 @@ class ConsensusReport:
     candidate_exceeds: dict           # name -> candidate median > background
 
     def to_json(self) -> str:
-        return json.dumps({
-            "candidate_median": self.candidate_median,
-            "background_medians": self.background_medians,
-            "probe": self.probe,
-            "probe_percentiles": self.probe_percentiles,
-            "candidate_exceeds": self.candidate_exceeds,
-        }, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def background_report(candidates, backgrounds: dict,
@@ -144,12 +132,12 @@ def background_report(candidates, backgrounds: dict,
     if not backgrounds:
         raise EmptySet("no background sets")
     medians, percentiles, exceeds = {}, {}, {}
-    cand_median = _median(candidates)
+    cand_median = statistics.median(candidates)
     for name, scores in backgrounds.items():
         scores = list(scores)
         if not scores:
             raise EmptySet(f"empty background set {name!r}")
-        medians[name] = _median(scores)
+        medians[name] = statistics.median(scores)
         percentiles[name] = percentile_of(probe, scores)
         exceeds[name] = cand_median > medians[name]
     return ConsensusReport(candidate_median=cand_median,

@@ -134,7 +134,7 @@ def circular_fp(m: Molecule, radius: int = 2,
             out = atom[i]
             if depth:
                 branches = sorted((b.order, environment(j, i, depth - 1))
-                                  for b in m.bonds_of(i)
+                                  for _, b in m.incident(i)
                                   if (j := b.other(i)) != parent)
                 for order, child in branches:
                     out += _u32(order) + child

@@ -36,7 +36,7 @@ def _pi(m: Molecule, i: int, system_doubles: int) -> int | None:
     """Pi electrons atom i gives a candidate aromatic system in which it
     has `system_doubles` double bonds; None when it cannot be aromatic."""
     atom = m.atoms[i]
-    orders = {b.order for b in m.bonds_of(i)}
+    orders = {b.order for _, b in m.incident(i)}
     if (atom.element not in AROMATIC_ELEMENTS or system_doubles > 1
             or TRIPLE in orders):
         return None
@@ -127,13 +127,14 @@ def _pair(m: Molecule, needy: list[int], bonds) -> dict[int, int] | None:
             pairable[frozenset((a, b))] = k
     if not all(adj.values()):
         return None  # an atom with no pairable bond, so not in the forest
-    # Needy atoms in depth-first order over their pairable bonds: pairing
-    # along paths strands no atom on a chain or a ring whatever the atom
-    # order, where index order can send `_match` into exponential
-    # backtracking (a 2,002-atom aromatic ring in random atom order).
-    disc = m.dfs_forest(pairable.values())[0]
+    # Needy atoms in depth-first order over their pairable bonds, which
+    # reach every needy atom: pairing along paths strands no atom on a
+    # chain or a ring whatever the atom order, where index order can send
+    # `_match` into exponential backtracking (a 2,002-atom aromatic ring in
+    # random atom order).
+    order = m.dfs_forest(pairable.values())[0]
     mate: dict[int, int] = {}
-    if not _match(sorted(needy, key=disc.__getitem__), adj, mate):
+    if not _match(order, adj, mate):
         return None
     return {i: pairable[frozenset((i, j))] for i, j in mate.items()}
 

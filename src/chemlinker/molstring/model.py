@@ -2,15 +2,15 @@
 
 Molecule values are immutable to callers; every operation in this package
 returns a new Molecule rather than mutating in place. Each graph fact lives
-here and nowhere else: the bond index of every incident bond and the
-hydrogen counts are built in the constructor; the depth-first forest,
-ring bonds, smallest rings, Kekulé assignment, aromatic form and canonical
-SMILES are computed once, on first use, and cached on the instance.
+here and nowhere else: the bond index of every incident bond, the
+bond-order sums and the hydrogen counts are built in the constructor; the
+depth-first forest, ring bonds, smallest rings, Kekulé assignment,
+aromatic form and canonical SMILES are computed once, on first use, and
+cached on the instance.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -126,7 +126,7 @@ def default_hydrogens(element: str, charge: int, aromatic: bool,
 class Molecule:
     """Immutable attributed molecular graph."""
 
-    __slots__ = ("atoms", "bonds", "_adj", "_incident", "_hcounts",
+    __slots__ = ("atoms", "bonds", "_incident", "_order_sums", "_hcounts",
                  "_forest", "_ring_bonds", "_smallest_rings", "_kekule",
                  "_aromatic", "_canonical")
 
@@ -139,8 +139,9 @@ class Molecule:
             incident[bond.b].append((k, bond))
         object.__setattr__(self, "_incident",
                            tuple(tuple(pairs) for pairs in incident))
-        object.__setattr__(self, "_adj", tuple(tuple(b for _, b in pairs)
-                                               for pairs in incident))
+        object.__setattr__(self, "_order_sums", tuple(
+            sum(min(b.order, TRIPLE) if b.order != AROMATIC else 1
+                for _, b in pairs) for pairs in incident))
         object.__setattr__(self, "_forest", None)
         object.__setattr__(self, "_ring_bonds", None)
         object.__setattr__(self, "_smallest_rings", None)
@@ -157,32 +158,22 @@ class Molecule:
     # --- structure queries -------------------------------------------------
 
     def bonds_of(self, i: int) -> tuple[Bond, ...]:
-        return self._adj[i]
+        return tuple(b for _, b in self._incident[i])
 
     def incident(self, i: int) -> tuple[tuple[int, Bond], ...]:
-        """(bond index, Bond) pairs of atom i, in `bonds_of` order."""
+        """(bond index, Bond) pairs of atom i, in bond index order."""
         return self._incident[i]
 
     def degree(self, i: int) -> int:
-        return len(self._adj[i])
+        return len(self._incident[i])
 
     def base_order_sum(self, i: int) -> int:
         """Bond-order sum with aromatic bonds counted as single."""
-        return sum(min(b.order, TRIPLE) if b.order != AROMATIC else 1
-                   for b in self._adj[i])
+        return self._order_sums[i]
 
     def hydrogen_count(self, i: int) -> int:
         """Total (explicit-in-bracket or implicit) hydrogens on atom i."""
         return self._hcounts[i]
-
-    def _scope(self, bonds):
-        """(bond set to keep or None, start atoms in index order) of a walk
-        over the subgraph of `bonds`, or over the whole molecule."""
-        if bonds is None:
-            return None, range(len(self.atoms))
-        keep = set(bonds)
-        return keep, sorted({i for k in keep
-                             for i in (self.bonds[k].a, self.bonds[k].b)})
 
     def components(self, bonds=None) -> list[tuple[list[int], list[int]]]:
         """Connected components as sorted (atom indices, bond indices).
@@ -191,14 +182,12 @@ class Molecule:
         their end atoms; otherwise the whole molecule, isolated atoms
         included. Components come in order of their smallest atom.
         """
-        disc, _, size, _, _ = self.dfs_forest(bonds)
+        order, _, _, size, _, _ = self.dfs_forest(bonds)
         # Each tree's atoms hold consecutive discovery times, from its root
         # (its smallest atom) on.
-        by_disc = sorted(range(len(disc)) if bonds is None else disc,
-                         key=disc.__getitem__)
         comps, comp_of, t = [], {}, 0
-        while t < len(by_disc):
-            tree = by_disc[t:t + size[by_disc[t]]]
+        while t < len(order):
+            tree = order[t:t + size[order[t]]]
             comp_of.update(dict.fromkeys(tree, len(comps)))
             comps.append((sorted(tree), []))
             t += len(tree)
@@ -214,31 +203,30 @@ class Molecule:
     def dfs_forest(self, bonds=None):
         """Iterative DFS, one tree per component from its smallest atom.
 
-        Per atom: disc (discovery time), low (earliest disc its subtree
-        reaches by one non-tree bond), size (subtree atoms), tree_bond
-        (bond from its DFS parent, -1 at a root) and children (in order).
-        The whole-molecule forest is cached, each fact a tuple over all
-        atoms. With `bonds` (bond indices) given, the walk keeps to those
-        bonds and starts from their ends, so it costs the subgraph's size,
-        and each fact is a dict over the atoms it reached.
+        Returns the atoms in discovery order, then per atom reached: disc
+        (discovery time, its place in that order), low (earliest disc its
+        subtree reaches by one non-tree bond), size (subtree atoms),
+        tree_bond (bond from its DFS parent, -1 at a root) and children (in
+        order), each a dict. With `bonds` (bond indices) given, the walk
+        keeps to those bonds and starts from their ends, so it costs the
+        subgraph's size. The whole-molecule forest is cached; callers must
+        not change it.
         """
-        if bonds is None and self._forest is not None:
-            return self._forest
-        keep, roots = self._scope(bonds)
-        if keep is None:
-            n = len(self.atoms)
-            disc, low, size, tree_bond = [-1] * n, [0] * n, [1] * n, [-1] * n
-            children = [[] for _ in range(n)]
-        else:   # every atom the walk can reach is the end of a kept bond
-            disc, size = dict.fromkeys(roots, -1), dict.fromkeys(roots, 1)
-            low, tree_bond, children = {}, {}, defaultdict(list)
-        timer = 0
+        if bonds is None:
+            if self._forest is not None:
+                return self._forest
+            keep, roots = None, range(len(self.atoms))
+        else:
+            keep = set(bonds)
+            roots = sorted({i for k in keep
+                            for i in (self.bonds[k].a, self.bonds[k].b)})
+        order, disc, low, size, tree_bond, children = [], {}, {}, {}, {}, {}
         for root in roots:
-            if disc[root] != -1:
+            if root in disc:
                 continue
-            disc[root] = low[root] = timer
-            tree_bond[root] = -1
-            timer += 1
+            disc[root] = low[root] = len(order)
+            order.append(root)
+            size[root], tree_bond[root], children[root] = 1, -1, []
             # (atom, index of the tree bond into it, incident iterator)
             stack = [(root, -1, iter(self._incident[root]))]
             while stack:
@@ -247,10 +235,10 @@ class Molecule:
                     if k == parent_k or keep is not None and k not in keep:
                         continue
                     j = bond.other(node)
-                    if disc[j] == -1:
-                        disc[j] = low[j] = timer
-                        timer += 1
-                        tree_bond[j] = k
+                    if j not in disc:
+                        disc[j] = low[j] = len(order)
+                        order.append(j)
+                        size[j], tree_bond[j], children[j] = 1, k, []
                         children[node].append(j)
                         stack.append((j, k, iter(self._incident[j])))
                         break
@@ -261,11 +249,9 @@ class Molecule:
                         up = stack[-1][0]
                         low[up] = min(low[up], low[node])
                         size[up] += size[node]
-        if keep is not None:
-            return disc, low, size, tree_bond, children
-        forest = (tuple(disc), tuple(low), tuple(size), tuple(tree_bond),
-                  tuple(map(tuple, children)))
-        object.__setattr__(self, "_forest", forest)
+        forest = order, disc, low, size, tree_bond, children
+        if keep is None:
+            object.__setattr__(self, "_forest", forest)
         return forest
 
     def ring_bonds(self) -> frozenset[int]:
@@ -276,9 +262,9 @@ class Molecule:
         bond closes a cycle.
         """
         if self._ring_bonds is None:
-            disc, low, _, tree_bond, _ = self.dfs_forest()
-            bridges = {k for k, d, lo in zip(tree_bond, disc, low)
-                       if k >= 0 and lo == d}
+            _, disc, low, _, tree_bond, _ = self.dfs_forest()
+            bridges = {k for j, k in tree_bond.items()
+                       if k >= 0 and low[j] == disc[j]}
             object.__setattr__(self, "_ring_bonds",
                                frozenset(range(len(self.bonds))) - bridges)
         return self._ring_bonds
@@ -287,7 +273,7 @@ class Molecule:
         """Whether every bond in `bonds` lies on a cycle of those bonds:
         the low-link test of `ring_bonds` on the forest of `bonds` alone,
         where an isolated bond is a bridge."""
-        disc, low, _, tree_bond, _ = self.dfs_forest(bonds)
+        _, disc, low, _, tree_bond, _ = self.dfs_forest(bonds)
         return all(low[j] < disc[j] for j, k in tree_bond.items() if k >= 0)
 
     def ring_atom_flags(self) -> list[bool]:
@@ -402,7 +388,8 @@ class Molecule:
                 if total not in vals and total + 1 not in vals:
                     raise ValenceViolation(
                         f"atom {i} ({atom.element}): valence {total} invalid")
-                n_arom = sum(1 for b in self._adj[i] if b.order == AROMATIC)
+                n_arom = sum(1 for _, b in self._incident[i]
+                             if b.order == AROMATIC)
                 if n_arom < 2:
                     raise ValenceViolation(
                         f"atom {i}: aromatic atom outside an aromatic ring")

@@ -45,7 +45,7 @@ _PREFIX_OF = {SINGLE: "", DOUBLE: "=", TRIPLE: "#"}
 
 _ATOM_RE = re.compile(
     r"\[(?P<prefix>[=#]?)(?P<element>B|C|N|O|P|S|F|Cl|Br|I)"
-    r"(?P<charge>[+-][1-9])?\]")
+    r"(?P<charge>[+-]1)?\]")
 _BRANCH_RE = re.compile(r"\[(?P<prefix>[=#]?)Branch(?P<size>[123])\]")
 _RING_RE = re.compile(r"\[(?P<prefix>[=#]?)Ring(?P<size>[123])\]")
 _TOKEN_RE = re.compile(r"\[[^\[\]]*\]")
@@ -227,7 +227,7 @@ def encode_selfies(m: Molecule) -> list[str]:
             raise UnsupportedFeature(
                 "non-default hydrogen count not representable in SELFIES")
 
-    disc, _, _, tree_bond, kids = mk.dfs_forest()
+    preorder, disc, _, _, tree_bond, kids = mk.dfs_forest()
 
     def atom_token(i: int) -> str:
         atom = mk.atoms[i]
@@ -253,7 +253,6 @@ def encode_selfies(m: Molecule) -> list[str]:
     # Atoms are written in DFS pre-order (position = disc). A child's disc
     # is larger than its parent's, so walking the atoms from the last
     # discovered assembles every subtree before the atom it hangs off.
-    preorder = sorted(range(len(mk.atoms)), key=disc.__getitem__)
     subtrees: dict[int, list[str]] = {}
     for i in reversed(preorder):
         tokens = [atom_token(i)]

@@ -82,7 +82,7 @@ def canonical_smiles(text_or_mol) -> str:
 def _canonical_fragment(m: Molecule, frag: list[int]) -> str:
     ring = m.ring_atom_flags()
     inv = {i: (ELEMENT_NUMBERS[m.atoms[i].element], m.degree(i),
-               -sum(_ORDER_SUM[b.order] for b in m.bonds_of(i)),
+               -sum(_ORDER_SUM[b.order] for _, b in m.incident(i)),
                m.atoms[i].formal_charge, m.hydrogen_count(i), ring[i],
                m.atoms[i].aromatic, m.atoms[i].isotope or 0) for i in frag}
     lab = sorted(frag, key=inv.__getitem__)
@@ -92,7 +92,7 @@ def _canonical_fragment(m: Molecule, frag: list[int]) -> str:
     part = (lab, {i: p for p, i in enumerate(lab)},
             {i: s for s, e in zip(starts, ends) for i in lab[s:e]},
             dict(zip(starts, ends)))
-    adj = {i: [(b.other(i), _ORDER_WEIGHT[b.order]) for b in m.bonds_of(i)]
+    adj = {i: [(b.other(i), _ORDER_WEIGHT[b.order]) for _, b in m.incident(i)]
            for i in frag}
     _refine(part, adj, starts)
     tokens, rows = _tables(m, frag, _branch_weights(m, frag))
@@ -225,7 +225,7 @@ def _branch_weights(m: Molecule, frag: list[int]) -> dict[tuple[int, int], int]:
     i leaves each DFS child subtree that cannot reach above i (low >= disc[i])
     as a component of its own, and everything else as one component.
     """
-    disc, low, size, tree_bond, kids = m.dfs_forest()
+    _, disc, low, size, tree_bond, kids = m.dfs_forest()
     n = len(frag)
     weights: dict[tuple[int, int], int] = {}
     for i in frag:

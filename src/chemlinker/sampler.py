@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -125,12 +125,7 @@ class GenerationStats:
             raise ValueError("unique != success + filter rejections")
 
     def to_json(self) -> str:
-        return json.dumps({
-            "sample": self.sample, "duplicate": self.duplicate,
-            "unique": self.unique, "invalid": self.invalid,
-            "nl": self.nl, "salts": self.salts, "se": self.se,
-            "success": self.success, "success_rate": self.success_rate,
-        })
+        return json.dumps({**asdict(self), "success_rate": self.success_rate})
 
 
 def sample_tokens(logits, temperature: float, streams) -> np.ndarray:

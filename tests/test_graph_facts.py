@@ -22,7 +22,7 @@ from chemlinker.molstring import (
     encode_selfies,
     parse_smiles,
 )
-from chemlinker.molstring.model import default_hydrogens
+from chemlinker.molstring.model import AROMATIC, default_hydrogens
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS = (FIXTURES / "corpus_500.smi").read_text().split()
@@ -153,8 +153,27 @@ def test_bridgeless_matches_deletion_oracle():
 def test_subgraph_forest_is_not_cached():
     m = parse_smiles("C1CCC2(CC1)CCCC2")
     whole = m.dfs_forest()
-    assert m.dfs_forest([0, 1])[3] == {0: -1, 1: 0, 2: 1}
-    assert m.dfs_forest() is whole and whole[3][:4] == (-1, 0, 1, 2)
+    assert m.dfs_forest([0, 1])[4] == {0: -1, 1: 0, 2: 1}
+    assert m.dfs_forest() is whole
+    assert [whole[4][i] for i in range(4)] == [-1, 0, 1, 2]
+
+
+def test_forest_order_and_order_sums_on_corpus():
+    """The walk lists each atom it reaches once, in discovery order, and
+    each atom's cached bond-order sum is the sum over its incident bonds."""
+    rng = random.Random(23)
+    for s in CORPUS:
+        m = parse_smiles(s)
+        arom = [k for k, b in enumerate(m.bonds) if b.order == AROMATIC]
+        subset = [k for k in range(len(m.bonds)) if rng.random() < 0.5]
+        for bonds in (None, sorted(m.ring_bonds()), arom, subset):
+            order, disc = m.dfs_forest(bonds)[:2]
+            assert len(set(order)) == len(order) == len(disc), (s, bonds)
+            assert all(disc[i] == t for t, i in enumerate(order)), (s, bonds)
+        for i in range(len(m)):
+            assert m.base_order_sum(i) == sum(
+                1 if b.order == AROMATIC else b.order
+                for _, b in m.incident(i)), (s, i)
 
 
 def test_default_hydrogens():

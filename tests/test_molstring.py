@@ -36,6 +36,7 @@ from chemlinker.molstring import (
     write_smiles,
 )
 from chemlinker.molstring.smiles import _bracket_atom
+from chemlinker.sampler import FilterOutcome, classify_filter
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS = (FIXTURES / "corpus_500.smi").read_text().split()
@@ -398,6 +399,56 @@ def test_decode_skips_unknown_tokens():
 
 def test_decode_stops_at_eos():
     assert canonical_smiles(decode_selfies("[C][C][EOS][O]")) == "CC"
+
+
+def test_decode_reads_only_unit_charges():
+    # Any other charge makes the token unknown, and so skipped.
+    with pytest.raises(DecodeFailure):
+        decode_selfies("[C-9]")
+    assert classify_filter("[C-9]") is FilterOutcome.INVALID
+    assert write_smiles(decode_selfies("[C+5][C]")) == "C"
+    assert write_smiles(decode_selfies("[N+2][C]")) == "C"
+
+
+# Every token of the alphabet's shapes, with prefixes, charges and sizes
+# beyond what it lists, and junk.
+TOKEN_SUPERSET = sorted(
+    {f"[{p}{el}{c}]" for p in ("", "=", "#")
+     for el in ("B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I", "Si")
+     for c in ["", "+", "-"] + [f"{s}{d}" for s in "+-" for d in range(10)]}
+    | {f"[{p}{kind}{size}]" for p in ("", "=", "#")
+       for kind in ("Branch", "Ring") for size in range(10)}
+    | {"[EOS]", "[Unknown]", "[]", "[c]", "[Branch]", "[Ring]", "[C++]",
+       "[+C]", "[=]", "[H]"})
+
+
+def test_decoder_gives_meaning_exactly_to_the_alphabet():
+    """A token means something when it changes what a probe string
+    decodes to; within the superset, those are the alphabet's tokens."""
+    probe = ["[C]", "[C]", "[C]", None, "[O]", "[C]"]
+    without = write_smiles(decode_selfies([t for t in probe if t]))
+    meaningful = {tok for tok in TOKEN_SUPERSET
+                  if write_smiles(decode_selfies(
+                      [t or tok for t in probe])) != without}
+    assert meaningful == set(token_alphabet())
+
+
+def test_decoder_fuzz_over_token_superset():
+    """Any string over the superset decodes to a molecule that SELFIES can
+    spell again, or raises DecodeFailure; nothing else escapes."""
+    rng = random.Random(2314)
+    failures = 0
+    for _ in range(3000):
+        tokens = rng.choices(TOKEN_SUPERSET, k=rng.randint(1, 12))
+        assert isinstance(classify_filter("".join(tokens)), FilterOutcome)
+        try:
+            m = decode_selfies(tokens)
+        except DecodeFailure:
+            failures += 1
+            continue
+        assert canonical_smiles(decode_selfies(encode_selfies(m))) == \
+            canonical_smiles(m), tokens
+    assert 0 < failures < 3000
 
 
 def test_encode_rejects_multifragment_and_stereo():
