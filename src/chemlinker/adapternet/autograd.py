@@ -1,14 +1,18 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-A Tensor wraps an ndarray and records its parents plus a backward closure on
-a global tape implied by the graph structure. `backward()` runs a reverse
-topological sweep accumulating gradients into `.grad` of the tensors that
-require them; matmul and multiply skip the gradient of an operand that does
-not. A tensor made by an operation drops its gradient once it has passed it
-on to its parents, so after the sweep only leaves hold `.grad`, and a graph
-never holds the gradients of all its tensors at once. No gradient array is
-written in place, so a tensor keeps the array its child passed on without a
-copy. Only the operations needed by the adapter stack are provided.
+A Tensor wraps an ndarray. Every operation builds its output with one
+constructor, `_node(data, *(parent, gradient function))`, which holds the
+tape's rule: the output records only the parents that need a gradient, with
+their gradient functions, and records nothing when none does, so a
+computation on tensors that train nothing leaves no graph. `backward()` runs
+a reverse topological sweep; each node passes to each recorded parent that
+parent's gradient function of its own gradient, summed over the axes that
+broadcasting expanded. A tensor made by an operation drops its gradient once
+it has passed it on to its parents, so after the sweep only leaves hold
+`.grad`, and a graph never holds the gradients of all its tensors at once.
+No gradient array is written in place, so a tensor keeps the array its child
+passed on without a copy. Only the operations needed by the adapter stack
+are provided.
 
 `layer_norm`, `tanh` and `softmax` take Tensors or plain arrays and return
 the kind they are given, with the same arithmetic, so a model written with
@@ -21,15 +25,13 @@ import numpy as np
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "parents", "_backward", "requires_grad")
+    __slots__ = ("data", "grad", "parents", "_grad_fns", "requires_grad")
 
-    def __init__(self, data, parents=(), backward=None, requires_grad=False):
+    def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data)
         self.grad = None
-        self.parents = parents
-        self._backward = backward
-        self.requires_grad = requires_grad or any(
-            p.requires_grad for p in parents)
+        self.parents = self._grad_fns = ()
+        self.requires_grad = requires_grad
 
     # --- graph mechanics -------------------------------------------------
 
@@ -49,18 +51,16 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for p in node.parents:
-                if p.requires_grad and id(p) not in seen:
+                if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-            if node.parents:
+            if node.parents and node.grad is not None:
+                for p, grad_fn in zip(node.parents, node._grad_fns):
+                    p._accum(_unbroadcast(grad_fn(node.grad), p.data.shape))
                 node.grad = None   # passed on; only leaves keep a gradient
 
     def _accum(self, grad) -> None:
-        if not self.requires_grad:
-            return
         if self.grad is None:
             self.grad = np.asarray(grad, dtype=self.data.dtype)
         else:
@@ -74,134 +74,92 @@ class Tensor:
 
     def __add__(self, other):
         other = _wrap(other, self)
-        out = Tensor(self.data + other.data, (self, other))
-
-        def backward(g):
-            self._accum(_unbroadcast(g, self.data.shape))
-            other._accum(_unbroadcast(g, other.data.shape))
-        out._backward = backward
-        return out
+        return _node(self.data + other.data, (self, _same), (other, _same))
 
     def __sub__(self, other):
         other = _wrap(other, self)
-        out = Tensor(self.data - other.data, (self, other))
-
-        def backward(g):
-            self._accum(_unbroadcast(g, self.data.shape))
-            other._accum(_unbroadcast(-g, other.data.shape))
-        out._backward = backward
-        return out
+        return _node(self.data - other.data, (self, _same),
+                     (other, np.negative))
 
     def __mul__(self, other):
         other = _wrap(other, self)
-        out = Tensor(self.data * other.data, (self, other))
-
-        def backward(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g * other.data, self.data.shape))
-            if other.requires_grad:
-                other._accum(_unbroadcast(g * self.data, other.data.shape))
-        out._backward = backward
-        return out
+        return _node(self.data * other.data,
+                     (self, lambda g: g * other.data),
+                     (other, lambda g: g * self.data))
 
     __radd__ = __add__
     __rmul__ = __mul__
 
     def __matmul__(self, other):
-        out = Tensor(self.data @ other.data, (self, other))
-
-        def backward(g):
-            if self.requires_grad:
-                ga = g @ np.swapaxes(other.data, -1, -2)
-                self._accum(_unbroadcast(ga, self.data.shape))
-            if other.requires_grad:
-                gb = np.swapaxes(self.data, -1, -2) @ g
-                other._accum(_unbroadcast(gb, other.data.shape))
-        out._backward = backward
-        return out
+        return _node(self.data @ other.data,
+                     (self, lambda g: g @ np.swapaxes(other.data, -1, -2)),
+                     (other, lambda g: np.swapaxes(self.data, -1, -2) @ g))
 
     def swapaxes(self, a: int, b: int):
-        out = Tensor(self.data.swapaxes(a, b), (self,))
-
-        def backward(g):
-            self._accum(g.swapaxes(a, b))
-        out._backward = backward
-        return out
+        return _node(self.data.swapaxes(a, b),
+                     (self, lambda g: g.swapaxes(a, b)))
 
     def reshape(self, shape: tuple):
-        out = Tensor(self.data.reshape(shape), (self,))
-
-        def backward(g):
-            self._accum(g.reshape(self.data.shape))
-        out._backward = backward
-        return out
+        return _node(self.data.reshape(shape),
+                     (self, lambda g: g.reshape(self.data.shape)))
 
     def tanh(self):
         y = np.tanh(self.data)
-        out = Tensor(y, (self,))
-
-        def backward(g):
-            self._accum(g * (1.0 - y * y))
-        out._backward = backward
-        return out
+        return _node(y, (self, lambda g: g * (1.0 - y * y)))
 
     def sum(self, axis=None, keepdims=False):
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), (self,))
-
-        def backward(g):
+        def grad(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self._accum(np.broadcast_to(g, self.data.shape))
-        out._backward = backward
-        return out
+            return np.broadcast_to(g, self.data.shape)
+        return _node(self.data.sum(axis=axis, keepdims=keepdims),
+                     (self, grad))
 
     def __getitem__(self, index):
         """Gather along the first axis (embedding lookup)."""
-        out = Tensor(self.data[index], (self,))
-
-        def backward(g):
+        def grad(g):
             acc = np.zeros_like(self.data)
             np.add.at(acc, index, g)
-            self._accum(acc)
-        out._backward = backward
-        return out
+            return acc
+        return _node(self.data[index], (self, grad))
 
     def rsqrt(self):
-        y = 1.0 / np.sqrt(self.data)
-        out = Tensor(y, (self,))
-
-        def backward(g):
-            self._accum(g * (-0.5) * y / self.data)
-        out._backward = backward
-        return out
+        y = _rsqrt(self.data)
+        return _node(y, (self, lambda g: g * (-0.5) * y / self.data))
 
     def softmax(self, scale, mask=None):
         """Softmax over the last axis of `self * scale + mask`."""
-        x = self.data * scale
-        if mask is not None:
-            x = x + mask
-        shifted = x - x.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        y = e / e.sum(axis=-1, keepdims=True)
-        out = Tensor(y, (self,))
+        y = softmax(self.data, scale, mask)
 
-        def backward(g):
+        def grad(g):
             dot = (g * y).sum(axis=-1, keepdims=True)
-            self._accum(y * (g - dot) * scale)
-        out._backward = backward
-        return out
+            return y * (g - dot) * scale
+        return _node(y, (self, grad))
 
     def log_softmax(self, axis=-1):
         shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-        y = shifted - lse
-        out = Tensor(y, (self,))
+        y = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
-        def backward(g):
-            soft = np.exp(y)
-            self._accum(g - soft * g.sum(axis=axis, keepdims=True))
-        out._backward = backward
-        return out
+        def grad(g):
+            return g - np.exp(y) * g.sum(axis=axis, keepdims=True)
+        return _node(y, (self, grad))
+
+
+def _node(data, *edges) -> Tensor:
+    """The output of an operation on `data`, with one (parent, gradient
+    function of the output's gradient) edge per operand. Only the parents
+    that need a gradient are recorded; with none, the output is a plain
+    Tensor with no parents and no gradient functions."""
+    out = Tensor(data)
+    edges = [edge for edge in edges if edge[0].requires_grad]
+    if edges:
+        out.requires_grad = True
+        out.parents, out._grad_fns = zip(*edges)
+    return out
+
+
+def _same(g):
+    return g
 
 
 def _wrap(value, like: Tensor) -> Tensor:
@@ -212,6 +170,8 @@ def _wrap(value, like: Tensor) -> Tensor:
 
 def _unbroadcast(grad, shape):
     """Sum gradient over axes that numpy broadcasting expanded."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, size in enumerate(shape):

@@ -259,6 +259,7 @@ def grad_check(params: ModelParams, batch, eps: float = 1e-5,
     total = sum(sizes)
     rng = SplitMix64(seed)
     worst = 0.0
+    fixed = as_tensors(work, (), ADAPTER_READS)   # same arrays; no graph
     for _ in range(n_coords):
         flat = int(rng.uniform() * total)
         name = None
@@ -273,9 +274,9 @@ def grad_check(params: ModelParams, batch, eps: float = 1e-5,
             if tensors[name].grad is not None else 0.0
         original = array[idx]
         array[idx] = original + eps
-        up = float(batch_loss(work, batch).data)
+        up = float(batch_loss(work, batch, fixed).data)
         array[idx] = original - eps
-        down = float(batch_loss(work, batch).data)
+        down = float(batch_loss(work, batch, fixed).data)
         array[idx] = original
         numeric = (up - down) / (2 * eps)
         denom = max(1e-8, abs(analytic) + abs(numeric))

@@ -24,6 +24,7 @@ from chemlinker.molstring.model import (
     AROMATIC_ELEMENTS,
     DOUBLE,
     SINGLE,
+    STEREO_NONE,
     TRIPLE,
     Molecule,
     allowed_valences,
@@ -237,8 +238,10 @@ def aromatize(m: Molecule) -> Molecule:
              if i in arom_atoms else a
              for i, a in enumerate(m.atoms)]
     # A ring bond between two parts (biphenylene's four-ring) is single:
-    # its double bond, if any, counted in the parts on either side.
-    bonds = [replace(b, order=AROMATIC) if k in arom_bonds
+    # its double bond, if any, counted in the parts on either side. An
+    # aromatic bond keeps no `/` or `\` mark, which would be written in its
+    # place.
+    bonds = [replace(b, order=AROMATIC, stereo=STEREO_NONE) if k in arom_bonds
              else replace(b, order=SINGLE) if k in ring
              and b.a in arom_atoms and b.b in arom_atoms
              else b for k, b in enumerate(m.bonds)]

@@ -32,6 +32,7 @@ from chemlinker.adapternet import (
     train_adapter,
     word_vocab,
 )
+from chemlinker.adapternet import training
 from chemlinker.adapternet.model import (
     ADAPTER,
     adapter_logits,
@@ -323,6 +324,86 @@ def test_only_leaves_keep_gradients():
     assert made > 10
     for name in params.trainable_names():
         assert tensors[name].grad.shape == params.tensors[name].shape
+
+
+_MASK = np.array([[0.0, -1e30, 0.0, 0.0]])
+# name -> (operation on Tensors, operand shapes); the operands are drawn in
+# [0.5, 2) so that rsqrt is defined.
+OPERATIONS = {
+    "add-broadcast": (lambda a, b: a + b, [(2, 3, 4), (3, 1)]),
+    "add-scalar": (lambda a: 2.0 + a, [(3, 4)]),
+    "sub-broadcast": (lambda a, b: a - b, [(3, 1), (2, 3, 4)]),
+    "mul-broadcast": (lambda a, b: a * b, [(2, 3, 4), (1, 4)]),
+    "matmul-batched": (lambda a, b: a @ b, [(2, 3, 4), (4, 5)]),
+    "swapaxes": (lambda a: a.swapaxes(-3, -1), [(2, 3, 4)]),
+    "reshape": (lambda a: a.reshape((3, 4)), [(2, 6)]),
+    "tanh": (lambda a: a.tanh(), [(3, 4)]),
+    "sum-all": (lambda a: a.sum(), [(3, 4)]),
+    "sum-axis": (lambda a: a.sum(axis=1), [(2, 3, 4)]),
+    "sum-keepdims": (lambda a: a.sum(axis=-1, keepdims=True), [(2, 3, 4)]),
+    "getitem-repeated": (lambda a: a[np.array([1, 3, 1, 1])], [(5, 3)]),
+    "rsqrt": (lambda a: a.rsqrt(), [(3, 4)]),
+    "softmax-masked": (lambda a: a.softmax(0.7, _MASK), [(2, 3, 4)]),
+    "log_softmax": (lambda a: a.log_softmax(), [(3, 4)]),
+    "log_softmax-axis0": (lambda a: a.log_softmax(axis=0), [(3, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", OPERATIONS)
+def test_operation_gradient_matches_central_differences(name):
+    """Each Tensor operation's backward, in float64, against central
+    differences of a weighted sum of its output, for every operand."""
+    op, shapes = OPERATIONS[name]
+    rng = np.random.default_rng(7)
+    arrays = [rng.uniform(0.5, 2.0, size=shape) for shape in shapes]
+    weights = rng.uniform(-1.0, 1.0, size=op(*map(Tensor, arrays)).shape)
+
+    def loss(tensors):
+        return (op(*tensors) * Tensor(weights)).sum()
+
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    loss(leaves).backward()
+    eps = 1e-6
+    for leaf, array in zip(leaves, arrays):
+        assert leaf.grad.shape == array.shape
+        for idx in np.ndindex(array.shape):
+            original = array[idx]
+            array[idx] = original + eps
+            up = float(loss([Tensor(a) for a in arrays]).data)
+            array[idx] = original - eps
+            down = float(loss([Tensor(a) for a in arrays]).data)
+            array[idx] = original
+            numeric = (up - down) / (2 * eps)
+            assert abs(leaf.grad[idx] - numeric) <= 1e-7 * max(
+                1.0, abs(numeric)), (idx, leaf.grad[idx], numeric)
+
+
+def _no_graph(tensor) -> bool:
+    return tensor.parents == () and tensor._grad_fns == ()
+
+
+def test_nothing_trainable_records_no_graph(monkeypatch):
+    """A computation in which no tensor needs a gradient leaves every
+    Tensor it returns with no parents and no gradient functions."""
+    params = init_model(toy_config())
+    rng = np.random.default_rng(3)
+    T = rng.standard_normal((4, params.config.d_text))
+    S = rng.standard_normal((5, params.config.d_mol))
+    assert all(_no_graph(x) for x in adapter_attend(T, S, params))
+
+    losses = []
+    original = training._weighted_nll
+
+    def keep_loss(*args):
+        losses.append(original(*args))
+        return losses[-1]
+    monkeypatch.setattr(training, "_weighted_nll", keep_loss)
+    logits = rng.standard_normal((3, params.config.mol_vocab))
+    assert isinstance(teacher_forced_loss(logits, [1, 2, 3]), float)
+    assert len(losses) == 1 and _no_graph(losses[0])
+
+    loss = batch_loss(params, toy_batch(), tensors=as_tensors(params, ()))
+    assert _no_graph(loss)
 
 
 # --- training ---------------------------------------------------------------------

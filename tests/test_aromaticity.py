@@ -8,6 +8,7 @@ any atom order, and keeps it through a SELFIES round trip.
 
 import random
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,11 @@ from chemlinker.molstring import (
     parse_smiles,
     write_smiles,
 )
-from chemlinker.molstring.model import allowed_valences
+from chemlinker.molstring.model import (
+    STEREO_DOWN,
+    STEREO_UP,
+    allowed_valences,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS = (FIXTURES / "corpus_500.smi").read_text().split()
@@ -237,3 +242,33 @@ def test_polyphenyl_perceives_in_linear_time():
     m = parse_smiles(smiles + "c1ccccc1")
     assert all(a.aromatic for a in m.aromatic_form().atoms)
     assert time.perf_counter() - started < 2.0
+
+
+@pytest.mark.parametrize("smiles, canon", [
+    ("C/1=C/C=C\\C=C1", "c1ccccc1"),
+    ("NCN/1NN1", "C(N)n1[nH][nH]1"),
+])
+def test_aromatic_bonds_drop_directional_marks(smiles, canon):
+    """A bond perceived aromatic keeps no `/` or `\\` mark, which would be
+    written in place of the aromatic bond and fail to parse."""
+    assert canonical_smiles(parse_smiles(smiles)) == canon
+    assert canonical_smiles(parse_smiles(canon)) == canon
+
+
+def test_marked_kekule_ring_bonds_give_canonical_strings_that_parse():
+    """Seeded `/` and `\\` marks on single ring bonds of each corpus_500
+    molecule's written Kekulé form: each canonical string parses again to
+    itself."""
+    rng = random.Random(24)
+    marked = 0
+    for smiles in CORPUS:
+        k = kekulized(parse_smiles(smiles))
+        ring = k.ring_bonds()
+        bonds = [replace(b, stereo=rng.choice((STEREO_UP, STEREO_DOWN)))
+                 if i in ring and b.order == SINGLE and rng.random() < 0.5
+                 else b for i, b in enumerate(k.bonds)]
+        written = write_smiles(k.on_same_graph(k.atoms, bonds))
+        canon = canonical_smiles(parse_smiles(written))
+        assert canonical_smiles(parse_smiles(canon)) == canon, written
+        marked += "/" in written or "\\" in written
+    assert marked > 250
