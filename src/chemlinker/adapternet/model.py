@@ -16,6 +16,9 @@ arrays of `params.tensors` for the frozen parts, and returns the same kind.
 The adapter and decoder functions take any leading batch axes: training
 runs them once on a padded batch (`padded_logits`, `decode_ids`), sampling
 on a (slots, d) array of one row per slot (`DecodeCache`), one GEMM per weight.
+The two frozen encoders, `encode_text` and `decode_mol_states`, take a
+(..., n) stack of equal-length id rows. Such a stack needs no padding and no
+mask, so each row's states are those of the row alone, to the last bit.
 """
 
 from __future__ import annotations
@@ -215,26 +218,30 @@ def _causal_mask(n: int) -> np.ndarray:
 
 
 def _check_ids(ids, vocab: int, limit: int, what: str) -> np.ndarray:
+    """The (..., n) ids as an int64 array; raises VocabError for an empty
+    sequence, an id outside the vocabulary or n past the positional table."""
     ids = np.asarray(list(ids), dtype=np.int64)
     if ids.size == 0:
         raise VocabError(f"empty {what} sequence")
     if ids.min() < 0 or ids.max() >= vocab:
         raise VocabError(f"{what} token id outside vocabulary of {vocab}")
-    if ids.size > limit:
-        raise VocabError(f"{what} sequence of {ids.size} tokens longer than "
-                         f"positional table of {limit}")
+    if ids.shape[-1] > limit:
+        raise VocabError(f"{what} sequence of {ids.shape[-1]} tokens longer "
+                         f"than positional table of {limit}")
     return ids
 
 
 def encode_text(t: dict, cfg: TrainConfig, text_ids):
+    """Text states (..., n, d_text) of (..., n) text ids."""
     ids = _check_ids(text_ids, cfg.text_vocab, cfg.max_text_len, "text")
-    x = t["text.embed"][ids] + t["text.pos"][np.arange(len(ids))]
+    x = t["text.embed"][ids] + t["text.pos"][np.arange(ids.shape[-1])]
     for i in range(cfg.layers):
         x = _block(x, _layer(t, f"text.{i}"), cfg.heads)
     return x
 
 
 def decode_mol_states(t: dict, cfg: TrainConfig, mol_ids):
+    """Decoder states (..., n, d_mol) of (..., n) molecule ids."""
     ids = _check_ids(mol_ids, cfg.mol_vocab, cfg.max_mol_len, "molecule")
     return decode_ids(t, cfg, ids)
 

@@ -1,19 +1,24 @@
 """Teacher-forced training of the adapter, Noam schedule, Adam moments, and
 finite-difference gradient verification.
 
-`train_adapter` computes each example's frozen text-encoder and decoder
-states once per run, on its first visit and on plain arrays, so the tape
-holds only the adapter, the head and the loss. The states take at most
+`train_adapter` computes the frozen text-encoder and decoder states of the
+examples its batch walk visits once per run, before the first step and on
+plain arrays, so the tape holds only the adapter, the head and the loss.
+`_frozen_states` encodes examples of one length as one stack of at most
+`STACK_ROWS` rows, which needs no padding, so each example's states are its
+lone call's to the last bit. The states take at most
 (max_text_len * d_text + max_mol_len * d_mol) * 4 bytes per distinct example
 visited (36 KB at the defaults).
 
-Each step is one graph over the whole batch: the cached states are padded
-to the batch's longest text and molecule, padded text keys are masked out
-of the attention, and padded molecule rows weigh 0 in the loss
-(`padded_logits`). `batch_loss` computes the states afresh and takes the
-same padded loss, and so does `pretrain_decoder`, on one decoder pass over
-its batch. Both trainers draw batches from `_batches` and check every
-example before the first step, so a bad example moves no weight.
+Each step is one graph over the whole batch: the states are padded to the
+batch's longest text and molecule, padded text keys are masked out of the
+attention, and padded molecule rows weigh 0 in the loss (`padded_logits`).
+Each example's target row (`_target_row`) is built once per run, and a step
+scatters its batch's rows into one weight array. `batch_loss` computes the
+states afresh through `_frozen_states` and takes the same padded loss, and
+so does `pretrain_decoder`, on one decoder pass over its batch. Both
+trainers draw batches from `_batches` and check every example before the
+first step, so a bad example moves no weight.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ ADAM_BETA2 = 0.98
 ADAM_EPS = 1e-9
 ADAPTER_READS = ("proj.", "adapter.", "head.")   # what an adapter step reads
 DECODER = ("mol.", "head.")   # what pretraining trains, and all it reads
+STACK_ROWS = 64   # rows per frozen-encoder call: bounds its activations
 
 
 def noam_lr(step: int, warmup: int, d_model: int) -> float:
@@ -60,28 +66,35 @@ def teacher_forced_loss(logits, targets, pad_id: int | None = None):
     if len(targets) != n:
         raise LengthMismatch(
             f"{len(targets)} targets for {n} logit rows")
-    loss = _weighted_nll(logit_t, _target_weights([targets], n, vocab,
-                                                  pad_id)[0])
+    row = _target_row(targets, vocab, pad_id)
+    loss = _weighted_nll(logit_t, _target_weights([row], n, vocab)[0])
     return loss if as_tensor else float(loss.data)
 
 
-def _target_weights(target_lists, length: int, vocab: int,
-                    pad_id: int | None) -> np.ndarray:
-    """(len(target_lists), length, vocab) one-hot weights: 1 / (n * B) on
-    each of an example's n non-pad targets, for B examples, so the weighted
-    negative log-likelihood is the mean over the batch of each example's
-    mean. Rows past an example's targets weigh 0."""
-    weights = np.zeros((len(target_lists), length, vocab))
-    for b, targets in enumerate(target_lists):
-        targets = np.asarray(targets, dtype=np.int64)
-        keep = np.flatnonzero(targets != pad_id) if pad_id is not None \
-            else np.arange(len(targets))
-        if not keep.size:
-            raise LengthMismatch("all target positions are padding")
-        if targets.min() < 0 or targets.max() >= vocab:
-            raise VocabError(f"target id outside vocabulary of {vocab}")
-        weights[b, keep, targets[keep]] = 1.0 / (keep.size
-                                                 * len(target_lists))
+def _target_row(targets, vocab: int, pad_id: int | None) -> tuple:
+    """(positions, ids) of an example's non-pad targets."""
+    targets = np.asarray(targets, dtype=np.int64)
+    keep = np.flatnonzero(targets != pad_id) if pad_id is not None \
+        else np.arange(len(targets))
+    if not keep.size:
+        raise LengthMismatch("all target positions are padding")
+    if targets.min() < 0 or targets.max() >= vocab:
+        raise VocabError(f"target id outside vocabulary of {vocab}")
+    return keep, targets[keep]
+
+
+def _target_weights(rows, length: int, vocab: int) -> np.ndarray:
+    """(len(rows), length, vocab) one-hot weights of the target rows
+    (`_target_row`): 1 / (n * B) on each of an example's n targets, for B
+    examples, so the weighted negative log-likelihood is the mean over the
+    batch of each example's mean. Rows past an example's targets weigh 0."""
+    counts = [len(positions) for positions, _ in rows]
+    examples = np.repeat(np.arange(len(rows)), counts)
+    positions = np.concatenate([positions for positions, _ in rows])
+    ids = np.concatenate([ids for _, ids in rows])
+    weights = np.zeros((len(rows), length, vocab))
+    weights[examples, positions, ids] = np.repeat(
+        [1.0 / (n * len(rows)) for n in counts], counts)
     return weights
 
 
@@ -89,20 +102,45 @@ def _weighted_nll(logits, weights: np.ndarray) -> Tensor:
     return (logits.log_softmax(axis=-1) * Tensor(weights)).sum() * -1.0
 
 
-def _padded_loss(logits, mol_batch) -> Tensor:
+def _padded_loss(logits, rows) -> Tensor:
     """Mean per-example teacher-forced loss of a batch from its (batch,
-    length, mol_vocab) logits of mol_ids[:-1], right-padded; the targets
-    are mol_ids[1:], and padded rows weigh 0."""
+    length, mol_vocab) logits of mol_ids[:-1], right-padded, and the target
+    rows of its mol_ids[1:]; padded rows weigh 0."""
     _, length, vocab = logits.shape
-    return _weighted_nll(logits, _target_weights(
-        [mol_ids[1:] for mol_ids in mol_batch], length, vocab, pad_id=0))
+    return _weighted_nll(logits, _target_weights(rows, length, vocab))
 
 
-def _check_molecule(cfg, mol_ids) -> None:
-    """Raise what a step would on the molecule: its inputs mol_ids[:-1] and
-    its targets mol_ids[1:]."""
+def _molecule_row(cfg, mol_ids) -> tuple:
+    """Raise what a step would on the molecule, its inputs mol_ids[:-1] and
+    its targets mol_ids[1:]; else return the targets' row."""
     _check_ids(mol_ids[:-1], cfg.mol_vocab, cfg.max_mol_len, "molecule")
-    _target_weights([mol_ids[1:]], len(mol_ids) - 1, cfg.mol_vocab, pad_id=0)
+    return _target_row(mol_ids[1:], cfg.mol_vocab, pad_id=0)
+
+
+def _stacked(encode, params: ModelParams, sequences) -> list:
+    """encode(tensors, config, ids) of each sequence: one call per stack of
+    at most STACK_ROWS sequences of one length, in order of first
+    appearance."""
+    by_length: dict[int, list] = {}
+    for i, ids in enumerate(sequences):
+        by_length.setdefault(len(ids), []).append(i)
+    out = [None] * len(sequences)
+    for group in by_length.values():
+        for start in range(0, len(group), STACK_ROWS):
+            stack = group[start:start + STACK_ROWS]
+            states = encode(params.tensors, params.config,
+                            [sequences[i] for i in stack])
+            for i, rows in zip(stack, states):
+                out[i] = rows
+    return out
+
+
+def _frozen_states(params: ModelParams, pairs) -> list:
+    """Each (text_ids, mol_ids) pair's frozen (text states, decoder states
+    of mol_ids[:-1]) arrays, computed in equal-length stacks."""
+    return list(zip(
+        _stacked(encode_text, params, [text for text, _ in pairs]),
+        _stacked(decode_mol_states, params, [mol[:-1] for _, mol in pairs])))
 
 
 def _batches(n: int, steps: int, batch_size: int, seed: int):
@@ -138,12 +176,11 @@ def batch_loss(params: ModelParams, batch, tensors=None) -> Tensor:
         raise EmptyDataset("batch is empty")
     t = tensors if tensors is not None else as_tensors(
         params, ADAPTER, ADAPTER_READS)
-    frozen, cfg = params.tensors, params.config
-    states = [(encode_text(frozen, cfg, text_ids),
-               decode_mol_states(frozen, cfg, mol_ids[:-1]))
-              for text_ids, mol_ids in batch]
-    return _padded_loss(padded_logits(t, cfg.heads, states),
-                        [m for _, m in batch])
+    cfg = params.config
+    states = _frozen_states(params, batch)
+    rows = [_target_row(mol_ids[1:], cfg.mol_vocab, pad_id=0)
+            for _, mol_ids in batch]
+    return _padded_loss(padded_logits(t, cfg.heads, states), rows)
 
 
 def _adam(params: ModelParams, cfg, batches, loss_of, trains: tuple,
@@ -182,46 +219,47 @@ def train_adapter(params: ModelParams, dataset, cfg=None):
     Batches walk seeded permutations of the dataset. Returns
     (params, loss_history). Deterministic given cfg.seed. Every example is
     checked before the first step; an example that fails raises its error
-    with the attribute `example`, its index in `dataset`.
+    with the attribute `example`, its index in `dataset`. Only the examples
+    the walk visits get frozen states.
     """
     cfg = cfg or params.config
     dataset = list(dataset)
     batches = _batches(len(dataset), cfg.max_steps, cfg.batch_size, cfg.seed)
-    frozen, model_cfg = params.tensors, params.config
+    model_cfg = params.config
+    rows = []
     for i, (text_ids, mol_ids) in enumerate(dataset):
         try:
             _check_ids(text_ids, model_cfg.text_vocab, model_cfg.max_text_len,
                        "text")
-            _check_molecule(model_cfg, mol_ids)
+            rows.append(_molecule_row(model_cfg, mol_ids))
         except (LengthMismatch, VocabError) as exc:
             exc.example = i
             raise
-    states: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def example_states(i):
-        if i not in states:
-            text_ids, mol_ids = dataset[i]
-            states[i] = (encode_text(frozen, model_cfg, text_ids),
-                         decode_mol_states(frozen, model_cfg, mol_ids[:-1]))
-        return states[i]
+    batches = list(batches)
+    visited = sorted({i for batch in batches for i in batch})
+    states = dict(zip(visited, _frozen_states(
+        params, [dataset[i] for i in visited])))
 
     def loss_of(t, batch):
-        states = [example_states(i) for i in batch]
-        return _padded_loss(padded_logits(t, model_cfg.heads, states),
-                            [dataset[i][1] for i in batch])
+        return _padded_loss(
+            padded_logits(t, model_cfg.heads, [states[i] for i in batch]),
+            [rows[i] for i in batch])
 
     return params, _adam(params, cfg, batches, loss_of, ADAPTER,
                          ADAPTER_READS)
 
 
-def _decoder_loss(t: dict, cfg, mol_batch) -> Tensor:
+def _decoder_loss(t: dict, cfg, mol_batch, rows=None) -> Tensor:
     """Mean per-molecule next-token loss of the decoder and head, one pass
-    over the batch's mol_ids[:-1] right-padded with <pad> (id 0)."""
+    over the batch's mol_ids[:-1] right-padded with <pad> (id 0), against
+    the target rows of its mol_ids[1:] (built here unless given)."""
+    if rows is None:
+        rows = [_molecule_row(cfg, mol_ids) for mol_ids in mol_batch]
     ids = np.zeros((len(mol_batch), max(map(len, mol_batch)) - 1), np.int64)
     for b, mol_ids in enumerate(mol_batch):
         ids[b, :len(mol_ids) - 1] = mol_ids[:-1]
     return _padded_loss(decode_ids(t, cfg, ids) @ t["head.w"] + t["head.b"],
-                        mol_batch)
+                        rows)
 
 
 def pretrain_decoder(params: ModelParams, mol_sequences, steps: int,
@@ -232,10 +270,10 @@ def pretrain_decoder(params: ModelParams, mol_sequences, steps: int,
     cfg = params.config
     sequences = list(mol_sequences)
     batches = _batches(len(sequences), steps, cfg.batch_size, seed)
-    for mol_ids in sequences:
-        _check_molecule(cfg, mol_ids)
+    rows = [_molecule_row(cfg, mol_ids) for mol_ids in sequences]
     return _adam(params, cfg, batches, lambda t, batch: _decoder_loss(
-        t, cfg, [sequences[i] for i in batch]), DECODER, DECODER)
+        t, cfg, [sequences[i] for i in batch], [rows[i] for i in batch]),
+        DECODER, DECODER)
 
 
 def grad_check(params: ModelParams, batch, eps: float = 1e-5,

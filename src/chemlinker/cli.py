@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 
 from chemlinker import __version__
-from chemlinker.errors import ChemlinkerError, LengthMismatch
+from chemlinker.errors import ChemlinkerError, LengthMismatch, VocabError
 from chemlinker.adapternet import (
     TrainConfig,
     Vocab,
@@ -162,9 +162,14 @@ def _training_pairs(records, max_text_len: int):
     texts = [r.description for r in records]
     tvocab = word_vocab(texts)
     mvocab = smiles_char_vocab()
-    dataset = [(_text_ids(tvocab, r.description, max_text_len),
-                [mvocab.bos] + mvocab.encode(list(r.smiles)) + [mvocab.eos])
-               for r in records]
+    dataset = []
+    for r in records:
+        try:
+            mol_ids = mvocab.encode(list(r.smiles))
+        except VocabError as exc:
+            raise VocabError(f"record CID {r.cid}: {exc}") from exc
+        dataset.append((_text_ids(tvocab, r.description, max_text_len),
+                        [mvocab.bos] + mol_ids + [mvocab.eos]))
     return dataset, tvocab, mvocab
 
 

@@ -266,6 +266,23 @@ def test_train_names_the_record_that_does_not_fit(capsys, tmp_path,
     assert not ckpt.exists()
 
 
+def test_train_names_the_record_outside_the_vocabulary(capsys, tmp_path,
+                                                      tiny_checkpoint):
+    """A character outside the molecule vocabulary names its record's CID,
+    as a molecule too long for the positional table does."""
+    data = tmp_path / "alien.tsv"
+    data.write_text(tiny_checkpoint[0].read_text()
+                    + "778\tCaC\tmolecule written as C a C\n")
+    ckpt = tmp_path / "model.ckpt"
+    code, out, err = run(capsys, "train", "--data", str(data),
+                         "--out", str(ckpt), "--steps", "1")
+    assert code == 1
+    assert out == ""
+    assert err.strip() == ("error: record CID 778: token 'a' not in "
+                           "vocabulary")
+    assert not ckpt.exists()
+
+
 @pytest.mark.parametrize("flag,value,named", [
     ("--steps", "0", "max_steps must be >= 1, not 0"),
     ("--steps", "-3", "max_steps must be >= 1, not -3"),

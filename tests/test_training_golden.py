@@ -113,6 +113,115 @@ def test_frozen_states_computed_once_per_example(monkeypatch):
     assert calls == {"encode_text": 6, "decode_mol_states": 6}
 
 
+def _counting_stacks(monkeypatch):
+    """Patch both frozen encoders to record the shape of each id stack they
+    are given; returns {encoder name: [shapes]}."""
+    stacks = {"encode_text": [], "decode_mol_states": []}
+    for name in stacks:
+        original = getattr(model, name)
+
+        def wrapper(t, cfg, ids, name=name, original=original):
+            stacks[name].append(np.asarray(ids).shape)
+            return original(t, cfg, ids)
+        monkeypatch.setattr(training, name, wrapper)
+    return stacks
+
+
+@pytest.mark.parametrize("steps,visits", [(1, 4), (10, 12)])
+def test_frozen_states_one_call_per_length_of_visited_examples(
+        monkeypatch, steps, visits):
+    """With lengths repeated, each encoder runs once per distinct length
+    among the examples the walk visits, on a stack of those examples; one
+    step at batch 4 over 12 examples encodes its 4 examples and no other."""
+    pairs = _pairs()[0][:6] * 2
+    cfg = _config(3, steps, 4)
+    visited = sorted({i for batch in training._batches(12, steps, 4, 3)
+                      for i in batch})
+    assert len(visited) == visits
+    stacks = _counting_stacks(monkeypatch)
+    train_adapter(init_model(cfg), pairs)
+    for name, lengths in (
+            ("encode_text", [len(pairs[i][0]) for i in visited]),
+            ("decode_mol_states", [len(pairs[i][1]) - 1 for i in visited])):
+        got = stacks[name]
+        assert sorted(n for _, n in got) == sorted(set(lengths)), name
+        assert sum(rows for rows, _ in got) == visits, name
+        assert sorted(got) == sorted((lengths.count(n), n)
+                                     for n in set(lengths)), name
+
+
+def _random_ids(rng, rows, length, vocab):
+    return rng.integers(0, vocab, size=(rows, length)).tolist()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("encoder", ["encode_text", "decode_mol_states"])
+def test_stacked_rows_equal_lone_rows(encoder, dtype):
+    """A (rows, n) id stack gives each row the states of the row alone, to
+    the last bit, for lengths around numpy's 8-way pairwise sum and up to
+    the positional table (64 text tokens, 80 molecule tokens)."""
+    cfg = TrainConfig(text_vocab=30, mol_vocab=43)
+    params = _active_params(cfg, dtype)
+    encode = getattr(model, encoder)
+    vocab, limit = ((cfg.text_vocab, cfg.max_text_len)
+                    if encoder == "encode_text"
+                    else (cfg.mol_vocab, cfg.max_mol_len))
+    rng = np.random.default_rng(11)
+    for length in (1, 7, 8, 9, 16, limit):
+        for rows in (2, 5, 16):
+            stack = _random_ids(rng, rows, length, vocab)
+            got = encode(params.tensors, cfg, stack)
+            assert got.shape[:2] == (rows, length) and got.dtype == dtype
+            for r, ids in enumerate(stack):
+                lone = encode(params.tensors, cfg, ids)
+                assert got[r].tobytes() == lone.tobytes(), (length, rows, r)
+
+
+@pytest.mark.parametrize("encoder", ["encode_text", "decode_mol_states"])
+def test_stack_raises_what_a_lone_row_raises(encoder):
+    """A stack of rows past the positional table, or with an id outside the
+    vocabulary, raises the VocabError of one such row alone."""
+    cfg = TrainConfig(text_vocab=30, mol_vocab=43)
+    params = init_model(cfg)
+    encode = getattr(model, encoder)
+    vocab, limit = ((cfg.text_vocab, cfg.max_text_len)
+                    if encoder == "encode_text"
+                    else (cfg.mol_vocab, cfg.max_mol_len))
+    rng = np.random.default_rng(12)
+    too_long = _random_ids(rng, 3, limit + 1, vocab)
+    outside = _random_ids(rng, 3, 9, vocab)
+    outside[1][4] = vocab
+    for stack in (too_long, outside):
+        with pytest.raises(VocabError) as lone:
+            encode(params.tensors, cfg, stack[1])
+        with pytest.raises(VocabError) as stacked:
+            encode(params.tensors, cfg, stack)
+        assert str(stacked.value) == str(lone.value)
+
+
+@pytest.mark.parametrize("which", ["ragged", "repeated"])
+def test_batch_loss_of_stacked_states_is_the_lone_loss(which):
+    """`batch_loss` computes its states in stacks; its float64 loss and
+    gradients are those of one encoder call per example, to the last bit."""
+    batch = ORACLE_BATCHES[which]()
+    params = _active_params(_config(5, 1, len(batch)), np.float64)
+    cfg, frozen = params.config, params.tensors
+
+    def lone_loss(params, batch, tensors):
+        states = [(model.encode_text(frozen, cfg, text),
+                   model.decode_mol_states(frozen, cfg, mol[:-1]))
+                  for text, mol in batch]
+        return training._padded_loss(
+            model.padded_logits(tensors, cfg.heads, states),
+            [training._molecule_row(cfg, mol) for _, mol in batch])
+
+    want_loss, want = _loss_and_grads(lone_loss, params, batch)
+    got_loss, got = _loss_and_grads(training.batch_loss, params, batch)
+    assert got_loss == want_loss
+    for name, grad in want.items():
+        assert got[name].tobytes() == grad.tobytes(), name
+
+
 @pytest.mark.parametrize("steps,batch,named", [
     (0, 4, "max_steps must be >= 1, not 0"),
     (-2, 4, "max_steps must be >= 1, not -2"),
