@@ -224,7 +224,8 @@ def train_adapter(params: ModelParams, dataset, cfg=None):
     """
     cfg = cfg or params.config
     dataset = list(dataset)
-    batches = _batches(len(dataset), cfg.max_steps, cfg.batch_size, cfg.seed)
+    batches = list(_batches(len(dataset), cfg.max_steps, cfg.batch_size,
+                            cfg.seed))
     model_cfg = params.config
     rows = []
     for i, (text_ids, mol_ids) in enumerate(dataset):
@@ -235,7 +236,6 @@ def train_adapter(params: ModelParams, dataset, cfg=None):
         except (LengthMismatch, VocabError) as exc:
             exc.example = i
             raise
-    batches = list(batches)
     visited = sorted({i for batch in batches for i in batch})
     states = dict(zip(visited, _frozen_states(
         params, [dataset[i] for i in visited])))
