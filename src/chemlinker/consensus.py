@@ -160,15 +160,17 @@ def load_score_table(csv_path, directions_path) -> ScoreTable:
                 f"direction for {program!r} must be 'lower' or 'higher'")
     table = ScoreTable(directions=dict(directions))
     with open(csv_path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["molecule_id", "program", "score"]:
+        reader = csv.reader(fh)
+        if next(reader, None) != ["molecule_id", "program", "score"]:
             raise ValueError("expected header molecule_id,program,score")
         for row in reader:
-            if None in row.values():
+            if not row:
+                continue                    # a blank line
+            if len(row) != 3:
                 raise ValueError(f"line {reader.line_num}: expected "
                                  "molecule_id,program,score")
-            table.add(row["molecule_id"], row["program"],
-                      float(row["score"]))
+            molecule, program, score = row
+            table.add(molecule, program, float(score))
     return table
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import platform
 import struct
 import subprocess
 import sys
@@ -246,6 +247,50 @@ def test_train_then_generate(capsys, tiny_checkpoint):
                         "--n", "2", "--seed", "7")
     assert code == 0
     assert out2 == out
+
+
+HEAP_PROBE = """
+import resource, sys
+from chemlinker import cli
+
+data, out = sys.argv[1:]
+assert cli._keep_heap_top.cache_info().currsize == 0   # not at import
+
+def train(steps):
+    argv = ["train", "--data", data, "--out", out, "--steps", str(steps),
+            "--batch-size", "16"]
+    assert cli.main(argv) == 0
+
+train(5)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+train(100)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux"
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="the heap setting is glibc's")
+def test_train_steps_reuse_their_heap(tmp_path):
+    """A step's arrays (over 128 KiB at 50-word texts and batch 16) are
+    freed together at its end. glibc would trim that heap top and the next
+    step would fault it back in, about 1,000 minor faults a step; `main`
+    keeps it, so 100 steps after a warm-up fault in almost nothing."""
+    smiles = (FIXTURES / "corpus_500.smi").read_text().split()[:40]
+    rows = ["CID\tSMILES\tdescription"]
+    for i, smi in enumerate(smiles):
+        words = " ".join(f"w{(7 * i + k) % 90}" for k in range(50))
+        rows.append(f"{i}\t{smi}\t{words}")
+    data = tmp_path / "records.tsv"
+    data.write_text("\n".join(rows) + "\n")
+    src = str(Path(chemlinker.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", HEAP_PROBE, str(data),
+         str(tmp_path / "model.ckpt")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, check=True)
+    faults = int(result.stdout.split()[-1])
+    assert faults < 50 * 100, faults
 
 
 def test_train_names_the_record_that_does_not_fit(capsys, tmp_path,
@@ -555,6 +600,7 @@ def test_consensus_nonfinite_or_nonpositive_sigma_exits_1(capsys, tmp_path,
 
 @pytest.mark.parametrize("rows,dirs,background", [
     ("A,p1,-9.0\nB,p1\n", '{"p1": "lower"}', None),
+    ("A,p1,-9.0\nB,p1,-7.5,oops\n", '{"p1": "lower"}', None),
     ("A,p1,-9.0\n", '["p1"]', None),
     ("A,p1,-9.0\n", '{"p1": "lower"}',
      '{"candidates": [1.0], "backgrounds": {"b": [2.0]}}'),
@@ -565,9 +611,9 @@ def test_consensus_nonfinite_or_nonpositive_sigma_exits_1(capsys, tmp_path,
      '{"candidates": [1.0], "backgrounds": {"b": [2.0]}, "probe": "x"}'),
     ("A,p1,-9.0\n", '{"p1": "lower"}',
      '{"candidates": 3, "backgrounds": {"b": [2.0]}, "probe": 1.0}'),
-], ids=["row-without-score", "directions-list", "background-without-probe",
-        "background-list", "backgrounds-list", "probe-string",
-        "candidates-number"])
+], ids=["row-without-score", "row-with-extra-field", "directions-list",
+        "background-without-probe", "background-list", "backgrounds-list",
+        "probe-string", "candidates-number"])
 def test_consensus_malformed_input_exits_1(capsys, tmp_path, rows, dirs,
                                            background):
     scores = tmp_path / "s.csv"

@@ -258,6 +258,17 @@ def test_csv_round_trip(tmp_path):
     assert float(lines[1].split(",")[1]) == scores["A"]
 
 
+@pytest.mark.parametrize("row", ["B,p", "B,p,-7.5,oops", "B,p,-7.5,"])
+def test_row_of_other_than_three_fields_rejected(tmp_path, row):
+    scores_csv = tmp_path / "s.csv"
+    dirs_json = tmp_path / "d.json"
+    scores_csv.write_text(f"molecule_id,program,score\nA,p,1.0\n{row}\n")
+    dirs_json.write_text('{"p": "lower"}')
+    with pytest.raises(ValueError,
+                       match="line 3: expected molecule_id,program,score"):
+        load_score_table(scores_csv, dirs_json)
+
+
 def test_bad_direction_rejected(tmp_path):
     scores_csv = tmp_path / "s.csv"
     dirs_json = tmp_path / "d.json"

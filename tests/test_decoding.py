@@ -77,8 +77,9 @@ def checkpoints(tmp_path_factory):
 # whether TargetUnreached is raised), recorded when decoder pretraining
 # began to run one padded pass per step (0.6.0); the "long" row dates from
 # 0.4.0, when candidates began to share decoder steps, each drawing from its
-# own stream. A run that exhausts the schedule is pinned by the molecules
-# and stats that TargetUnreached carries.
+# own stream, and the "all-slots-live" row from 0.16.0. A run that exhausts
+# the schedule is pinned by the molecules and stats that TargetUnreached
+# carries.
 GOLDEN = [
     # target reached at the base temperature
     ("smiles", "ethanol a small alcohol",
@@ -129,9 +130,17 @@ GOLDEN = [
      '"invalid": 32, "nl": 0, "salts": 0, "se": 0, '
      '"success": 0, "success_rate": 0.0}',
      True),
+    # a cap above sampler.SLOTS: slots are refilled while every slot is live
+    ("smiles", "ethanol a small alcohol",
+     dict(target_unique=6, base_seed=6, per_temperature_cap=40),
+     ['CCS', 'CCO', 'CCN', 'CCCO', 'CCCS', 'CC(=O)O'],
+     '{"sample": 109, "duplicate": 103, "unique": 6, '
+     '"invalid": 0, "nl": 0, "salts": 0, "se": 0, '
+     '"success": 6, "success_rate": 1.0}',
+     False),
 ]
 GOLDEN_IDS = ["base-temperature", "escalated", "escalated-reached",
-              "unreached", "hottest", "long"]
+              "unreached", "hottest", "long", "all-slots-live"]
 
 
 def _run(params, prompt, fields):
