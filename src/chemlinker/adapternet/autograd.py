@@ -14,6 +14,13 @@ No gradient array is written in place, so a tensor keeps the array its child
 passed on without a copy. Only the operations needed by the adapter stack
 are provided.
 
+The gradient of `a @ b` with respect to `a` is `g @ bᵀ`, and it multiplies
+by a contiguous copy of `bᵀ`: numpy multiplies a stacked or broadcast `g`
+by a strided transposed view up to twice as slowly, and `b` is most often
+a weight, small to copy. The gradient with respect to `b`, `aᵀ @ g`, keeps
+the transposed view of `a`: BLAS takes a transposed left operand at full
+speed, and a copy of the activation `a` would cost more than it saves.
+
 `layer_norm`, `tanh` and `softmax` take Tensors or plain arrays and return
 the kind they are given, with the same arithmetic, so a model written with
 them runs with a tape or without one and gives the same values bit for bit.
@@ -92,7 +99,8 @@ class Tensor:
 
     def __matmul__(self, other):
         return _node(self.data @ other.data,
-                     (self, lambda g: g @ np.swapaxes(other.data, -1, -2)),
+                     (self, lambda g: g @ np.ascontiguousarray(
+                         np.swapaxes(other.data, -1, -2))),
                      (other, lambda g: np.swapaxes(self.data, -1, -2) @ g))
 
     def swapaxes(self, a: int, b: int):

@@ -6,6 +6,11 @@ sits after the last decoder layer only: text states are projected into the
 molecule width by W_T, molecule states act as attention queries, projected
 text states are both keys and values, and the result is added residually to
 the molecule states (W_O starts at zero so an untrained adapter is a no-op).
+The projection is folded into the key and value weights: keys are
+T @ (W_T @ W_K) and values T @ (W_T @ W_V), the same function as
+(T @ W_T) @ W_K and (T @ W_T) @ W_V up to rounding. The (d_text, d_mol)
+products are small, so a training step runs four GEMMs over the text's
+length, forward and backward, in place of eight (`text_keys_values`).
 A small feed-forward block (second layer also zero-initialized) follows, then
 the language-model head. The text encoder, the decoder and the head are
 frozen by construction; only the projection and the adapter train.
@@ -258,9 +263,10 @@ def decode_ids(t: dict, cfg: TrainConfig, ids: np.ndarray):
 
 
 def text_keys_values(t: dict, heads: int, T):
-    """The adapter's per-head keys and values of the text states T."""
-    projected = T @ t["proj.w_t"]
-    return tuple(_heads_split(projected @ t[f"adapter.attn.{w}"], heads)
+    """The adapter's per-head keys and values of the text states T:
+    T @ (W_T @ W_K) and T @ (W_T @ W_V)."""
+    w_t = t["proj.w_t"]
+    return tuple(_heads_split(T @ (w_t @ t[f"adapter.attn.{w}"]), heads)
                  for w in ("wk", "wv"))
 
 

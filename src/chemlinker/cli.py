@@ -15,6 +15,7 @@ import ctypes
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -241,9 +242,15 @@ def _cmd_generate(args, started):
     print(stats.to_json(), file=sys.stderr)
 
 
+def _score(value) -> bool:
+    """A finite number: json.load reads true as a bool, an int subclass,
+    and NaN and Infinity as floats."""
+    return type(value) is int or (type(value) is float
+                                  and math.isfinite(value))
+
+
 def _scores(value) -> bool:
-    return isinstance(value, list) and all(
-        isinstance(v, (int, float)) for v in value)
+    return isinstance(value, list) and all(map(_score, value))
 
 
 def _cmd_consensus(args, started):
@@ -258,7 +265,7 @@ def _cmd_consensus(args, started):
                 and _scores(fixture.get("candidates"))
                 and isinstance(fixture.get("backgrounds"), dict)
                 and all(map(_scores, fixture["backgrounds"].values()))
-                and isinstance(fixture.get("probe"), (int, float))):
+                and _score(fixture.get("probe"))):
             raise ValueError(
                 "background file must hold a JSON object with candidates "
                 "(a score list), backgrounds (named score lists) and probe "

@@ -170,6 +170,25 @@ def test_adapter_dimension_mismatch():
         adapter_attend(np.zeros((3, 64)), np.zeros((4, 17)), params)
 
 
+@pytest.mark.parametrize("dtype,bound", [(np.float32, 1e-6),
+                                         (np.float64, 1e-12)])
+def test_text_keys_values_fold_the_projection(dtype, bound):
+    """T @ (W_T @ W_K) and T @ (W_T @ W_V) are (T @ W_T) @ W_K and
+    (T @ W_T) @ W_V up to rounding: the largest difference is within
+    `bound` of the largest entry."""
+    params = init_model(toy_config())
+    cfg = params.config
+    t = {n: v.astype(dtype) for n, v in params.tensors.items()}
+    T = np.random.default_rng(6).normal(size=(3, 9, cfg.d_text)).astype(dtype)
+    projected = T @ t["proj.w_t"]
+    for split, w in zip(text_keys_values(t, cfg.heads, T), ("wk", "wv")):
+        assert split.dtype == dtype
+        joined = split.swapaxes(-3, -2).reshape(projected.shape)
+        two_step = projected @ t[f"adapter.attn.{w}"]
+        assert (np.abs(joined - two_step).max()
+                <= bound * np.abs(two_step).max())
+
+
 # --- forward pass -----------------------------------------------------------------
 
 
@@ -335,6 +354,9 @@ OPERATIONS = {
     "sub-broadcast": (lambda a, b: a - b, [(3, 1), (2, 3, 4)]),
     "mul-broadcast": (lambda a, b: a * b, [(2, 3, 4), (1, 4)]),
     "matmul-batched": (lambda a, b: a @ b, [(2, 3, 4), (4, 5)]),
+    "matmul-stacked": (lambda a, b: a @ b, [(2, 3, 4), (2, 4, 5)]),
+    "matmul-transposed-view": (lambda a, b: a @ b.swapaxes(-1, -2),
+                               [(2, 3, 4), (2, 5, 4)]),
     "swapaxes": (lambda a: a.swapaxes(-3, -1), [(2, 3, 4)]),
     "reshape": (lambda a: a.reshape((3, 4)), [(2, 6)]),
     "tanh": (lambda a: a.tanh(), [(3, 4)]),

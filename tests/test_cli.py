@@ -228,7 +228,7 @@ def test_train_then_generate(capsys, tiny_checkpoint):
     blob = ckpt.read_bytes()
     (header_len,) = struct.unpack("<Q", blob[5:13])
     assert hashlib.sha256(blob[13 + header_len:]).hexdigest() == (
-        "87b8d47a2f5ffec1e1dfb91e0b8534f7164af8b88e666d0e209587066873b8eb")
+        "79caf0960f8589077eca1eb08e1af6c4973f76f46badf416f4397402a52a11df")
 
     code, out, err = run(capsys, "generate", "--ckpt", str(ckpt),
                          "--text", "molecule written as C C O",
@@ -611,9 +611,23 @@ def test_consensus_nonfinite_or_nonpositive_sigma_exits_1(capsys, tmp_path,
      '{"candidates": [1.0], "backgrounds": {"b": [2.0]}, "probe": "x"}'),
     ("A,p1,-9.0\n", '{"p1": "lower"}',
      '{"candidates": 3, "backgrounds": {"b": [2.0]}, "probe": 1.0}'),
+    ("A,p1,-9.0\n", '{"p1": "lower"}',
+     '{"candidates": [true, false], "backgrounds": {"b": [1.0]}, '
+     '"probe": 1.0}'),
+    ("A,p1,-9.0\n", '{"p1": "lower"}',
+     '{"candidates": [1.0], "backgrounds": {"b": [1.0]}, "probe": true}'),
+    ("A,p1,-9.0\n", '{"p1": "lower"}',
+     '{"candidates": [1.0], "backgrounds": {"b": [NaN, 1.0, 2.0]}, '
+     '"probe": 1.0}'),
+    ("A,p1,-9.0\n", '{"p1": "lower"}',
+     '{"candidates": [Infinity], "backgrounds": {"b": [1.0]}, '
+     '"probe": 1.0}'),
+    ("A,p1,-9.0\n", '{"p1": "lower"}',
+     '{"candidates": [1.0], "backgrounds": {"b": [1.0]}, "probe": NaN}'),
 ], ids=["row-without-score", "row-with-extra-field", "directions-list",
         "background-without-probe", "background-list", "backgrounds-list",
-        "probe-string", "candidates-number"])
+        "probe-string", "candidates-number", "candidates-bool", "probe-bool",
+        "background-nan", "candidates-infinity", "probe-nan"])
 def test_consensus_malformed_input_exits_1(capsys, tmp_path, rows, dirs,
                                            background):
     scores = tmp_path / "s.csv"

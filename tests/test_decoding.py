@@ -74,51 +74,53 @@ def checkpoints(tmp_path_factory):
 
 
 # (checkpoint, prompt, GenerationConfig fields, molecules, stats JSON,
-# whether TargetUnreached is raised), recorded when decoder pretraining
-# began to run one padded pass per step (0.6.0); the "long" row dates from
-# 0.4.0, when candidates began to share decoder steps, each drawing from its
-# own stream, and the "all-slots-live" row from 0.16.0. A run that exhausts
-# the schedule is pinned by the molecules and stats that TargetUnreached
-# carries.
+# whether TargetUnreached is raised), recorded again when the adapter began
+# to fold the text projection into its key and value weights and the matmul
+# gradient began to copy its transposed right operand (0.18.0). The
+# "escalated" row's base seed moved from 6 to 5 then, since seed 6 reached
+# its target. The "long" row, from an untrained decoder, dates from 0.4.0, when
+# candidates began to share decoder steps, each drawing from its own stream.
+# A run that exhausts the schedule is pinned by the molecules and stats that
+# TargetUnreached carries.
 GOLDEN = [
     # target reached at the base temperature
     ("smiles", "ethanol a small alcohol",
      dict(target_unique=3, base_seed=0, per_temperature_cap=8),
-     ['CCO', 'CCS', 'CCN'],
+     ['CCO', 'CCS', 'CCCO'],
      '{"sample": 6, "duplicate": 3, "unique": 3, '
      '"invalid": 0, "nl": 0, "salts": 0, "se": 0, '
      '"success": 3, "success_rate": 1.0}',
      False),
     # escalated through all eight temperatures without reaching the target
     ("smiles", "pyridine an aromatic amine",
-     dict(target_unique=6, base_seed=6, per_temperature_cap=8),
-     ['CCS', 'CCO', 'CCN'],
-     '{"sample": 64, "duplicate": 59, "unique": 5, '
-     '"invalid": 2, "nl": 0, "salts": 0, "se": 0, '
-     '"success": 3, "success_rate": 0.6}',
+     dict(target_unique=6, base_seed=5, per_temperature_cap=8),
+     ['CCS', 'CCO', 'CCCO', 'CCN', 'CCCS'],
+     '{"sample": 64, "duplicate": 50, "unique": 14, '
+     '"invalid": 9, "nl": 0, "salts": 0, "se": 0, '
+     '"success": 5, "success_rate": 0.35714285714285715}',
      True),
-    # target reached after escalating to the fifth temperature
+    # target reached after escalating to the second temperature
     ("smiles", "pyridine an aromatic amine",
      dict(target_unique=4, base_seed=2, per_temperature_cap=8),
-     ['CCS', 'CCN', 'CCO', 'CCCS'],
-     '{"sample": 37, "duplicate": 32, "unique": 5, '
-     '"invalid": 1, "nl": 0, "salts": 0, "se": 0, '
-     '"success": 4, "success_rate": 0.8}',
+     ['CCS', 'CCO', 'CCN', 'CCCO'],
+     '{"sample": 10, "duplicate": 6, "unique": 4, '
+     '"invalid": 0, "nl": 0, "salts": 0, "se": 0, '
+     '"success": 4, "success_rate": 1.0}',
      False),
     # schedule exhausted: TargetUnreached with partial molecules
     ("smiles", "acetic acid a carboxylic acid",
      dict(target_unique=10, base_seed=21, per_temperature_cap=3),
-     ['CCCO', 'CCO', 'CCN', 'CCS'],
-     '{"sample": 24, "duplicate": 18, "unique": 6, '
-     '"invalid": 2, "nl": 0, "salts": 0, "se": 0, '
-     '"success": 4, "success_rate": 0.6666666666666666}',
+     ['CCCO', 'CCO', 'CCS', 'CCN', 'CCOS', 'CCOO'],
+     '{"sample": 24, "duplicate": 15, "unique": 9, '
+     '"invalid": 3, "nl": 0, "salts": 0, "se": 0, '
+     '"success": 6, "success_rate": 0.6666666666666666}',
      True),
     # a single temperature, the highest
     ("smiles", "propanol an alcohol",
      dict(target_unique=3, base_seed=4, base_temperature=4.5,
           per_temperature_cap=10),
-     ['CCS', 'CCN', 'CCCO'],
-     '{"sample": 5, "duplicate": 2, "unique": 3, '
+     ['CCS', 'CCO', 'CCN'],
+     '{"sample": 4, "duplicate": 1, "unique": 3, '
      '"invalid": 0, "nl": 0, "salts": 0, "se": 0, '
      '"success": 3, "success_rate": 1.0}',
      False),
@@ -133,10 +135,10 @@ GOLDEN = [
     # a cap above sampler.SLOTS: slots are refilled while every slot is live
     ("smiles", "ethanol a small alcohol",
      dict(target_unique=6, base_seed=6, per_temperature_cap=40),
-     ['CCS', 'CCO', 'CCN', 'CCCO', 'CCCS', 'CC(=O)O'],
-     '{"sample": 109, "duplicate": 103, "unique": 6, '
-     '"invalid": 0, "nl": 0, "salts": 0, "se": 0, '
-     '"success": 6, "success_rate": 1.0}',
+     ['CCS', 'CCO', 'CCCO', 'CCN', 'CCCS', 'CCSS'],
+     '{"sample": 122, "duplicate": 113, "unique": 9, '
+     '"invalid": 3, "nl": 0, "salts": 0, "se": 0, '
+     '"success": 6, "success_rate": 0.6666666666666666}',
      False),
 ]
 GOLDEN_IDS = ["base-temperature", "escalated", "escalated-reached",
@@ -449,4 +451,4 @@ def test_step_logits_pinned():
     for token in [MOL_VOCAB.bos] + MOL_VOCAB.encode(list("CC(=O)Oc1ccccc1")):
         digest.update(cache.step([token])[0].tobytes())
     assert digest.hexdigest() == (
-        "4d68f1d07dabf38a8d900863c1c105084704041f72e27c69cda2c754c4dfe490")
+        "4847398d7d12e7667f55945f25a21cbdd3810e9d548259bdccc977f969dde44f")
