@@ -1,3 +1,3 @@
 """chemlinker: desk-scale text-conditioned molecule generation toolkit."""
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"

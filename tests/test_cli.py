@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its run manifests."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -60,6 +61,68 @@ def test_unknown_flag_exits_2(capsys):
 
 def test_unknown_subcommand_exits_2(capsys):
     assert run(capsys, "frobnicate")[0] == 2
+
+
+# --- one parser per process -------------------------------------------------------
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    """`main` builds the parser on its first call and reuses it: three calls
+    construct one top-level parser and each subparser once."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(parser, *args, **kwargs):
+        init(parser, *args, **kwargs)
+        built.append(parser.prog)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(capsys, "canon", "OCC")[:2] == (0, "CCO\n")
+    assert run(capsys, "selfies-encode", "CCO")[0] == 0
+    assert run(capsys, "eval")[0] == 2
+    assert built.count("chemlinker") == 1
+    assert len(built) == len(set(built)), built
+
+
+def test_cli_import_builds_no_parser():
+    src = str(Path(chemlinker.__file__).parents[1])
+    probe = ("import argparse\n"
+             "built = []\n"
+             "init = argparse.ArgumentParser.__init__\n"
+             "def counting_init(parser, *args, **kwargs):\n"
+             "    built.append(1)\n"
+             "    init(parser, *args, **kwargs)\n"
+             "argparse.ArgumentParser.__init__ = counting_init\n"
+             "from chemlinker import cli\n"
+             "print(len(built), cli.build_parser.cache_info().currsize)\n")
+    result = subprocess.run([sys.executable, "-c", probe],
+                            env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.split() == ["0", "0"]
+
+
+def test_usage_error_leaves_the_parser_usable(capsys):
+    code, out, err = run(capsys, "eval")
+    assert code == 2 and out == ""
+    assert "--pred" in err
+    assert run(capsys, "canon", "OCC")[:2] == (0, "CCO\n")
+
+
+@pytest.mark.parametrize("command", [[], ["dataset"]])
+def test_help_is_unchanged_by_earlier_calls(capsys, command):
+    """`--help` prints the same bytes before and after other calls, and the
+    same as a freshly built parser."""
+    code, before, _ = run(capsys, *command, "--help")
+    assert code == 0
+    run(capsys, "canon", "OCC")
+    run(capsys, "eval")
+    run(capsys, "fp", "CCO", "--scheme", "path")
+    code, after, _ = run(capsys, *command, "--help")
+    assert code == 0 and after == before
+    with pytest.raises(SystemExit):
+        cli.build_parser.__wrapped__().parse_args([*command, "--help"])
+    assert capsys.readouterr().out == before
 
 
 def test_selfies_round_trip(capsys):
@@ -184,6 +247,21 @@ def test_dataset_sample_too_large_exits_1(capsys, tmp_path):
                        "--sample", "999")
     assert code == 1
     assert "error:" in err
+
+
+def test_dataset_names_the_exclusion_entry_that_does_not_parse(capsys,
+                                                             tmp_path):
+    exclusion = tmp_path / "ex.txt"
+    exclusion.write_text("CCO\nC(\n")
+    out_tsv = tmp_path / "out.tsv"
+    code, out, err = run(capsys, "dataset",
+                         "--input", str(FIXTURES / "pubchem_20.tsv"),
+                         "--output", str(out_tsv),
+                         "--exclusion", str(exclusion))
+    assert code == 1 and out == ""
+    assert err == (f"error: {exclusion}: exclusion entry 'C(' does not "
+                   f"parse: 1 unclosed '('\n")
+    assert not out_tsv.exists()
 
 
 @pytest.mark.parametrize("sample", ["-1", "-20"])
