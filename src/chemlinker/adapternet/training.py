@@ -13,7 +13,7 @@ visited (36 KB at the defaults).
 Each step is one graph over the whole batch: the states are padded to the
 batch's longest text and molecule, padded text keys are masked out of the
 attention, and padded molecule rows weigh 0 in the loss (`padded_logits`).
-Each example's target row (`_target_row`) is built once per run, and a step
+Each example's target row (`_molecule_row`) is built once per run, and a step
 scatters its batch's rows into one weight array. `batch_loss` computes the
 states afresh through `_frozen_states` and takes the same padded loss, and
 so does `pretrain_decoder`, on one decoder pass over its batch. Both
@@ -178,8 +178,7 @@ def batch_loss(params: ModelParams, batch, tensors=None) -> Tensor:
         params, ADAPTER, ADAPTER_READS)
     cfg = params.config
     states = _frozen_states(params, batch)
-    rows = [_target_row(mol_ids[1:], cfg.mol_vocab, pad_id=0)
-            for _, mol_ids in batch]
+    rows = [_molecule_row(cfg, mol_ids) for _, mol_ids in batch]
     return _padded_loss(padded_logits(t, cfg.heads, states), rows)
 
 
@@ -249,12 +248,10 @@ def train_adapter(params: ModelParams, dataset, cfg=None):
                          ADAPTER_READS)
 
 
-def _decoder_loss(t: dict, cfg, mol_batch, rows=None) -> Tensor:
+def _decoder_loss(t: dict, cfg, mol_batch, rows) -> Tensor:
     """Mean per-molecule next-token loss of the decoder and head, one pass
     over the batch's mol_ids[:-1] right-padded with <pad> (id 0), against
-    the target rows of its mol_ids[1:] (built here unless given)."""
-    if rows is None:
-        rows = [_molecule_row(cfg, mol_ids) for mol_ids in mol_batch]
+    the target rows (`_molecule_row`) of its mol_ids[1:]."""
     ids = np.zeros((len(mol_batch), max(map(len, mol_batch)) - 1), np.int64)
     for b, mol_ids in enumerate(mol_batch):
         ids[b, :len(mol_ids) - 1] = mol_ids[:-1]

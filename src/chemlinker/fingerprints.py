@@ -124,25 +124,25 @@ def circular_fp(m: Molecule, radius: int = 2,
     _check_nbits(nbits)
     atom = [struct.pack("<4I", *_atom_fields(m, i))
             for i in range(len(m.atoms))]
-    built = {}
-
-    def environment(i: int, parent: int | None, depth: int) -> bytes:
-        """Serialized rooted environment tree; no immediate backtracking."""
-        key = (i, parent, depth)
-        out = built.get(key)
-        if out is None:
+    # Serialized environment trees of the radius reached so far, keyed by
+    # (atom, the neighbour it is entered from, or None at the centre); a
+    # tree never steps straight back. Each radius is built from the one
+    # below it, the last one only at the centres.
+    centres = [(i, None) for i in range(len(m.atoms))]
+    entered = [(i, j) for b in m.bonds for i, j in ((b.a, b.b), (b.b, b.a))]
+    env = {key: atom[key[0]] for key in centres + entered}
+    strings = set(atom)
+    for r in range(1, radius + 1):
+        grown = {}
+        for i, parent in centres + entered if r < radius else centres:
             out = atom[i]
-            if depth:
-                branches = sorted((b.order, environment(j, i, depth - 1))
-                                  for _, b in m.incident(i)
-                                  if (j := b.other(i)) != parent)
-                for order, child in branches:
-                    out += _u32(order) + child
-            built[key] = out
-        return out
-
-    strings = {environment(i, None, r)
-               for i in range(len(m.atoms)) for r in range(radius + 1)}
+            for order, child in sorted((b.order, env[b.other(i), i])
+                                       for _, b in m.incident(i)
+                                       if b.other(i) != parent):
+                out += _u32(order) + child
+            grown[i, parent] = out
+        env = grown
+        strings.update(env[key] for key in centres)
     return FingerprintBitset("circular", nbits, _bits(strings, nbits),
                              (radius,))
 
@@ -165,10 +165,14 @@ def path_fp(m: Molecule, max_len: int = 7,
         for i, j in ((b.a, b.b), (b.b, b.a)):
             steps[i].append((j, (b.order, *fields[j]),
                              order + atom[j], atom[j] + order))
+    # (path, forward hash, forward string, reverse string) of each path
+    # still to extend, walked depth first from every atom.
+    start = _FNV_OFFSET & mask
+    todo = [((i,), _fold(start, fields[i], mask), atom[i], atom[i])
+            for i in range(len(m.atoms))]
     bits = set()
-
-    def extend(path: list[int], h: int, forward: bytes,
-               reverse: bytes) -> None:
+    while todo:
+        path, h, forward, reverse = todo.pop()
         more = len(path) < max_len
         for j, step, ahead, behind in steps[path[-1]]:
             if j in path:
@@ -181,13 +185,7 @@ def path_fp(m: Molecule, max_len: int = 7,
             if fwd <= rev:
                 bits.add(g % nbits)
             if more:
-                path.append(j)
-                extend(path, g, fwd, rev)
-                path.pop()
-
-    start = _FNV_OFFSET & mask
-    for i in range(len(m.atoms)):
-        extend([i], _fold(start, fields[i], mask), atom[i], atom[i])
+                todo.append((path + (j,), g, fwd, rev))
     return FingerprintBitset("path", nbits, frozenset(bits), (max_len,))
 
 

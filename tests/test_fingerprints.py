@@ -1,5 +1,6 @@
 """Tests for fingerprint schemes, including an independent environment oracle."""
 
+import gc
 import random
 from pathlib import Path
 
@@ -22,7 +23,13 @@ from chemlinker.fingerprints import (
     path_fp,
     tanimoto,
 )
-from chemlinker.molstring import parse_smiles
+from chemlinker.metrics import evaluate_pairs
+from chemlinker.molstring import (
+    canonical_smiles,
+    decode_selfies,
+    encode_selfies,
+    parse_smiles,
+)
 from chemlinker.molstring.model import ELEMENT_NUMBERS
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -309,3 +316,28 @@ def test_nbits_above_limit_rejected_before_hashing(monkeypatch):
     monkeypatch.undo()
     text = path_fp(m, nbits=MAX_NBITS).to_hex()
     assert len(text.partition(":")[2]) == MAX_NBITS // 4
+
+
+ASPIRIN = "CC(=O)Oc1ccccc1C(=O)O"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: canonical_smiles(parse_smiles(ASPIRIN)),
+    lambda: decode_selfies(encode_selfies(parse_smiles(ASPIRIN))),
+    lambda: circular_fp(parse_smiles(ASPIRIN)),
+    lambda: path_fp(parse_smiles(ASPIRIN)),
+    lambda: key_fp(parse_smiles(ASPIRIN)),
+    lambda: evaluate_pairs([("CCO", "OCC"), ("c1ccccc1O", "c1ccccc1N"),
+                            ("CC(=O)O", ASPIRIN), ("C1CC1", "C1CCC1")]),
+], ids=["canonical", "selfies", "circular", "path", "key", "evaluate_pairs"])
+def test_calls_leave_no_reference_cycles(call):
+    """What a call allocates is freed by reference counting when it
+    returns, not left for the cyclic garbage collector."""
+    call()   # fills the per-process caches first
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,5 +1,6 @@
 """Tests for SMILES/SELFIES parsing, canonicalization, and interconversion."""
 
+import hashlib
 import inspect
 import random
 import sys
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chemlinker.errors import (
+    ChemlinkerError,
     DecodeFailure,
     EmptyInput,
     KekulizationFailure,
@@ -451,6 +453,50 @@ def test_decoder_fuzz_over_token_superset():
     assert 0 < failures < 3000
 
 
+def _seeded_token_strings(n: int) -> list[list[str]]:
+    """n strings of 1-40 tokens: even ones over the alphabet, odd ones
+    over the superset."""
+    rng = random.Random(4242)
+    pools = (token_alphabet(), TOKEN_SUPERSET)
+    return [rng.choices(pools[i % 2], k=rng.randint(1, 40))
+            for i in range(n)]
+
+
+# SHA-256 over 3,000 seeded strings of write_smiles of the decode (atom and
+# bond order as derived) and its re-encoding, or the error class of either.
+SELFIES_CODEC_DIGEST = (
+    "ac68dfb991160e0cfe3d6725c177b3f37e581b5ab43f134956516ccd1b76a27c")
+
+
+def test_selfies_codec_golden_digest():
+    lines = []
+    for tokens in _seeded_token_strings(3000):
+        try:
+            m = decode_selfies(tokens)
+            lines.append(write_smiles(m) + "\t" + "".join(encode_selfies(m)))
+        except ChemlinkerError as e:
+            lines.append(type(e).__name__)
+    text = "\n".join(lines) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == SELFIES_CODEC_DIGEST
+
+
+def test_encoder_writes_only_alphabet_tokens():
+    alphabet = set(token_alphabet())
+    molecules = [parse_smiles(s).strip_stereo() for s in CORPUS]
+    for tokens in _seeded_token_strings(3000):
+        try:
+            molecules.append(decode_selfies(tokens))
+        except DecodeFailure:
+            pass
+    written = set()
+    for m in molecules:
+        try:
+            written.update(encode_selfies(m))
+        except UnsupportedFeature:
+            assert len(m.fragments()) > 1
+    assert written <= alphabet
+
+
 def test_encode_rejects_multifragment_and_stereo():
     with pytest.raises(UnsupportedFeature):
         encode_selfies(parse_smiles("CC.CC"))
@@ -478,12 +524,11 @@ def test_encode_selfies_long_chain_and_ring(smiles, n_tokens):
     tokens = encode_selfies(m)
     assert len(tokens) == n_tokens
     back = decode_selfies(tokens)
-    # Canonical SMILES of 1,200 atoms takes tens of seconds (branch weights
-    # are quadratic), so the round trip compares the graphs and re-encodes.
     assert len(back.atoms) == len(m.atoms)
     assert ({(min(b.a, b.b), max(b.a, b.b), b.order) for b in back.bonds}
             == {(min(b.a, b.b), max(b.a, b.b), b.order) for b in m.bonds})
     assert encode_selfies(back) == tokens
+    assert canonical_smiles(back) == canonical_smiles(m)
 
 
 def test_canonical_long_chain_needs_no_recursion():

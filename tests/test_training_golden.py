@@ -371,8 +371,9 @@ def test_decoder_loss_matches_per_sequence_oracle(dtype, loss_tol, grad_tol):
     want_loss, want = _loss_and_grads(_reference_decoder_loss, params, batch,
                                       training.DECODER)
     got_loss, got = _loss_and_grads(
-        lambda p, b, t: training._decoder_loss(t, p.config, b), params, batch,
-        training.DECODER)
+        lambda p, b, t: training._decoder_loss(
+            t, p.config, b, [training._molecule_row(p.config, m) for m in b]),
+        params, batch, training.DECODER)
     assert abs(got_loss - want_loss) <= loss_tol
     for name, grad in want.items():
         assert got[name].dtype == dtype, name
