@@ -1,3 +1,3 @@
 """chemlinker: desk-scale text-conditioned molecule generation toolkit."""
 
-__version__ = "0.20.0"
+__version__ = "0.21.0"

@@ -5,12 +5,10 @@ from chemlinker.adapternet.checkpoint import load_checkpoint, save_checkpoint
 from chemlinker.adapternet.model import (
     DecodeCache,
     ModelParams,
-    Prompt,
     TrainConfig,
     adapter_attend,
     adapter_ffn,
     init_model,
-    prepare_prompt,
 )
 from chemlinker.adapternet.training import (
     batch_loss,
@@ -30,7 +28,7 @@ __all__ = [
     "Tensor", "layer_norm",
     "ModelParams", "TrainConfig", "init_model",
     "adapter_attend", "adapter_ffn",
-    "Prompt", "prepare_prompt", "DecodeCache",
+    "DecodeCache",
     "teacher_forced_loss", "batch_loss", "noam_lr",
     "train_adapter", "pretrain_decoder", "grad_check",
     "save_checkpoint", "load_checkpoint",

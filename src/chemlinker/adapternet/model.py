@@ -19,8 +19,9 @@ One model definition serves training and sampling: each forward function
 takes the Tensors of `as_tensors` when a gradient is needed, or the plain
 arrays of `params.tensors` for the frozen parts, and returns the same kind.
 The adapter and decoder functions take any leading batch axes: training
-runs them once on a padded batch (`padded_logits`, `decode_ids`), sampling
-on a (slots, d) array of one row per slot (`DecodeCache`), one GEMM per weight.
+runs them once on a padded batch (`padded_logits`, `decode_mol_states`),
+sampling on a (slots, d) array of one row per slot (`DecodeCache`), one GEMM
+per weight.
 The two frozen encoders, `encode_text` and `decode_mol_states`, take a
 (..., n) stack of equal-length id rows. Such a stack needs no padding and no
 mask, so each row's states are those of the row alone, to the last bit.
@@ -246,14 +247,10 @@ def encode_text(t: dict, cfg: TrainConfig, text_ids):
 
 
 def decode_mol_states(t: dict, cfg: TrainConfig, mol_ids):
-    """Decoder states (..., n, d_mol) of (..., n) molecule ids."""
+    """Decoder states (..., n, d_mol) of (..., n) molecule ids; by the
+    causal mask, a row right-padded in a batch gets the states of its ids
+    alone."""
     ids = _check_ids(mol_ids, cfg.mol_vocab, cfg.max_mol_len, "molecule")
-    return decode_ids(t, cfg, ids)
-
-
-def decode_ids(t: dict, cfg: TrainConfig, ids: np.ndarray):
-    """Decoder states (..., n, d_mol) of checked (..., n) ids; by the causal
-    mask, a row right-padded in a batch gets the states of its ids alone."""
     n = ids.shape[-1]
     x = t["mol.embed"][ids] + t["mol.pos"][np.arange(n)]
     mask = _causal_mask(n)
@@ -334,39 +331,27 @@ def padded_logits(t: dict, heads: int, states) -> Tensor:
 # --- cached decoding -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Prompt:
-    """What sampling needs of one prompt: the model, and the adapter's keys
-    and values of the encoded text, each (heads, text length, d_head)."""
-
-    params: ModelParams
-    text_keys: np.ndarray
-    text_values: np.ndarray
-
-
-def prepare_prompt(params: ModelParams, text_ids) -> Prompt:
-    """Encode the text and project the adapter's keys and values, once."""
-    t, cfg = params.tensors, params.config
-    return Prompt(params, *text_keys_values(
-        t, cfg.heads, encode_text(t, cfg, text_ids)))
-
-
 class DecodeCache:
-    """Per-layer key/value buffers of the frozen decoder for `slots`
-    sequences sampled side by side, each at its own position; `step` feeds
-    one token per slot, as one row of a (slots, d) array, and returns each
-    slot's next-token logits."""
+    """The decoding state of one prompt: the adapter's keys and values of
+    the encoded text, each (heads, text length, d_head), projected once, and
+    per-layer key/value buffers of the frozen decoder for `slots` sequences
+    sampled side by side, each at its own position. `step` feeds one token
+    per slot, as one row of a (slots, d) array, and returns each slot's
+    next-token logits. A slot's buffer entries past its position get weight
+    0 and are written by its own sequence before they are read, so one
+    cache serves any number of sequences per slot."""
 
-    def __init__(self, prompt: Prompt, slots: int):
-        cfg = prompt.params.config
-        self.prompt = prompt
+    def __init__(self, params: ModelParams, text_ids, slots: int):
+        t, cfg = params.tensors, params.config
+        self.params = params
+        self.text_keys, self.text_values = text_keys_values(
+            t, cfg.heads, encode_text(t, cfg, text_ids))
         self.keys = np.zeros((cfg.layers, slots, cfg.heads, cfg.max_mol_len,
-                              cfg.d_mol // cfg.heads), prompt.text_keys.dtype)
+                              cfg.d_mol // cfg.heads), self.text_keys.dtype)
         self.values = np.zeros_like(self.keys)
         self.positions = np.zeros(slots, dtype=np.int64)
         self._slots = np.arange(slots)
-        self._layers = [_layer(prompt.params.tensors, f"mol.{i}")
-                        for i in range(cfg.layers)]
+        self._layers = [_layer(t, f"mol.{i}") for i in range(cfg.layers)]
         self._mask = _causal_mask(cfg.max_mol_len).astype(self.keys.dtype)
 
     def restart(self, slot: int) -> None:
@@ -379,8 +364,7 @@ class DecodeCache:
         `decode_mol_states`, then `adapter_logits`) on that slot's prefix to
         within float32 rounding, whatever its neighbours hold; a GEMM over
         several slots rounds unlike one slot's one-row products."""
-        prompt = self.prompt
-        cfg, t = prompt.params.config, prompt.params.tensors
+        cfg, t = self.params.config, self.params.tensors
         tokens = np.asarray(tokens, dtype=np.int64)
         n = self.positions
         if tokens.shape != n.shape:
@@ -398,6 +382,6 @@ class DecodeCache:
                      self.values[i, ..., :length, :], n, self._slots)
             x = _block(x, w, cfg.heads, mask, cache)
         self.positions = n + 1
-        return adapter_logits(t, cfg.heads, x, prompt.text_keys,
-                              prompt.text_values)
+        return adapter_logits(t, cfg.heads, x, self.text_keys,
+                              self.text_values)
 

@@ -32,7 +32,6 @@ from chemlinker.adapternet.model import (
     ModelParams,
     _check_ids,
     as_tensors,
-    decode_ids,
     decode_mol_states,
     encode_text,
     padded_logits,
@@ -255,8 +254,8 @@ def _decoder_loss(t: dict, cfg, mol_batch, rows) -> Tensor:
     ids = np.zeros((len(mol_batch), max(map(len, mol_batch)) - 1), np.int64)
     for b, mol_ids in enumerate(mol_batch):
         ids[b, :len(mol_ids) - 1] = mol_ids[:-1]
-    return _padded_loss(decode_ids(t, cfg, ids) @ t["head.w"] + t["head.b"],
-                        rows)
+    return _padded_loss(
+        decode_mol_states(t, cfg, ids) @ t["head.w"] + t["head.b"], rows)
 
 
 def pretrain_decoder(params: ModelParams, mol_sequences, steps: int,

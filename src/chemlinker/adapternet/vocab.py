@@ -45,24 +45,17 @@ class Vocab:
             ids.append(i)
         return ids
 
-    def decode(self, ids) -> list[str]:
-        out = []
-        for i in ids:
-            if not 0 <= i < len(self.tokens):
-                raise VocabError(f"token id {i} out of range")
-            out.append(self.tokens[i])
-        return out
-
 
 def smiles_char_vocab() -> Vocab:
     """Character-level vocabulary over the supported SMILES alphabet."""
     return Vocab(SMILES_CHARS)
 
 
-def word_vocab(texts, with_unk: bool = True) -> Vocab:
-    """Whitespace word-level vocabulary built from a text corpus."""
+def word_vocab(texts) -> Vocab:
+    """Whitespace word-level vocabulary built from a text corpus, with
+    <unk> for words outside it."""
     seen: dict[str, None] = {}
     for text in texts:
         for word in text.split():
             seen.setdefault(word, None)
-    return Vocab(list(seen), with_unk=with_unk)
+    return Vocab(list(seen), with_unk=True)

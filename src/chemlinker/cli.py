@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 domain error (bad molecule, empty table, target
 unreached, ...), 2 usage error. Whenever a subcommand writes an output file,
-a `<output>.manifest.json` RunManifest is written beside it recording the
+`main` writes a `<output>.manifest.json` RunManifest beside it recording the
 subcommand, the full flag configuration, SHA-256 hashes of the inputs, the
 seed, the tool version, and the wall time, so identical inputs reproduce
 identical outputs verifiably.
@@ -26,6 +26,7 @@ from chemlinker.errors import (
     ChemlinkerError,
     LengthMismatch,
     ParseError,
+    TargetUnreached,
     VocabError,
 )
 from chemlinker.adapternet import (
@@ -99,8 +100,7 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(args, outputs, inputs, started: float,
-                    seed=None) -> None:
+def _write_manifest(args, outputs, inputs, seed, started: float) -> None:
     config = {k: v for k, v in vars(args).items() if k != "func"}
     manifest = {
         "subcommand": args.subcommand,
@@ -118,21 +118,23 @@ def _write_manifest(args, outputs, inputs, started: float,
 
 
 # --- subcommands ------------------------------------------------------------------
+# A handler that writes files returns (outputs, inputs, seed) for `main` to
+# write their manifests from; the others return None.
 
 
-def _cmd_canon(args, started):
+def _cmd_canon(args):
     print(canonical_smiles(args.smiles))
 
 
-def _cmd_selfies_encode(args, started):
+def _cmd_selfies_encode(args):
     print("".join(encode_selfies(parse_smiles(args.smiles))))
 
 
-def _cmd_selfies_decode(args, started):
+def _cmd_selfies_decode(args):
     print(canonical_smiles(decode_selfies(args.tokens)))
 
 
-def _cmd_fp(args, started):
+def _cmd_fp(args):
     mol = parse_smiles(args.smiles).aromatic_form()     # as `eval` scores it
     if args.scheme == "circ":
         fp = circular_fp(mol, radius=args.radius, nbits=args.nbits)
@@ -143,7 +145,7 @@ def _cmd_fp(args, started):
     print(fp.to_hex())
 
 
-def _cmd_eval(args, started):
+def _cmd_eval(args):
     if args.ref is not None:
         preds = Path(args.pred).read_text(encoding="utf-8").splitlines()
         refs = Path(args.ref).read_text(encoding="utf-8").splitlines()
@@ -160,7 +162,7 @@ def _cmd_eval(args, started):
     print(report.to_json())
     if args.out:
         Path(args.out).write_text(report.to_json() + "\n", encoding="utf-8")
-        _write_manifest(args, [args.out], inputs, started)
+        return [args.out], inputs, None
 
 
 def _exclusion_entry(path, smiles: str) -> str:
@@ -171,7 +173,7 @@ def _exclusion_entry(path, smiles: str) -> str:
                         f"parse: {exc}") from exc
 
 
-def _cmd_dataset(args, started):
+def _cmd_dataset(args):
     records = load_split(args.input)
     exclusion = frozenset()
     if args.exclusion:
@@ -192,8 +194,8 @@ def _cmd_dataset(args, started):
                       "sampled": args.sample}, args.report)
         outputs.append(args.report)
     inputs = [args.input] + ([args.exclusion] if args.exclusion else [])
-    _write_manifest(args, outputs, inputs, started, seed=args.seed)
     print(f"wrote {len(records)} records to {args.output}")
+    return outputs, inputs, args.seed
 
 
 def _text_ids(vocab: Vocab, text: str, max_text_len: int) -> list[int]:
@@ -218,7 +220,7 @@ def _training_pairs(records, max_text_len: int):
     return dataset, tvocab, mvocab
 
 
-def _cmd_train(args, started):
+def _cmd_train(args):
     records = load_split(args.data)
     dataset, tvocab, mvocab = _training_pairs(records,
                                               TrainConfig.max_text_len)
@@ -234,26 +236,29 @@ def _cmd_train(args, started):
         raise type(exc)(
             f"record CID {records[exc.example].cid}: {exc}") from exc
     save_checkpoint(params, args.out, tvocab, mvocab)
-    _write_manifest(args, [args.out], [args.data], started, seed=args.seed)
     print(f"final loss {history[-1]:.4f} after {len(history)} steps; "
           f"checkpoint at {args.out}")
+    return [args.out], [args.data], args.seed
 
 
-def _cmd_generate(args, started):
+def _cmd_generate(args):
     params = load_checkpoint(args.ckpt)
     text_ids = _text_ids(params.text_vocab, args.text,
                          params.config.max_text_len)
     cfg = GenerationConfig(target_unique=args.n, base_seed=args.seed,
                            base_temperature=args.temperature)
-    molecules, stats = generate_unique_set(params, text_ids, cfg)
+    try:
+        molecules, stats = generate_unique_set(params, text_ids, cfg)
+    except TargetUnreached as exc:
+        print(exc.stats.to_json(), file=sys.stderr)
+        raise
     for smiles in molecules:
         print(smiles)
+    print(stats.to_json(), file=sys.stderr)
     if args.out:
         Path(args.out).write_text("\n".join(molecules) + "\n",
                                   encoding="utf-8")
-        _write_manifest(args, [args.out], [args.ckpt], started,
-                        seed=args.seed)
-    print(stats.to_json(), file=sys.stderr)
+        return [args.out], [args.ckpt], args.seed
 
 
 def _score(value) -> bool:
@@ -267,7 +272,7 @@ def _scores(value) -> bool:
     return isinstance(value, list) and all(map(_score, value))
 
 
-def _cmd_consensus(args, started):
+def _cmd_consensus(args):
     table = load_score_table(args.scores, args.dirs)
     scores = ecr_scores(table, sigma=args.sigma)
     inputs = [args.scores, args.dirs]
@@ -290,8 +295,8 @@ def _cmd_consensus(args, started):
     write_ecr_csv(scores, args.out)
     if report is not None:
         print(report.to_json())
-    _write_manifest(args, [args.out], inputs, started)
     print(f"wrote {len(scores)} ECR scores to {args.out}")
+    return [args.out], inputs, None
 
 
 # --- parser -----------------------------------------------------------------------
@@ -394,11 +399,10 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else 2
     started = time.monotonic()
     try:
-        args.func(args, started)
-    except ChemlinkerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        wrote = args.func(args)
+        if wrote is not None:
+            _write_manifest(args, *wrote, started)
+    except (ChemlinkerError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

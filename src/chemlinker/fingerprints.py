@@ -11,6 +11,9 @@ byte directions, which makes every scheme invariant under atom relabeling.
 The hash is folded a field at a time, and a path's hash is carried down the
 walk one step at a time. For a power-of-two width the fold keeps only the
 low bits the bit index needs; any other width keeps all 64.
+
+Structural keys are one table, `KEYS` (id `default-v1`, 64 bits): bit k is
+set when predicate k holds for the molecule.
 """
 
 from __future__ import annotations
@@ -192,17 +195,6 @@ def path_fp(m: Molecule, max_len: int = 7,
 # --- structural keys -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KeySet:
-    """Ordered list of named structural predicates over a Molecule."""
-
-    keyset_id: str
-    keys: tuple          # of (name, predicate)
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-
 def _count(m: Molecule, element: str) -> int:
     return sum(a.element == element for a in m.atoms)
 
@@ -222,89 +214,64 @@ def _ring_elements(m: Molecule) -> set:
     return {a.element for a, ring in zip(m.atoms, m.ring_atom_flags()) if ring}
 
 
-def default_keyset() -> KeySet:
-    """The shipped ~40-predicate structural key set (id ``default-v1``)."""
-    halogens = ("F", "Cl", "Br", "I")
-    keys = []
+_HALOGENS = ("F", "Cl", "Br", "I")
 
-    for el in ("C", "N", "O", "S", "P", "B", "F", "Cl", "Br", "I"):
-        keys.append((f"has_{el}", lambda m, el=el: _count(m, el) > 0))
-    keys.append(("n_ge2", lambda m: _count(m, "N") >= 2))
-    keys.append(("o_ge2", lambda m: _count(m, "O") >= 2))
-    keys.append(("o_ge3", lambda m: _count(m, "O") >= 3))
-    keys.append(("halogen_ge2",
-                 lambda m: sum(_count(m, h) for h in halogens) >= 2))
-    keys.append(("heteroatom_present",
-                 lambda m: any(a.element != "C" for a in m.atoms)))
+# The structural key table `default-v1`: (name, predicate), bit k for key k.
+KEYS = (
+    *((f"has_{el}", lambda m, el=el: _count(m, el) > 0)
+      for el in ("C", "N", "O", "S", "P", "B", "F", "Cl", "Br", "I")),
+    ("n_ge2", lambda m: _count(m, "N") >= 2),
+    ("o_ge2", lambda m: _count(m, "O") >= 2),
+    ("o_ge3", lambda m: _count(m, "O") >= 3),
+    ("halogen_ge2", lambda m: sum(_count(m, h) for h in _HALOGENS) >= 2),
+    ("heteroatom_present", lambda m: any(a.element != "C" for a in m.atoms)),
 
-    keys.append(("has_ring", lambda m: bool(m.ring_bonds())))
-    keys.append(("ring_count_ge2", lambda m: len(m.smallest_rings()) >= 2))
-    for size in (3, 4, 5, 6, 7):
-        keys.append((f"ring_size_{size}",
-                     lambda m, size=size: any(len(r) == size
-                                              for r in m.smallest_rings())))
-    keys.append(("aromatic_ring",
-                 lambda m: any(b.order == AROMATIC for b in m.bonds)))
-    keys.append(("aromatic_n",
-                 lambda m: any(a.aromatic and a.element == "N"
-                               for a in m.atoms)))
-    keys.append(("aromatic_heteroatom",
-                 lambda m: any(a.aromatic and a.element != "C"
-                               for a in m.atoms)))
-    for el in ("N", "O", "S"):
-        keys.append((f"{el.lower()}_in_ring",
-                     lambda m, el=el: el in _ring_elements(m)))
-    keys.append(("heteroatom_in_ring",
-                 lambda m: bool(_ring_elements(m) - {"C"})))
+    ("has_ring", lambda m: bool(m.ring_bonds())),
+    ("ring_count_ge2", lambda m: len(m.smallest_rings()) >= 2),
+    *((f"ring_size_{size}",
+       lambda m, size=size: any(len(r) == size for r in m.smallest_rings()))
+      for size in (3, 4, 5, 6, 7)),
+    ("aromatic_ring", lambda m: any(b.order == AROMATIC for b in m.bonds)),
+    ("aromatic_n",
+     lambda m: any(a.aromatic and a.element == "N" for a in m.atoms)),
+    ("aromatic_heteroatom",
+     lambda m: any(a.aromatic and a.element != "C" for a in m.atoms)),
+    *((f"{el.lower()}_in_ring", lambda m, el=el: el in _ring_elements(m))
+      for el in ("N", "O", "S")),
+    ("heteroatom_in_ring", lambda m: bool(_ring_elements(m) - {"C"})),
 
-    keys.append(("positive_charge",
-                 lambda m: any(a.formal_charge > 0 for a in m.atoms)))
-    keys.append(("negative_charge",
-                 lambda m: any(a.formal_charge < 0 for a in m.atoms)))
-    keys.append(("any_charge",
-                 lambda m: any(a.formal_charge for a in m.atoms)))
+    ("positive_charge", lambda m: any(a.formal_charge > 0 for a in m.atoms)),
+    ("negative_charge", lambda m: any(a.formal_charge < 0 for a in m.atoms)),
+    ("any_charge", lambda m: any(a.formal_charge for a in m.atoms)),
 
-    keys.append(("double_bond", lambda m: _has_bond(m, DOUBLE)))
-    keys.append(("triple_bond", lambda m: _has_bond(m, TRIPLE)))
-    keys.append(("carbonyl", lambda m: _has_bond(m, DOUBLE, {"C", "O"})))
-    keys.append(("c_eq_n", lambda m: _has_bond(m, DOUBLE, {"C", "N"})))
-    keys.append(("s_eq_o", lambda m: _has_bond(m, DOUBLE, {"S", "O"})))
-    keys.append(("hydroxyl",
-                 lambda m: any(a.element == "O" and m.hydrogen_count(i) >= 1
-                               and m.degree(i) == 1
-                               for i, a in enumerate(m.atoms))))
-    keys.append(("primary_or_secondary_amine",
-                 lambda m: any(a.element == "N" and not a.aromatic
-                               and m.hydrogen_count(i) >= 1
-                               for i, a in enumerate(m.atoms))))
-    keys.append(("quaternary_center",
-                 lambda m: any(m.degree(i) >= 4
-                               for i in range(len(m.atoms)))))
-    keys.append(("branch_points_ge2",
-                 lambda m: sum(m.degree(i) >= 3
-                               for i in range(len(m.atoms))) >= 2))
-    keys.append(("size_ge10", lambda m: len(m.atoms) >= 10))
-    keys.append(("size_ge20", lambda m: len(m.atoms) >= 20))
-    keys.append(("multi_fragment", lambda m: len(m.fragments()) > 1))
-
-    return KeySet("default-v1", tuple(keys))
+    ("double_bond", lambda m: _has_bond(m, DOUBLE)),
+    ("triple_bond", lambda m: _has_bond(m, TRIPLE)),
+    ("carbonyl", lambda m: _has_bond(m, DOUBLE, {"C", "O"})),
+    ("c_eq_n", lambda m: _has_bond(m, DOUBLE, {"C", "N"})),
+    ("s_eq_o", lambda m: _has_bond(m, DOUBLE, {"S", "O"})),
+    ("hydroxyl",
+     lambda m: any(a.element == "O" and m.hydrogen_count(i) >= 1
+                   and m.degree(i) == 1 for i, a in enumerate(m.atoms))),
+    ("primary_or_secondary_amine",
+     lambda m: any(a.element == "N" and not a.aromatic
+                   and m.hydrogen_count(i) >= 1
+                   for i, a in enumerate(m.atoms))),
+    ("quaternary_center",
+     lambda m: any(m.degree(i) >= 4 for i in range(len(m.atoms)))),
+    ("branch_points_ge2",
+     lambda m: sum(m.degree(i) >= 3 for i in range(len(m.atoms))) >= 2),
+    ("size_ge10", lambda m: len(m.atoms) >= 10),
+    ("size_ge20", lambda m: len(m.atoms) >= 20),
+    ("multi_fragment", lambda m: len(m.fragments()) > 1),
+)
+KEYS_ID = "default-v1"
+KEYS_NBITS = 64
 
 
-_DEFAULT_KEYSET = None
-
-
-def key_fp(m: Molecule, keys: KeySet | None = None) -> FingerprintBitset:
-    """Evaluate every predicate; bit k is set iff predicate k holds."""
-    global _DEFAULT_KEYSET
-    if keys is None:
-        if _DEFAULT_KEYSET is None:
-            _DEFAULT_KEYSET = default_keyset()
-        keys = _DEFAULT_KEYSET
-    nbits = 64
-    while nbits < len(keys):
-        nbits *= 2
-    bits = frozenset(k for k, (_, pred) in enumerate(keys.keys) if pred(m))
-    return FingerprintBitset("keys", nbits, bits, (keys.keyset_id,))
+def key_fp(m: Molecule) -> FingerprintBitset:
+    """Evaluate every predicate of `KEYS`; bit k is set iff key k holds."""
+    bits = frozenset(k for k, (_, pred) in enumerate(KEYS) if pred(m))
+    return FingerprintBitset("keys", KEYS_NBITS, bits, (KEYS_ID,))
 
 
 def tanimoto(a: FingerprintBitset, b: FingerprintBitset) -> float:

@@ -33,16 +33,6 @@ class EvalReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def exact_match(generated: str, reference: str) -> bool:
-    """True iff both strings parse and canonicalize identically."""
-    ref = canonical_smiles(reference)
-    try:
-        gen = canonical_smiles(generated)
-    except ParseError:
-        return False
-    return gen == ref
-
-
 def evaluate_pairs(pairs) -> EvalReport:
     """Score (generated, reference) string pairs.
 

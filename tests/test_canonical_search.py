@@ -90,7 +90,7 @@ def _canonical_ranks(m):
     inv = []
     for i, a in enumerate(m.atoms):
         order2 = sum({SINGLE: 2, DOUBLE: 4, TRIPLE: 6, AROMATIC: 3}[b.order]
-                     for b in m.bonds_of(i))
+                     for _, b in m.incident(i))
         inv.append((ELEMENT_NUMBERS[a.element], m.degree(i), order2,
                     a.formal_charge, m.hydrogen_count(i), ring_flags[i],
                     a.aromatic, a.isotope or 0))
@@ -99,7 +99,8 @@ def _canonical_ranks(m):
     for _ in range(2 * len(m.atoms) + 1):
         refined = [
             (ranks[i],
-             tuple(sorted((b.order, ranks[b.other(i)]) for b in m.bonds_of(i))))
+             tuple(sorted((b.order, ranks[b.other(i)])
+                          for _, b in m.incident(i))))
             for i in range(len(m.atoms))
         ]
         new_ranks = _ranks_of(refined)
@@ -152,13 +153,13 @@ def _ref_best_fragment_string(m, frag, ranks):
 def _ref_branch_weights(m, frag):
     weights = {}
     for i in frag:
-        for b in m.bonds_of(i):
+        for _, b in m.incident(i):
             j = b.other(i)
             seen = {i, j}
             queue = [j]
             while queue:
                 x = queue.pop()
-                for nb in m.bonds_of(x):
+                for _, nb in m.incident(x):
                     y = nb.other(x)
                     if y not in seen:
                         seen.add(y)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its run manifests."""
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -17,6 +18,7 @@ from chemlinker import cli
 from chemlinker.adapternet import load_checkpoint
 from chemlinker.cli import main
 from chemlinker.datasetpipe import load_split
+from chemlinker.sampler import GenerationStats
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -439,6 +441,36 @@ def test_generate_writes_molecules_and_manifest(capsys, tmp_path,
     assert manifest["subcommand"] == "generate"
     assert manifest["seed"] == 42
     assert list(manifest["input_hashes"]) == [str(ckpt)]
+
+
+def test_unreached_target_prints_its_stats(capsys, monkeypatch, tmp_path,
+                                           tiny_checkpoint):
+    """A schedule that runs out exits 1 with the error line, and the line
+    before it is the accounting TargetUnreached carries."""
+    data, _ = tiny_checkpoint
+    ckpt = tmp_path / "model.ckpt"
+    assert run(capsys, "train", "--data", str(data), "--out", str(ckpt),
+               "--steps", "1")[0] == 0
+    real = cli.generate_unique_set
+
+    def single_element(params, text_ids, cfg):
+        # Every candidate is methane, which never passes the filter.
+        return real(params, text_ids,
+                    dataclasses.replace(cfg, per_temperature_cap=3),
+                    generate_fn=lambda temperature, rng: "C")
+
+    monkeypatch.setattr(cli, "generate_unique_set", single_element)
+    code, out, err = run(capsys, "generate", "--ckpt", str(ckpt),
+                         "--text", "molecule written as C C O", "--n", "2")
+    assert code == 1
+    assert out == ""
+    *_, line, error = err.splitlines()
+    assert error == ("error: reached temperature 4.5 with 0 of 2 unique "
+                     "molecules")
+    stats = GenerationStats(**{k: v for k, v in json.loads(line).items()
+                               if k != "success_rate"})
+    stats.validate()
+    assert (stats.sample, stats.unique, stats.se) == (24, 1, 1)
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])

@@ -15,7 +15,6 @@ from chemlinker.adapternet import (
     TrainConfig,
     init_model,
     load_checkpoint,
-    prepare_prompt,
     pretrain_decoder,
     save_checkpoint,
     smiles_char_vocab,
@@ -185,6 +184,24 @@ def test_slot_count_changes_no_sample(checkpoints, monkeypatch, slots):
         assert _run(checkpoints[name], prompt, fields) == tuple(pinned)
 
 
+def test_one_decode_cache_per_call(checkpoints, monkeypatch):
+    """The "escalated" row visits all eight temperatures and raises
+    TargetUnreached; its prompt is encoded into one cache, which every
+    temperature reuses."""
+    built = []
+
+    class Counting(sampler.DecodeCache):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(sampler, "DecodeCache", Counting)
+    name, prompt, fields, *pinned = GOLDEN[GOLDEN_IDS.index("escalated")]
+    assert _run(checkpoints[name], prompt, fields) == tuple(pinned)
+    assert len(sampler.escalation_schedule(GenerationConfig(**fields))) == 8
+    assert len(built) == 1
+
+
 def test_max_len_beyond_positional_table(checkpoints, monkeypatch):
     """A max_len the positional table cannot hold fails before any draw;
     the longest it can hold samples to the end of the table."""
@@ -212,12 +229,13 @@ def test_max_len_beyond_positional_table(checkpoints, monkeypatch):
 # --- the batched decoding cache ---------------------------------------------------
 
 
-def _run_slots(prompt, plans):
-    """Step a cache of len(plans) slots. Slot s runs the (name, ids)
-    sequences of plans[s] back to back, restarting between them, and is
-    idle, restarted at every step, once they are done. Returns {(name, n):
-    [logits after the first n ids, once per run of that prefix]}."""
-    cache = DecodeCache(prompt, len(plans))
+def _run_slots(params, text, plans):
+    """Step a cache of len(plans) slots for the text ids `text`. Slot s
+    runs the (name, ids) sequences of plans[s] back to back, restarting
+    between them, and is idle, restarted at every step, once they are done.
+    Returns {(name, n): [logits after the first n ids, once per run of that
+    prefix]}."""
+    cache = DecodeCache(params, text, len(plans))
     queues = [list(plan) for plan in plans]
     running = [None] * len(plans)       # (name, ids, tokens fed so far)
     out: dict = {}
@@ -256,12 +274,11 @@ def test_step_matches_forward_logits(checkpoints, name):
     seqs = {key: [MOL_VOCAB.bos] + [int(i) for i in row]
             for key, row in zip("ABCD", drawn)}
     A, B, C, D = (seqs[key] for key in "ABCD")
-    prompt = prepare_prompt(params, text)
-    mixed = _run_slots(prompt, [[("A", A)],
-                                [("B", B[:30]), ("C", C[:50])],
-                                [("C", C[:15]), ("D", D[:65])]])
-    apart = _run_slots(prompt, [[("D", D[:65])], [("C", C[:50])],
-                                [("A", A)], [("B", B[:30])]])
+    mixed = _run_slots(params, text, [[("A", A)],
+                                      [("B", B[:30]), ("C", C[:50])],
+                                      [("C", C[:15]), ("D", D[:65])]])
+    apart = _run_slots(params, text, [[("D", D[:65])], [("C", C[:50])],
+                                      [("A", A)], [("B", B[:30])]])
     assert mixed.keys() == apart.keys()
     assert ("A", limit) in mixed
     for (key, n), rows in mixed.items():
@@ -272,7 +289,7 @@ def test_step_matches_forward_logits(checkpoints, name):
         for got in rows:
             assert np.abs(got - apart[key, n][0]).max() <= 1e-6 * scale
 
-    cache = DecodeCache(prompt, 2)
+    cache = DecodeCache(params, text, 2)
     with pytest.raises(VocabError):
         cache.step([MOL_VOCAB.bos, len(MOL_VOCAB)])
     with pytest.raises(ShapeError):
@@ -298,14 +315,14 @@ def test_step_rows_exact_whatever_the_slot(checkpoints, slot):
     together."""
     params = checkpoints["noise"]
     limit = params.config.max_mol_len
-    prompt = prepare_prompt(params, _text_ids("propanol an alcohol"))
+    text = _text_ids("propanol an alcohol")
     drawn = np.random.default_rng(1).integers(3, len(MOL_VOCAB),
                                               (2 * sampler.SLOTS, limit - 1))
     seqs = [[MOL_VOCAB.bos] + [int(i) for i in row] for row in drawn]
     target = seqs[0]
     alone = [[] for _ in range(sampler.SLOTS)]
     alone[0] = [("T", target)]
-    want = _run_slots(prompt, alone)
+    want = _run_slots(params, text, alone)
     # Each busy neighbour restarts after 3 + s tokens with another sequence.
     plans = [[("N", seqs[s + 1][:3 + s]), ("M", seqs[-1 - s])]
              for s in range(sampler.SLOTS)]
@@ -313,7 +330,7 @@ def test_step_rows_exact_whatever_the_slot(checkpoints, slot):
     for s in range(1, sampler.SLOTS, 5):
         if s != slot:
             plans[s] = []           # idle, restarted at every step
-    got = _run_slots(prompt, plans)
+    got = _run_slots(params, text, plans)
     for n in range(1, len(target) + 1):
         assert got["T", n][0].tobytes() == want["T", n][0].tobytes(), n
 
@@ -424,10 +441,10 @@ def test_sampling_builds_no_tensors(checkpoints, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Tensor, "__init__", counting)
-    prompt = prepare_prompt(checkpoints["noise"],
-                            _text_ids("ethanol a small alcohol"))
+    cache = DecodeCache(checkpoints["noise"],
+                        _text_ids("ethanol a small alcohol"), sampler.SLOTS)
     streams = [SplitMix64(seed) for seed in range(20)]
-    samples = list(sampler.sample_candidates(prompt, MOL_VOCAB, 1.0, 78,
+    samples = list(sampler.sample_candidates(cache, MOL_VOCAB, 1.0, 78,
                                              streams))
     assert len(samples) == 20
     assert sum(map(len, samples)) > 20
@@ -444,10 +461,9 @@ def test_step_logits_pinned():
     for name in ("adapter.attn.wo", "adapter.ffn.w2"):
         params.tensors[name] = rng.normal(
             scale=0.1, size=params.tensors[name].shape).astype(np.float32)
-    prompt = prepare_prompt(params, _text_ids("acetic acid a carboxylic acid"))
-    digest = hashlib.sha256(prompt.text_keys.tobytes()
-                            + prompt.text_values.tobytes())
-    cache = DecodeCache(prompt, 1)
+    cache = DecodeCache(params, _text_ids("acetic acid a carboxylic acid"), 1)
+    digest = hashlib.sha256(cache.text_keys.tobytes()
+                            + cache.text_values.tobytes())
     for token in [MOL_VOCAB.bos] + MOL_VOCAB.encode(list("CC(=O)Oc1ccccc1")):
         digest.update(cache.step([token])[0].tobytes())
     assert digest.hexdigest() == (

@@ -1,6 +1,7 @@
 """Tests for fingerprint schemes, including an independent environment oracle."""
 
 import gc
+import hashlib
 import random
 from pathlib import Path
 
@@ -12,12 +13,12 @@ import chemlinker.fingerprints as fingerprints
 from chemlinker.errors import SchemeMismatch
 from chemlinker.fingerprints import (
     MAX_NBITS,
+    KEYS,
+    KEYS_NBITS,
     FingerprintBitset,
-    KeySet,
     _FNV_OFFSET,
     _fold,
     circular_fp,
-    default_keyset,
     fnv1a64,
     key_fp,
     path_fp,
@@ -60,7 +61,7 @@ def _oracle_atom_fields(m, i):
 def _oracle_tree(m, i, parent, depth):
     children = []
     if depth > 0:
-        for b in m.bonds_of(i):
+        for _, b in m.incident(i):
             j = b.other(i)
             if j != parent:
                 children.append((b.order, _oracle_tree(m, j, i, depth - 1)))
@@ -114,7 +115,7 @@ def _oracle_simple_paths(m, max_len):
         if len(path) > 1:
             paths.append(path)
         if len(path) <= max_len:
-            for b in m.bonds_of(path[-1]):
+            for _, b in m.incident(path[-1]):
                 j = b.other(path[-1])
                 if j not in path:
                     stack.append(path + [j])
@@ -170,18 +171,36 @@ def test_ethanol_two_short_paths():
     assert len(path_fp(parse_smiles("CCO"), max_len=1).bits) == 2
 
 
+# SHA-256 of one line per corpus_500 molecule, in its aromatic form (as
+# `eval` scores it): the circular, path and key hexes at their defaults.
+FINGERPRINT_HEX_DIGEST = (
+    "a0fef673606a262e046ba52f17d0e74e280230833d832192308b75490736f061")
+
+
+def test_fingerprint_hex_golden_digest():
+    lines = []
+    for s in CORPUS:
+        m = parse_smiles(s).aromatic_form()
+        lines.append(f"{circular_fp(m).to_hex()} {path_fp(m).to_hex()} "
+                     f"{key_fp(m).to_hex()}")
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == FINGERPRINT_HEX_DIGEST
+
+
 def test_key_fp_benzene():
-    ks = default_keyset()
-    names = [name for name, _ in ks.keys]
+    names = [name for name, _ in KEYS]
     bits = key_fp(parse_smiles("c1ccccc1")).bits
     assert names.index("aromatic_ring") in bits
     assert names.index("ring_size_6") in bits
     assert names.index("any_charge") not in bits
 
 
-def test_key_fp_empty_keyset():
-    empty = KeySet("empty", ())
-    assert key_fp(parse_smiles("CCO"), empty).bits == frozenset()
+def test_key_fp_width_holds_the_key_table():
+    assert len(KEYS) <= KEYS_NBITS
+    fp = key_fp(parse_smiles("CCO"))
+    assert fp.nbits == KEYS_NBITS
+    assert fp.to_hex().startswith(f"keys-default-v1/{KEYS_NBITS}:")
+    assert max(fp.bits) < len(KEYS)
 
 
 # --- tanimoto -------------------------------------------------------------------

@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 import chemlinker.metrics as metrics
 from chemlinker.errors import InvalidReference, ParseError
 from chemlinker.fingerprints import circular_fp, key_fp, path_fp, tanimoto
-from chemlinker.metrics import EvalReport, evaluate_pairs, exact_match
+from chemlinker.metrics import EvalReport, evaluate_pairs
 from chemlinker.molstring import canonical_smiles, parse_smiles
 
 
 def test_exact_match_examples():
-    assert exact_match("OCC", "CCO")
-    assert not exact_match("CCO", "CCN")
-    assert not exact_match("C(", "CCO")
+    assert evaluate_pairs([("OCC", "CCO")]).exact == 1.0
+    assert evaluate_pairs([("CCO", "CCN")]).exact == 0.0
+    assert evaluate_pairs([("C(", "CCO")]).exact == 0.0
 
 
 def test_identity_pairs_score_perfectly():

@@ -1,5 +1,6 @@
 """Tests for sampling, temperature escalation, and candidate filtering."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,14 +10,15 @@ from hypothesis import strategies as st
 
 from chemlinker.errors import TargetUnreached, VocabError
 from chemlinker.adapternet import (
+    DecodeCache,
     TrainConfig,
     Vocab,
     init_model,
-    prepare_prompt,
     smiles_char_vocab,
 )
 from chemlinker.rng import SplitMix64
 from chemlinker.sampler import (
+    SLOTS,
     FilterOutcome,
     GenerationConfig,
     GenerationStats,
@@ -118,10 +120,10 @@ def test_sample_candidates_bounded_and_deterministic():
     """The strings come in stream order, and each is the one its stream
     draws alone in the decoder."""
     params, vocab = _model_and_vocab()
-    prompt = prepare_prompt(params, [1, 4, 2])
 
     def sample(seeds):
-        return list(sample_candidates(prompt, vocab, 1.0, 12,
+        cache = DecodeCache(params, [1, 4, 2], SLOTS)
+        return list(sample_candidates(cache, vocab, 1.0, 12,
                                       (SplitMix64(s) for s in seeds)))
 
     a = sample(range(40))
@@ -136,13 +138,13 @@ def test_special_tokens_never_drawn_but_eos_is():
     params, vocab = _model_and_vocab()
     bias = params.tensors["head.b"]
     bias[[vocab.pad, vocab.bos]] = 50.0
-    prompt = prepare_prompt(params, [1, 4, 2])
-    texts = list(sample_candidates(prompt, vocab, 1.0, 12,
+    cache = DecodeCache(params, [1, 4, 2], SLOTS)
+    texts = list(sample_candidates(cache, vocab, 1.0, 12,
                                    (SplitMix64(s) for s in range(20))))
     assert texts and not any("<" in text for text in texts)
     bias[vocab.eos] = 60.0
-    prompt = prepare_prompt(params, [1, 4, 2])
-    assert list(sample_candidates(prompt, vocab, 1.0, 12,
+    cache = DecodeCache(params, [1, 4, 2], SLOTS)
+    assert list(sample_candidates(cache, vocab, 1.0, 12,
                                   (SplitMix64(s) for s in range(20)))) \
         == [""] * 20
 
@@ -348,6 +350,19 @@ def test_stats_identities_enforced():
 def test_replay_unknown_event():
     with pytest.raises(ValueError):
         replay_stats(["Pass", "Nonsense"])
+
+
+@pytest.mark.parametrize("payload", [
+    '{"name": "x"}',
+    '[1, 2]',
+    '{"events": "Pass"}',
+    '{"events": [["Pass"]]}',
+])
+def test_malformed_event_log_names_the_file(tmp_path, payload):
+    path = tmp_path / "log.json"
+    path.write_text(payload)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+        load_event_log(path)
 
 
 def test_table4_molt5_row():
